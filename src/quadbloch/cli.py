@@ -20,7 +20,7 @@ from . import constants
 from .config import ConfigError, RunConfig, parse_config_with_overrides
 from .hydrogenic import transition_frequency
 from .integrator import StepSizeError, Trajectory, integrate
-from .multipole import coupling_rates, gamma_estimate, transition_multipoles
+from .multipole import coupling_rates, transition_multipoles
 from .quadrature import QuadratureError
 from .twolevel import BlochVector, TwoLevelParams, additional_shift, frequency_shift
 from .verification import run_checks
@@ -57,18 +57,22 @@ def _fmt(value: float) -> str:
     return format(value, _COEFF_FMT)
 
 
-def _fmt_complex(value: complex) -> str:
-    scale = 1.0 + abs(value.real)
-    if abs(value.imag) > 1e-12 * scale:
-        return f"{value.real:{_COEFF_FMT}}{value.imag:+{_COEFF_FMT}}j"
-    return format(value.real, _COEFF_FMT)
+def _fmt_complex(value: complex, factor: float = 1.0) -> str:
+    """Format ``value * factor``, with its imaginary part when that part is
+    significant in atomic units. The cut-off 1e-12 (1 + |re|) is set for
+    moments of order one, so it is applied before the unit factor: an SI
+    moment is far below it."""
+    scaled = value * factor
+    if abs(value.imag) > 1e-12 * (1.0 + abs(value.real)):
+        return f"{scaled.real:{_COEFF_FMT}}{scaled.imag:+{_COEFF_FMT}}j"
+    return format(scaled.real, _COEFF_FMT)
 
 
 def run_coeffs(cfg: RunConfig, out=None) -> int:
     out = out or sys.stdout
     si = cfg.units == "si"
     data = transition_multipoles(cfg.state_a, cfg.state_b)
-    rates = coupling_rates(cfg.state_a, cfg.state_b)
+    rates = data.rates(cfg.k_max)
 
     freq_c = constants.PER_ATOMIC_TIME_S if si else 1.0
     dip_c = constants.DIPOLE_CM if si else 1.0
@@ -79,11 +83,11 @@ def run_coeffs(cfg: RunConfig, out=None) -> int:
     print(f"# pair: {cfg.state_a.label()} -> {cfg.state_b.label()}   units: {cfg.units}", file=out)
     print(f"{'omega':16s} {_fmt(data.omega * freq_c)}", file=out)
     for i, axis in enumerate(_AXES):
-        print(f"{'D_' + axis:16s} {_fmt_complex(data.dipole[i] * dip_c)}", file=out)
+        print(f"{'D_' + axis:16s} {_fmt_complex(data.dipole[i], dip_c)}", file=out)
     for i in range(3):
         for j in range(i, 3):
             name = f"Q_{_AXES[i]}{_AXES[j]}"
-            print(f"{name:16s} {_fmt_complex(data.quadrupole[i, j] * quad_c)}", file=out)
+            print(f"{name:16s} {_fmt_complex(data.quadrupole[i, j], quad_c)}", file=out)
     for i, axis in enumerate(_AXES):
         print(f"{'Delta_' + axis:16s} {_fmt(data.delta_vec[i] * dvec_c)}", file=out)
     for k in range(3):
@@ -93,9 +97,8 @@ def run_coeffs(cfg: RunConfig, out=None) -> int:
     print(f"{'A':16s} {_fmt(rates.a_rate * freq_c)}", file=out)
     print(f"{'B':16s} {_fmt(rates.b_rate * freq_c)}", file=out)
     print(f"{'C':16s} {_fmt(rates.c_rate * freq_c)}", file=out)
-    if cfg.k_max is not None:
-        gamma = gamma_estimate(cfg.state_a, cfg.state_b, cfg.k_max)
-        print(f"{f'Gamma(k_max={cfg.k_max:g})':16s} {_fmt(gamma * freq_c)}", file=out)
+    if rates.gamma is not None:
+        print(f"{f'Gamma(k_max={cfg.k_max:g})':16s} {_fmt(rates.gamma * freq_c)}", file=out)
     return 0
 
 

@@ -15,7 +15,9 @@ and the rates built from them,
     B_ab = (D_ab . Delta_ab) W^3 / c^4
     C_ab = (Q_ab : sym(delta_ab)) W^3 / c^4
 
-with W the transition angular frequency. The double contraction in C pairs
+with W the transition angular frequency, and the level-shift estimate
+Gamma(k_max) from the gradient matrix elements <a|grad|b> and <b|grad|a>
+(see ``gamma_estimate``). The double contraction in C pairs
 the two free indices of Q with the symmetrized current moment; that pairing
 is the only one producing a scalar from a symmetric traceless Q and is the
 convention adopted throughout (mirrored in the CLI docs).
@@ -25,6 +27,10 @@ Note that Jbar is identically zero whenever both wavefunctions are real
 real product. Nonzero current moments require a complex member (m != 0),
 and the B/C contractions may then come out complex; the real part is
 reported. Pairs are expected to share the same nucleus.
+
+Every pair integral comes from one exact grid (see ``quadrature``) and one
+evaluation of each state's value and gradient on it; the rates and Gamma
+are arithmetic on the resulting ``MultipoleData``.
 """
 
 from __future__ import annotations
@@ -34,10 +40,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .hydrogenic import BoundState, bound_energy, eigenstate_eval, transition_frequency
-from .quadrature import DEFAULT_SPEC, Grid, QuadratureError, QuadratureSpec, grid_for_pair
+from .hydrogenic import BoundState, eigenstate_eval, transition_frequency
+from .quadrature import QuadratureSpec, grid_for_pair
 
-_NORM_TOLERANCE = 1e-8
+
+@dataclass(frozen=True)
+class CouplingRates:
+    a_rate: float
+    b_rate: float
+    c_rate: float
+    gamma: float | None = None
 
 
 @dataclass(frozen=True)
@@ -49,74 +61,57 @@ class MultipoleData:
     quadrupole: np.ndarray      # (3, 3) complex, symmetric traceless
     delta_vec: np.ndarray       # (3,) real
     delta_tensor: np.ndarray    # (3, 3) real, row k from x^k/r, column i from Jbar^i
+    grad_ab: np.ndarray         # (3,) complex, <a|grad|b> = int conj(psi_a) grad psi_b
+    grad_ba: np.ndarray         # (3,) complex, <b|grad|a>
+
+    def rates(self, k_max: float | None = None) -> CouplingRates:
+        """A, B, C (and Gamma(k_max) when asked); exact zeros for a degenerate pair."""
+        gamma = self.gamma(k_max) if k_max is not None else None
+        if self.omega == 0.0:
+            return CouplingRates(0.0, 0.0, 0.0, gamma)
+        w3 = self.omega**3
+        c = SPEED_OF_LIGHT
+        d_dot = float(np.real(np.dot(self.dipole, np.conj(self.dipole))))
+        a_rate = (4.0 / 3.0) * d_dot * w3 / c**3
+        b_rate = float(np.real(np.dot(self.dipole, self.delta_vec))) * w3 / c**4
+        sym_delta = 0.5 * (self.delta_tensor + self.delta_tensor.T)
+        c_rate = float(np.real(np.sum(self.quadrupole * sym_delta))) * w3 / c**4
+        return CouplingRates(a_rate, b_rate, c_rate, gamma)
+
+    def gamma(self, k_max: float) -> float:
+        """Gamma_ab(k_max) as defined in ``gamma_estimate``."""
+        if k_max < 0:
+            raise ValueError(f"k_max must be nonnegative, got {k_max}")
+        mag2 = 0.5 * (float(np.sum(np.abs(self.grad_ab) ** 2)) + float(np.sum(np.abs(self.grad_ba) ** 2)))
+        return (4.0 / (3.0 * np.pi * SPEED_OF_LIGHT**2)) * k_max * mag2
 
 
-@dataclass(frozen=True)
-class CouplingRates:
-    a_rate: float
-    b_rate: float
-    c_rate: float
-    gamma: float | None = None
+def _pair_fields(a: BoundState, b: BoundState, spec: QuadratureSpec | None):
+    """The pair's exact grid and both states' values and gradients on it."""
+    grid = grid_for_pair(a, b, spec)
+    psi_a, grad_a = eigenstate_eval(a, grid.points)
+    psi_b, grad_b = eigenstate_eval(b, grid.points)
+    return grid, psi_a, grad_a, psi_b, grad_b
 
 
-def _state_fields(state: BoundState, grid: Grid):
-    return eigenstate_eval(state, grid.points)
-
-
-def _check_resolution(a: BoundState, b: BoundState, grid: Grid, psi_a, psi_b):
-    for state, psi in ((a, psi_a), (b, psi_b)):
-        norm = float(np.real(np.dot(grid.weights, np.abs(psi) ** 2)))
-        if abs(norm - 1.0) > _NORM_TOLERANCE:
-            raise QuadratureError(
-                f"grid does not resolve {state.label()}: self-overlap {norm!r} deviates from 1 "
-                f"by {abs(norm - 1.0):.3e} (> {_NORM_TOLERANCE:g}); increase radial_node_count "
-                f"or leave radial_scale unset so it matches the pair"
-            )
+def _jbar(grad_a, psi_b) -> np.ndarray:
+    return np.imag(np.conj(psi_b)[..., None] * grad_a)
 
 
 def overlap(a: BoundState, b: BoundState, spec: QuadratureSpec | None = None) -> complex:
     """<psi_a | psi_b> on the pair grid (orthonormality diagnostic)."""
-    grid = grid_for_pair(a, b, spec)
-    psi_a, _ = _state_fields(a, grid)
-    psi_b, _ = _state_fields(b, grid)
+    grid, psi_a, _, psi_b, _ = _pair_fields(a, b, spec)
     return complex(np.dot(grid.weights, np.conj(psi_a) * psi_b))
 
 
 def dipole_moment(a: BoundState, b: BoundState, spec: QuadratureSpec | None = None) -> np.ndarray:
     """Dipole vector D_ab; Hermitian in the pair: D_ab = conj(D_ba)."""
-    grid = grid_for_pair(a, b, spec)
-    psi_a, _ = _state_fields(a, grid)
-    psi_b, _ = _state_fields(b, grid)
-    _check_resolution(a, b, grid, psi_a, psi_b)
-    return _dipole_on_grid(grid, psi_a, psi_b)
-
-
-def _dipole_on_grid(grid: Grid, psi_a, psi_b) -> np.ndarray:
-    density = psi_a * np.conj(psi_b)
-    return np.tensordot(grid.weights * density, grid.points, axes=(0, 0))
+    return transition_multipoles(a, b, spec).dipole
 
 
 def quadrupole_moment(a: BoundState, b: BoundState, spec: QuadratureSpec | None = None) -> np.ndarray:
     """Symmetric traceless quadrupole tensor Q_ab."""
-    grid = grid_for_pair(a, b, spec)
-    psi_a, _ = _state_fields(a, grid)
-    psi_b, _ = _state_fields(b, grid)
-    _check_resolution(a, b, grid, psi_a, psi_b)
-    return _quadrupole_on_grid(grid, psi_a, psi_b)
-
-
-def _quadrupole_on_grid(grid: Grid, psi_a, psi_b) -> np.ndarray:
-    pts = grid.points
-    r2 = np.sum(pts * pts, axis=-1)
-    density = grid.weights * psi_a * np.conj(psi_b)
-    q = np.empty((3, 3), dtype=complex)
-    for i in range(3):
-        for j in range(i, 3):
-            kernel = 0.5 * pts[:, i] * pts[:, j]
-            if i == j:
-                kernel = kernel - r2 / 6.0
-            q[i, j] = q[j, i] = np.dot(density, kernel)
-    return q
+    return transition_multipoles(a, b, spec).quadrupole
 
 
 def current_kernel(a: BoundState, b: BoundState, point) -> np.ndarray:
@@ -126,48 +121,35 @@ def current_kernel(a: BoundState, b: BoundState, point) -> np.ndarray:
     imaginary part of its first term, so Jbar = Im(conj(psi_b) grad psi_a)
     exactly. It vanishes identically for real wavefunction pairs.
     """
-    psi_a, grad_a = eigenstate_eval(a, point)
+    _, grad_a = eigenstate_eval(a, point)
     psi_b, _ = eigenstate_eval(b, point)
-    return np.imag(np.conj(psi_b)[..., None] * grad_a)
-
-
-def _current_on_grid(grid: Grid, psi_a, grad_a, psi_b) -> np.ndarray:
-    return np.imag(np.conj(psi_b)[..., None] * grad_a)
+    return _jbar(grad_a, psi_b)
 
 
 def current_integrals(a: BoundState, b: BoundState, spec: QuadratureSpec | None = None):
     """Current moments (Delta_ab, delta_ab) of the pair."""
-    grid = grid_for_pair(a, b, spec)
-    psi_a, grad_a = _state_fields(a, grid)
-    psi_b, _ = _state_fields(b, grid)
-    _check_resolution(a, b, grid, psi_a, psi_b)
-    return _current_integrals_on_grid(grid, psi_a, grad_a, psi_b)
-
-
-def _current_integrals_on_grid(grid: Grid, psi_a, grad_a, psi_b):
-    current = _current_on_grid(grid, psi_a, grad_a, psi_b)   # (N, 3) real
-    pts = grid.points
-    r = np.sqrt(np.sum(pts * pts, axis=-1))
-    weighted = grid.weights[:, None] * current
-    delta_vec = np.tensordot(r, weighted, axes=(0, 0))
-    unit = pts / r[:, None]
-    delta_tensor = np.tensordot(unit, weighted, axes=(0, 0))  # [k, i]
-    return delta_vec, delta_tensor
+    data = transition_multipoles(a, b, spec)
+    return data.delta_vec, data.delta_tensor
 
 
 def transition_multipoles(a: BoundState, b: BoundState, spec: QuadratureSpec | None = None) -> MultipoleData:
-    """Evaluate every pair integral on a single shared grid."""
-    grid = grid_for_pair(a, b, spec)
-    psi_a, grad_a = _state_fields(a, grid)
-    psi_b, _ = _state_fields(b, grid)
-    _check_resolution(a, b, grid, psi_a, psi_b)
-    delta_vec, delta_tensor = _current_integrals_on_grid(grid, psi_a, grad_a, psi_b)
+    """Evaluate every pair integral from one grid and one evaluation of each state."""
+    grid, psi_a, grad_a, psi_b, grad_b = _pair_fields(a, b, spec)
+    pts, w = grid.points, grid.weights
+    r = np.sqrt(np.sum(pts * pts, axis=-1))
+
+    moment = (w * psi_a * np.conj(psi_b))[:, None] * pts     # (N, 3): integrand of D
+    second = pts.T @ moment                                   # int psi_a x^i x^j conj(psi_b)
+    second = 0.5 * (second + second.T)
+    current = w[:, None] * _jbar(grad_a, psi_b)               # (N, 3) real
     return MultipoleData(
         omega=transition_frequency(a, b),
-        dipole=_dipole_on_grid(grid, psi_a, psi_b),
-        quadrupole=_quadrupole_on_grid(grid, psi_a, psi_b),
-        delta_vec=delta_vec,
-        delta_tensor=delta_tensor,
+        dipole=moment.sum(axis=0),
+        quadrupole=0.5 * second - (np.trace(second) / 6.0) * np.eye(3),
+        delta_vec=r @ current,
+        delta_tensor=(pts / r[:, None]).T @ current,         # [k, i]
+        grad_ab=(w * np.conj(psi_a)) @ grad_b,
+        grad_ba=(w * np.conj(psi_b)) @ grad_a,
     )
 
 
@@ -175,26 +157,11 @@ def coupling_rates(a: BoundState, b: BoundState, spec: QuadratureSpec | None = N
                    k_max: float | None = None) -> CouplingRates:
     """Radiative rates A_ab, B_ab, C_ab (and the Gamma estimate when asked).
 
-    Degenerate pairs return exact zeros without touching any integral: every
-    rate carries the W^3 prefactor. The B and C contractions are reported as
-    real parts (see the module note on complex pairs).
+    Degenerate pairs return exact zeros: every rate carries the W^3
+    prefactor. The B and C contractions are reported as real parts (see the
+    module note on complex pairs).
     """
-    if bound_energy(a) == bound_energy(b):
-        gamma = gamma_estimate(a, b, k_max, spec) if k_max is not None else None
-        return CouplingRates(0.0, 0.0, 0.0, gamma)
-
-    data = transition_multipoles(a, b, spec)
-    w3 = data.omega**3
-    c = SPEED_OF_LIGHT
-
-    d_dot = float(np.real(np.dot(data.dipole, np.conj(data.dipole))))
-    a_rate = (4.0 / 3.0) * d_dot * w3 / c**3
-    b_rate = float(np.real(np.dot(data.dipole, data.delta_vec))) * w3 / c**4
-    sym_delta = 0.5 * (data.delta_tensor + data.delta_tensor.T)
-    c_rate = float(np.real(np.sum(data.quadrupole * sym_delta))) * w3 / c**4
-
-    gamma = gamma_estimate(a, b, k_max, spec) if k_max is not None else None
-    return CouplingRates(a_rate, b_rate, c_rate, gamma)
+    return transition_multipoles(a, b, spec).rates(k_max)
 
 
 def gamma_estimate(a: BoundState, b: BoundState, k_max: float,
@@ -214,14 +181,4 @@ def gamma_estimate(a: BoundState, b: BoundState, k_max: float,
     Treat it as an order-of-magnitude handle; simulations normally take the
     shift coefficients as explicit inputs.
     """
-    if k_max < 0:
-        raise ValueError(f"k_max must be nonnegative, got {k_max}")
-    if k_max == 0:
-        return 0.0
-    grid = grid_for_pair(a, b, spec)
-    psi_a, grad_a = _state_fields(a, grid)
-    psi_b, grad_b = _state_fields(b, grid)
-    me_ab = np.tensordot(grid.weights * np.conj(psi_a), grad_b, axes=(0, 0))
-    me_ba = np.tensordot(grid.weights * np.conj(psi_b), grad_a, axes=(0, 0))
-    mag2 = 0.5 * (float(np.sum(np.abs(me_ab) ** 2)) + float(np.sum(np.abs(me_ba) ** 2)))
-    return (4.0 / (3.0 * np.pi * SPEED_OF_LIGHT**2)) * k_max * mag2
+    return transition_multipoles(a, b, spec).gamma(k_max)

@@ -68,6 +68,33 @@ class TestCoeffs:
         assert abs(values["D_z"]) < 1e-10
         assert abs(values["Q_zz"]) > 0.1
 
+    def test_si_keeps_imaginary_dipole(self, tmp_path, capsys):
+        def coeffs(units):
+            cfg = write(tmp_path / f"{units}.cfg", f"mode = coeffs\nstate_a = 2p+1\nstate_b = 1s\nunits = {units}\n")
+            assert main(["coeffs", "--config", cfg]) == 0
+            out = capsys.readouterr().out
+            return {line.split()[0]: complex(line.split()[1]) for line in out.splitlines() if not line.startswith("#")}
+
+        atomic, si = coeffs("atomic"), coeffs("si")
+        assert atomic["D_y"].imag == pytest.approx(-128.0 / 243.0, rel=1e-10)
+        assert si["D_y"].imag != 0.0
+        assert si["D_y"].imag == pytest.approx(atomic["D_y"].imag * constants.DIPOLE_CM, rel=1e-11)
+
+    def test_pair_evaluated_once(self, tmp_path, capsys, monkeypatch):
+        from quadbloch import multipole
+
+        calls = []
+        original = multipole.eigenstate_eval
+
+        def counting(state, point):
+            calls.append(state)
+            return original(state, point)
+
+        monkeypatch.setattr(multipole, "eigenstate_eval", counting)
+        cfg = write(tmp_path / "pair.cfg", "mode = coeffs\nstate_a = 3d+1\nstate_b = 1s\nk_max = 2.0\n")
+        assert main(["coeffs", "--config", cfg]) == 0
+        assert len(calls) == 2
+
 
 class TestSimulate:
     def test_fixed_point_start(self, tmp_path):

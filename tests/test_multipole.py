@@ -7,7 +7,9 @@ wavefunction on a dense Gauss-Legendre tensor grid with finite-difference
 gradients.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +139,27 @@ class TestQuadrupole:
             assert abs(np.trace(q)) < 1e-12 * max(norm, 1.0)
 
 
+class TestExactOracle:
+    """Default-path D and Q against the exact table written by make_exact_moments.py."""
+
+    def test_all_pairs_n_le_3(self):
+        table = json.loads((Path(__file__).with_name("exact_moments.json")).read_text())["pairs"]
+        assert len(table) == 105
+        worst = 0.0
+        for entry in table:
+            a, b = BoundState(*entry["a"]), BoundState(*entry["b"])
+            d = np.array([complex(*v) for v in entry["D"]])
+            q = np.array([[complex(*v) for v in row] for row in entry["Q"]])
+            # D and Q are Hermitian in the pair: the swapped order gives the conjugates
+            for x, y, exact_d, exact_q in ((a, b, d, q), (b, a, np.conj(d), np.conj(q))):
+                data = transition_multipoles(x, y)
+                for got, exact in ((data.dipole, exact_d), (data.quadrupole, exact_q)):
+                    # relative error, absolute where the exact value is zero
+                    err = np.abs(got - exact) / np.where(exact != 0, np.abs(exact), 1.0)
+                    worst = max(worst, float(np.max(err)))
+        assert worst < 1e-12
+
+
 class TestCurrentKernel:
     def test_vanishes_for_identical_real_state(self, rng):
         pts = rng.normal(size=(20, 3))
@@ -249,6 +272,16 @@ class TestCouplingRates:
         assert data.omega == pytest.approx(0.375, rel=1e-15)
         assert data.dipole[2].real == pytest.approx(DIPOLE_1S_2P0_Z, rel=1e-8)
         assert np.max(np.abs(data.delta_vec)) < 1e-12
+
+
+class TestGradientElements:
+    @pytest.mark.parametrize("a,b", [(S2P0, S1S), (S2P1, S1S), (S3D1, BoundState(2, 1, 0)), (S3D0, S2S)])
+    def test_velocity_form_of_dipole(self, a, b):
+        # [H, x] = -d/dx: <a|grad|b> = -(E_a - E_b) <a|x|b>, and <a|x|b> = conj(D_ab)
+        data = transition_multipoles(a, b)
+        expected = -data.omega * np.conj(data.dipole)
+        assert np.max(np.abs(data.grad_ab - expected)) < 1e-12
+        assert np.max(np.abs(data.grad_ba + np.conj(data.grad_ab))) < 1e-12
 
 
 class TestGammaEstimate:

@@ -3,7 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from quadbloch import BoundState, QuadratureError, QuadratureSpec, dipole_moment, grid_for_pair, overlap
+from quadbloch import (
+    DEFAULT_SPEC,
+    BoundState,
+    QuadratureError,
+    QuadratureSpec,
+    dipole_moment,
+    grid_for_pair,
+    overlap,
+    quadrupole_moment,
+    transition_multipoles,
+)
 from quadbloch.quadrature import _angular_rule, _radial_rule
 
 
@@ -92,7 +102,7 @@ class TestStateResolution:
     def test_mismatched_scale_raises_diagnostic(self):
         a = BoundState(1, 0, 0)
         b = BoundState(2, 1, 0)
-        with pytest.raises(QuadratureError, match="self-overlap"):
+        with pytest.raises(QuadratureError, match="radial_scale 40.0 is not the decay 1.5"):
             dipole_moment(a, b, QuadratureSpec(radial_node_count=16, radial_scale=40.0))
 
     def test_grid_weights_positive_and_finite(self):
@@ -100,3 +110,46 @@ class TestStateResolution:
         assert np.all(np.isfinite(g.weights))
         assert np.all(np.isfinite(g.points))
         assert g.radial_scale == pytest.approx(1.0 + 0.25)
+
+
+S3P0 = BoundState(3, 1, 0)
+S2P0 = BoundState(2, 1, 0)
+Q_ZZ_3P0_2P0 = -1327104.0 / 390625.0     # exact, from tests/exact_moments.json
+
+
+class TestExactness:
+    def test_default_grid_is_smallest_exact(self):
+        g = grid_for_pair(S3P0, S2P0)
+        assert (g.spec.radial_node_count, g.spec.angular_order) == (16, 4)
+        assert (g.radial_degree, g.angular_degree) == (31, 4)
+        assert len(g.weights) == 16 * 3 * 5
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_coarse_angular_spec_raises(self, order):
+        # too coarse for the cos^4 term: the sum comes out as 0 instead of -3.397
+        with pytest.raises(QuadratureError, match=f"angular degree 4 needed, {order} supplied"):
+            quadrupole_moment(S3P0, S2P0, QuadratureSpec(angular_order=order))
+
+    def test_too_few_radial_nodes_for_high_n_raises(self):
+        a, b = BoundState(15, 0, 0), BoundState(15, 1, 0)
+        with pytest.raises(QuadratureError, match="radial degree 32 needed, 31 supplied"):
+            dipole_moment(a, b, QuadratureSpec(radial_node_count=16))
+        g = grid_for_pair(a, b)
+        assert g.spec.radial_node_count == 17 and g.radial_degree == 33
+        grid_for_pair(a, b, QuadratureSpec(radial_node_count=17, angular_order=3))
+
+    def test_default_path_quadrupole_3p0_2p0(self):
+        assert quadrupole_moment(S3P0, S2P0)[2, 2].real == pytest.approx(Q_ZZ_3P0_2P0, rel=1e-12)
+
+    @pytest.mark.parametrize("a,b", [
+        (BoundState(4, 3, 3), BoundState(4, 3, 1)),
+        (BoundState(4, 3, -2), BoundState(3, 2, -1)),
+        (BoundState(4, 2, 1), BoundState(4, 0, 0)),
+    ])
+    def test_smallest_grid_matches_dense_spec(self, a, b):
+        small = transition_multipoles(a, b)
+        dense = transition_multipoles(a, b, DEFAULT_SPEC)
+        for field in ("dipole", "quadrupole", "delta_vec", "delta_tensor", "grad_ab", "grad_ba"):
+            x, y = getattr(small, field), getattr(dense, field)
+            scale = max(float(np.max(np.abs(y))), 1.0)
+            assert np.max(np.abs(x - y)) / scale < 1e-12, field
