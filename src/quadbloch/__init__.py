@@ -36,7 +36,6 @@ from .twolevel import (
     bloch_to_density,
     density_rhs_two_level,
     density_to_bloch,
-    derived_params,
     dipole_expectation,
     energy_expectation,
     frequency_shift,
@@ -70,7 +69,6 @@ __all__ = [
     "default_initial",
     "density_rhs_two_level",
     "density_to_bloch",
-    "derived_params",
     "dipole_expectation",
     "dipole_moment",
     "energy_expectation",

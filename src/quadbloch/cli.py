@@ -12,6 +12,7 @@ verification report fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from . import constants
 from .config import ConfigError, RunConfig, parse_config_with_overrides
 from .hydrogenic import transition_frequency
-from .integrator import StepSizeError, Trajectory, integrate
+from .integrator import StepSizeError, Trajectory, integrate, time_grid
 from .multipole import coupling_rates, transition_multipoles
 from .quadrature import QuadratureError
 from .twolevel import BlochVector, TwoLevelParams, additional_shift, frequency_shift
@@ -167,11 +168,9 @@ def run_shift(cfg: RunConfig, out=None) -> int:
     freq_c = constants.PER_ATOMIC_TIME_S if cfg.units == "si" else 1.0
     t_c = constants.ATOMIC_TIME_S if cfg.units == "si" else 1.0
 
-    n_steps = max(1, int(round((cfg.t_end - cfg.t_start) / cfg.step)))
-    h = (cfg.t_end - cfg.t_start) / n_steps
+    times, _ = time_grid(cfg.t_start, cfg.t_end, cfg.step)
     print("t,shift_full,shift_dipole_only,additional_shift,identity_residual", file=out)
-    for k in range(n_steps + 1):
-        t = cfg.t_start + k * h
+    for t in times.tolist():
         full = frequency_shift(t, p)
         base = frequency_shift(t, dipole_only)
         extra = additional_shift(t, p)
@@ -181,6 +180,7 @@ def run_shift(cfg: RunConfig, out=None) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadbloch",

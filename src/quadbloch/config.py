@@ -19,7 +19,7 @@ DYNAMIC_MODES = ("simulate", "verify", "shift")
 _RATE_KEYS = ("omega21", "a12", "b12", "c12")
 _GAMMA_KEYS = ("gamma11", "gamma22", "gamma12")
 _TIME_KEYS = ("t_start", "t_end", "step", "t0")
-_FLOAT_KEYS = _RATE_KEYS + _GAMMA_KEYS + _TIME_KEYS + ("k_max", "theta0", "px0", "py0", "pz0")
+_FLOAT_KEYS = _RATE_KEYS + _GAMMA_KEYS + _TIME_KEYS + ("k_max", "px0", "py0", "pz0")
 _KNOWN_KEYS = ("mode", "state_a", "state_b", "output", "units") + _FLOAT_KEYS
 
 _STATE_TOKEN = re.compile(r"^(\d+)([a-z])([+-]?\d+)?$")
@@ -73,7 +73,6 @@ class RunConfig:
     k_max: float | None = None
     output: str | None = None
     units: str = "atomic"
-    theta0: float | None = None
     initial: tuple[float, float, float] | None = None
 
     @property
@@ -156,7 +155,6 @@ def _build(raw: dict[str, tuple[str, str]], default_mode: str | None) -> RunConf
         k_max=floats["k_max"],
         output=raw["output"][0] if "output" in raw else None,
         units=units,
-        theta0=floats["theta0"],
         initial=initial,
     )
     _validate(cfg)

@@ -8,11 +8,12 @@ Richardson estimate of the global error, stored on the trajectory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .twolevel import BlochVector, TwoLevelParams, analytic_bloch
+from .twolevel import BlochVector, TwoLevelParams, _shift, analytic_bloch, bloch_rhs
 
 _NORM_ABORT = 1.0 + 1e-6
 
@@ -45,18 +46,31 @@ class Trajectory:
         return self.t.shape[0]
 
 
-def _rhs_array(y: np.ndarray, p: TwoLevelParams, q: float, rot_sign: float = 1.0) -> np.ndarray:
+def _rk4_step(y: tuple[float, float, float], h: float, p: TwoLevelParams) -> tuple[float, float, float]:
     px, py, pz = y
-    phi = rot_sign * (-p.omega21 + p.tau + p.lam * pz)
-    return np.array([q * pz * px - phi * py, q * pz * py + phi * px, q * (pz * pz - 1.0)])
+    half = 0.5 * h
+    k1 = bloch_rhs(y, p)
+    k2 = bloch_rhs((px + half * k1[0], py + half * k1[1], pz + half * k1[2]), p)
+    k3 = bloch_rhs((px + half * k2[0], py + half * k2[1], pz + half * k2[2]), p)
+    k4 = bloch_rhs((px + h * k3[0], py + h * k3[1], pz + h * k3[2]), p)
+    c = h / 6.0
+    return (px + c * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+            py + c * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
+            pz + c * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]))
 
 
-def _rk4_step(y: np.ndarray, h: float, p: TwoLevelParams, q: float, rot_sign: float = 1.0) -> np.ndarray:
-    k1 = _rhs_array(y, p, q, rot_sign)
-    k2 = _rhs_array(y + 0.5 * h * k1, p, q, rot_sign)
-    k3 = _rhs_array(y + 0.5 * h * k2, p, q, rot_sign)
-    k4 = _rhs_array(y + h * k3, p, q, rot_sign)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def time_grid(t_start: float, t_end: float, step: float) -> tuple[np.ndarray, float]:
+    """Sample times and width of round(span/step) equal steps (at least one).
+
+    The last sample lands exactly on t_end up to rounding of t_start + n h.
+    """
+    if step <= 0:
+        raise ValueError(f"step must be positive, got {step}")
+    if not t_end > t_start:
+        raise ValueError(f"t_end must exceed t_start, got [{t_start}, {t_end}]")
+    n_steps = max(1, int(round((t_end - t_start) / step)))
+    h = (t_end - t_start) / n_steps
+    return t_start + h * np.arange(n_steps + 1), h
 
 
 def default_initial(p: TwoLevelParams, t_start: float) -> BlochVector:
@@ -76,46 +90,35 @@ def integrate(initial: BlochVector | None, p: TwoLevelParams, t_start: float,
     closed unit ball by more than 1e-6, which on this flow can only be a
     discretization artifact.
     """
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    if not t_end > t_start:
-        raise ValueError(f"t_end must exceed t_start, got [{t_start}, {t_end}]")
+    t, h = time_grid(t_start, t_end, step)
     start = default_initial(p, t_start) if initial is None else initial
 
-    n_steps = max(1, int(round((t_end - t_start) / step)))
-    h = (t_end - t_start) / n_steps
-    q = p.q
-
-    samples = np.empty((n_steps + 1, 3))
-    samples[0] = np.asarray(start, dtype=float)
-    y = samples[0].copy()
-    for k in range(n_steps):
-        y = _rk4_step(y, h, p, q)
-        norm = float(np.sqrt(np.dot(y, y)))
+    y = y_half = tuple(float(v) for v in start)
+    samples = np.empty((len(t), 3))
+    samples[0] = y
+    # The Richardson companion at half the step runs alongside; only its
+    # running deviation from the main pass is kept.
+    deviation = 0.0
+    for k in range(1, len(t)):
+        y = _rk4_step(y, h, p)
+        norm = math.sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2])
         if norm > _NORM_ABORT:
             raise StepSizeError(
-                f"|P| = {norm:.9f} left the unit ball at t = {t_start + (k + 1) * h:g}; "
+                f"|P| = {norm:.9f} left the unit ball at t = {t_start + k * h:g}; "
                 f"step {h:g} is too large for these parameters, retry with a smaller step"
             )
-        samples[k + 1] = y
-
-    # Richardson companion at half the step; only the running deviation is kept.
-    y_half = samples[0].copy()
-    deviation = 0.0
-    for k in range(n_steps):
-        y_half = _rk4_step(y_half, 0.5 * h, p, q)
-        y_half = _rk4_step(y_half, 0.5 * h, p, q)
-        deviation = max(deviation, float(np.max(np.abs(samples[k + 1] - y_half))))
+        samples[k] = y
+        y_half = _rk4_step(_rk4_step(y_half, 0.5 * h, p), 0.5 * h, p)
+        deviation = max(deviation, abs(y[0] - y_half[0]), abs(y[1] - y_half[1]), abs(y[2] - y_half[2]))
     error_estimate = deviation * 16.0 / 15.0
 
-    t = t_start + h * np.arange(n_steps + 1)
     px, py, pz = samples[:, 0], samples[:, 1], samples[:, 2]
     rho11 = 0.5 * (1.0 + pz)
     rho22 = 0.5 * (1.0 - pz)
     rho12 = 0.5 * (px - 1j * py)
     energy = -0.5 * p.omega21 * pz
     dipole = px.copy()                     # unit transition-dipole magnitude
-    shift = -p.tau + p.lam * pz            # equals -tau - lam tanh q(t-t0) on the closed form
+    shift = _shift(p, pz)
 
     return Trajectory(
         t=t, bloch=samples, rho11=rho11, rho22=rho22, rho12=rho12,

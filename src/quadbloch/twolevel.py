@@ -12,20 +12,14 @@ shift coefficients, the equations of motion are
 
 where omega12 = -omega21. These follow from the population equations
 d(rho11)/dt = -2 q rho11 rho22 (and its mirror) together with the coherence
-equation under the standard Pauli decomposition rho12 = (Px - i Py)/2; the
-closed-form solution below satisfies them to machine precision (enforced by
-the residual tests).
+equation for rho12 = (Px - i Py)/2,
 
-Sign conventions: two parameterizations of the transverse phase are in
-circulation and they are not compatible when lam != 0. ``analytic_bloch``
-carries the phase (omega21 - tau)(t - t0) + (lam/q) ln cosh q(t - t0),
-which is the one consistent with the differential system above. The chirp
-observables ``dipole_expectation`` / ``frequency_shift`` /
-``additional_shift`` use the conventional theta parameterization
-theta(t) = theta0 - tau t - (lam/q) ln cosh q(t - t0), whose ln cosh term
-carries the opposite sign; it is internally consistent with the shift
--tau - lam tanh q(t - t0) and its dipole-vs-quadrupole decomposition.
-The two families coincide at t = t0 and everywhere when lam = 0.
+    d(rho12)/dt = [-i (omega12 + tau + lam Pz) + q Pz] rho12,
+
+so arg(Px - i Py) turns at omega21 - tau - lam Pz: the instantaneous shift
+of the transition frequency is -tau - lam Pz, which is -tau + lam tanh q(t - t0)
+along the closed form Pz = -tanh q(t - t0). The closed-form solution below
+satisfies the equations to machine precision (enforced by the residual tests).
 """
 
 from __future__ import annotations
@@ -91,11 +85,6 @@ class TwoLevelParams:
         return replace(self, b12=0.0, c12=0.0)
 
 
-def derived_params(p: TwoLevelParams) -> tuple[float, float, float]:
-    """Composite parameters (q, tau, lam)."""
-    return p.q, p.tau, p.lam
-
-
 def bloch_rhs(state: BlochVector, p: TwoLevelParams) -> BlochVector:
     """Time derivative of the Poincare vector."""
     px, py, pz = state
@@ -106,6 +95,11 @@ def bloch_rhs(state: BlochVector, p: TwoLevelParams) -> BlochVector:
         q * pz * py + phi * px,
         q * (pz * pz - 1.0),
     )
+
+
+def _shift(p: TwoLevelParams, pz):
+    """Frequency shift -tau - lam Pz at inversion ``pz`` (float or array)."""
+    return -p.tau - p.lam * pz
 
 
 def density_rhs_two_level(rho: DensityMatrix2, p: TwoLevelParams) -> DensityMatrix2:
@@ -159,12 +153,7 @@ def analytic_bloch(t: float, p: TwoLevelParams) -> BlochVector:
 
 def analytic_density(t: float, p: TwoLevelParams) -> DensityMatrix2:
     """Closed-form density matrix: logistic populations, coherence from analytic_bloch."""
-    q = p.q
-    if q == 0.0:
-        raise ValueError("closed form undefined at q = 0; use the numeric integrator")
-    bloch = analytic_bloch(t, p)
-    # populations written via tanh rather than 1/(exp(2w)+1) to avoid overflow
-    return bloch_to_density(bloch)
+    return bloch_to_density(analytic_bloch(t, p))
 
 
 def energy_expectation(rho: DensityMatrix2, p: TwoLevelParams) -> float:
@@ -176,10 +165,10 @@ def dipole_expectation(t: float, p: TwoLevelParams, d21: float,
                        theta0: float | None = None) -> tuple[float, float]:
     """Dipole projection d21 sech q(t-t0) cos(omega21 t + theta(t)) and theta(t).
 
-    theta(t) = theta0 - tau t - (lam/q) ln cosh q(t - t0), with theta0
+    theta(t) = theta0 - tau t + (lam/q) ln cosh q(t - t0), with theta0
     defaulting to (tau - omega21) t0 so the carrier is unshifted at t0.
-    d/dt theta reproduces ``frequency_shift``. Equals d21 * Px of the
-    closed-form trajectory when lam = 0 (see the module note on signs).
+    d/dt theta reproduces ``frequency_shift``. With the default theta0 the
+    value equals d21 * Px of ``analytic_bloch``.
     """
     q = p.q
     if q == 0.0:
@@ -188,31 +177,30 @@ def dipole_expectation(t: float, p: TwoLevelParams, d21: float,
         theta0 = (p.tau - p.omega21) * p.t0
     dt = t - p.t0
     w = q * dt
-    theta = theta0 - p.tau * t - (p.lam / q) * _log_cosh(w)
+    theta = theta0 - p.tau * t + (p.lam / q) * _log_cosh(w)
     value = d21 * _sech(w) * math.cos(p.omega21 * t + theta)
     return value, theta
 
 
 def frequency_shift(t: float, p: TwoLevelParams) -> float:
-    """Instantaneous shift of the transition frequency: -tau - lam tanh q(t - t0)."""
-    return -p.tau - p.lam * math.tanh(p.q * (t - p.t0))
+    """Instantaneous shift of the transition frequency along the closed form:
+    -tau - lam Pz with Pz = -tanh q(t - t0)."""
+    return _shift(p, -math.tanh(p.q * (t - p.t0)))
 
 
 def additional_shift(t: float, p: TwoLevelParams) -> float:
-    """Contribution of the current-moment rates to the frequency shift.
+    """Contribution of the current-moment rates to the frequency shift:
 
-    Written with the inverted-index rates a21 = -a12, b21 = -b12, c21 = -c12:
-
-        lam tanh[(c21-b21) dt] sech^2[a21 dt / 2]
+        lam tanh[(c12-b12) dt] sech^2[a12 dt / 2]
         -----------------------------------------
-        1 + tanh[a21 dt / 2] tanh[(c21-b21) dt]
+        1 + tanh[a12 dt / 2] tanh[(c12-b12) dt]
 
     By the tanh addition formula this equals frequency_shift with the full q
     minus frequency_shift with the dipole-only q = a12/2, exactly.
     """
     dt = t - p.t0
-    x = -0.5 * p.a12 * dt              # a21 dt / 2
-    y = (p.b12 - p.c12) * dt           # (c21 - b21) dt
+    x = 0.5 * p.a12 * dt
+    y = (p.c12 - p.b12) * dt
     sech_x = _sech(x)
     denom = 1.0 + math.tanh(x) * math.tanh(y)
     value = p.lam * math.tanh(y) * sech_x * sech_x / denom if denom != 0.0 else math.nan

@@ -2,17 +2,18 @@
 
 Runs the invariant suite behind the `verify` CLI command: closed-form
 residual, analytic/numeric agreement, norm and trace conservation, the
-shift decomposition identity, and the integrator's convergence order.
+shift column against the trajectory's phase rate, the shift decomposition
+identity, and the integrator's convergence order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .integrator import Trajectory, _rhs_array, integrate
-from .twolevel import TwoLevelParams, additional_shift, analytic_bloch, frequency_shift
+from .integrator import Trajectory, integrate
+from .twolevel import TwoLevelParams, additional_shift, analytic_bloch, bloch_rhs, frequency_shift
 
 _RESIDUAL_TOL = 1e-6
 _NORM_TOL = 1e-8
@@ -20,6 +21,7 @@ _TRACE_TOL = 1e-10
 _SHIFT_TOL = 1e-12
 _ORDER_WINDOW = (12.0, 20.0)
 _FD_STEP = 1e-6
+_PHASE_MIN_AMPLITUDE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -53,12 +55,12 @@ class Report:
         return "\n".join(lines)
 
 
-def _closed_form_residual(p: TwoLevelParams, t_start: float, t_end: float,
-                          n_times: int = 1001, rot_sign: float = 1.0) -> float:
-    q = p.q
+def _closed_form_residual(p: TwoLevelParams, rhs_params: TwoLevelParams, t_start: float,
+                          t_end: float, n_times: int = 1001) -> float:
+    """Max |bloch_rhs(x(t), rhs_params) - dx/dt| along the closed form x(t) of ``p``."""
     worst = 0.0
     for t in np.linspace(t_start, t_end, n_times):
-        rhs = _rhs_array(np.asarray(analytic_bloch(t, p), dtype=float), p, q, rot_sign)
+        rhs = np.asarray(bloch_rhs(analytic_bloch(t, p), rhs_params), dtype=float)
         plus = np.asarray(analytic_bloch(t + _FD_STEP, p), dtype=float)
         minus = np.asarray(analytic_bloch(t - _FD_STEP, p), dtype=float)
         fd = (plus - minus) / (2.0 * _FD_STEP)
@@ -77,23 +79,39 @@ def _shift_decomposition_residual(p: TwoLevelParams, t_start: float, t_end: floa
     return worst
 
 
+def _shift_phase_mismatch(traj: Trajectory, shift: np.ndarray) -> float | None:
+    """Max |shift - (d/dt arg(Px - i Py) - omega21)| over the samples whose
+    transverse amplitude is at least 1e-3; None when no such sample exists or
+    the run is too short for a second-order derivative."""
+    w = traj.bloch[:, 0] - 1j * traj.bloch[:, 1]
+    keep = np.abs(w) >= _PHASE_MIN_AMPLITUDE
+    if len(traj) < 3 or not keep.any():
+        return None
+    rate = np.gradient(np.unwrap(np.angle(w)), traj.t, edge_order=2) - traj.params.omega21
+    return float(np.max(np.abs(shift[keep] - rate[keep])))
+
+
 def run_checks(p: TwoLevelParams, t_start: float, t_end: float, step: float,
                initial=None, flip_rotation: bool = False) -> tuple[Report, Trajectory]:
     """Run every check at the given parameters and return (report, trajectory).
 
-    ``flip_rotation`` corrupts the sign of the transverse rotation inside the
-    residual check; it exists as a negative control (the residual must then
-    fail for any parameters with a nonzero rotation rate).
+    ``flip_rotation`` negates the transverse rotation rate of the right-hand
+    side inside the residual check (omega21 and the gammas change sign, q is
+    kept); it exists as a negative control (the residual must then fail for
+    any parameters with a nonzero rotation rate).
     """
     q = p.q
     analytic_ok = q != 0.0
     checks: list[Check] = []
-    rot_sign = -1.0 if flip_rotation else 1.0
 
     traj = integrate(initial, p, t_start, t_end, step)
 
     if analytic_ok:
-        residual = _closed_form_residual(p, t_start, t_end, rot_sign=rot_sign)
+        rhs_params = p
+        if flip_rotation:
+            rhs_params = replace(p, omega21=-p.omega21, gamma11=-p.gamma11,
+                                 gamma22=-p.gamma22, gamma12=-p.gamma12)
+        residual = _closed_form_residual(p, rhs_params, t_start, t_end)
         checks.append(Check("closed_form_residual", residual < _RESIDUAL_TOL,
                             residual, f"< {_RESIDUAL_TOL:g}"))
     else:
@@ -117,6 +135,16 @@ def run_checks(p: TwoLevelParams, t_start: float, t_end: float, step: float,
     else:
         reason = "q = 0" if not analytic_ok else "custom start"
         checks.append(Check("analytic_agreement", True, None, reason, skipped=True))
+
+    mismatch = _shift_phase_mismatch(traj, traj.shift)
+    if mismatch is None:
+        checks.append(Check("shift_matches_trajectory_phase", True, None,
+                            "no usable samples", skipped=True))
+    else:
+        # integrator phase error plus the O(h^2) truncation of the phase derivative
+        tol = max(1e-6, traj.error_estimate / traj.step + abs(p.lam) * q * q * traj.step**2)
+        checks.append(Check("shift_matches_trajectory_phase", mismatch < tol,
+                            mismatch, f"< {tol:.3g}"))
 
     shift_residual = _shift_decomposition_residual(p, t_start, t_end)
     checks.append(Check("shift_decomposition", shift_residual < _SHIFT_TOL,

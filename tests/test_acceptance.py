@@ -139,10 +139,10 @@ def test_criterion_7_asymptotic_shifts(canonical_params):
     late = frequency_shift(p.t0 + 20.0 / q, p)
     early = frequency_shift(p.t0 - 20.0 / q, p)
     ok = (at_t0 == -tau
-          and abs(late - (-tau - lam)) < 1e-6
-          and abs(early - (-tau + lam)) < 1e-6)
-    report(7, "frequency shift limits -tau -/+ lam and exact value at t0", ok,
-           f"t0 {at_t0:.6g}, late err {abs(late + tau + lam):.1e}, early err {abs(early + tau - lam):.1e}")
+          and abs(late - (-tau + lam)) < 1e-6
+          and abs(early - (-tau - lam)) < 1e-6)
+    report(7, "frequency shift limits -tau +/- lam (late/early) and exact value at t0", ok,
+           f"t0 {at_t0:.6g}, late err {abs(late + tau - lam):.1e}, early err {abs(early + tau + lam):.1e}")
 
 
 def test_criterion_8_reduction_consistency():

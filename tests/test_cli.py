@@ -257,6 +257,27 @@ class TestShift:
         assert np.max(np.abs(rows[:, 3])) == 0.0
 
 
+class TestParserReuse:
+    def test_each_call_sees_only_its_own_overrides(self, tmp_path, capsys):
+        from quadbloch.cli import _build_parser
+
+        cfg = write(tmp_path / "s.cfg",
+                    "mode = shift\nomega21 = 1.0\na12 = 0.2\nt_start = 0\nt_end = 1\nstep = 0.1\n")
+
+        def rows(*overrides):
+            argv = ["shift", "--config", cfg]
+            for token in overrides:
+                argv += ["--set", token]
+            assert main(argv) == 0
+            return len(capsys.readouterr().out.splitlines()) - 1
+
+        assert rows("step=0.5") == 3
+        assert rows() == 11
+        assert rows("t_end=2", "step=0.25") == 9
+        assert rows() == 11
+        assert _build_parser() is _build_parser()
+
+
 class TestExitCodes:
     def test_validation_error_is_one(self, tmp_path, capsys):
         cfg = write(tmp_path / "bad.cfg", "mode = simulate\nstep = -1\n")

@@ -56,6 +56,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 2: unknown key 'foo'"):
             parse_config("mode = shift\nfoo = 1\n")
 
+    def test_theta0_is_not_a_key(self):
+        # dipole_expectation takes theta0 as an argument; no run mode reads it
+        with pytest.raises(ConfigError, match="unknown key 'theta0'"):
+            parse_config(MINIMAL_SIMULATE + "theta0 = 0.1\n")
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate key"):
             parse_config("mode = coeffs\nmode = shift\n")

@@ -82,7 +82,7 @@ class TestAccuracy:
         traj = integrate(None, canonical_params, -5.0, 5.0, 1e-2)
         assert np.allclose(traj.energy, -0.5 * canonical_params.omega21 * traj.bloch[:, 2], atol=1e-15)
         assert np.allclose(traj.dipole, traj.bloch[:, 0], atol=0.0)
-        assert np.allclose(traj.shift, -canonical_params.tau + canonical_params.lam * traj.bloch[:, 2], atol=1e-15)
+        assert np.allclose(traj.shift, -canonical_params.tau - canonical_params.lam * traj.bloch[:, 2], atol=1e-15)
         assert np.allclose(traj.rho12, 0.5 * (traj.bloch[:, 0] - 1j * traj.bloch[:, 1]), atol=0.0)
 
 

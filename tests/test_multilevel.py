@@ -5,8 +5,10 @@ from quadbloch import (
     BlochVector,
     NLevelSystem,
     TwoLevelParams,
+    analytic_density,
     bloch_to_density,
     density_rhs_two_level,
+    frequency_shift,
     frequency_shift_general,
     multilevel_rhs,
 )
@@ -174,6 +176,20 @@ class TestFrequencyShiftGeneral:
             pops = np.array([0.5 * (1.0 + pz), 0.5 * (1.0 - pz)])
             shifts = frequency_shift_general(pops, gamma)
             assert abs(shifts[0, 1] - (-p.tau - p.lam * pz)) < 1e-12
+
+    def test_matches_two_level_shift_along_closed_form(self, rng):
+        for _ in range(50):
+            g11, g22, g12 = rng.uniform(-1.0, 1.0, size=3)
+            a12, b12, c12 = rng.uniform(-0.5, 0.5, size=3)
+            p = TwoLevelParams(omega21=rng.uniform(-2.0, 2.0), gamma11=g11, gamma22=g22,
+                               gamma12=g12, a12=a12, b12=b12, c12=c12, t0=rng.uniform(-5.0, 5.0))
+            if p.q == 0.0:
+                continue
+            gamma = np.array([[g11, g12], [g12, g22]])
+            for t in rng.uniform(-10.0, 10.0, size=20):
+                rho = analytic_density(t, p)
+                shifts = frequency_shift_general(np.array([rho.rho11, rho.rho22]), gamma)
+                assert abs(frequency_shift(t, p) - shifts[0, 1]) < 1e-12
 
     def test_population_sum_validated(self):
         with pytest.raises(ValueError, match="sum to 1"):

@@ -15,7 +15,6 @@ from quadbloch import (
     bloch_to_density,
     density_rhs_two_level,
     density_to_bloch,
-    derived_params,
     dipole_expectation,
     energy_expectation,
     frequency_shift,
@@ -33,8 +32,8 @@ def random_params(rng, q_range=(0.01, 1.0), coeff_range=(0.0, 10.0)):
 
 class TestDerivedParams:
     def test_pure_dipole(self):
-        q, tau, lam = derived_params(TwoLevelParams(omega21=1.0, a12=2.0))
-        assert (q, tau, lam) == (1.0, 0.0, 0.0)
+        p = TwoLevelParams(omega21=1.0, a12=2.0)
+        assert (p.q, p.tau, p.lam) == (1.0, 0.0, 0.0)
 
     def test_uniform_gammas_cancel(self):
         p = TwoLevelParams(omega21=1.0, gamma11=0.3, gamma22=0.3, gamma12=0.3)
@@ -221,17 +220,18 @@ class TestDipoleExpectation:
         _, theta_b = dipole_expectation(6.0, p, d21=1.0)
         assert theta_a == pytest.approx(theta_b, abs=1e-14)
 
-    def test_matches_transverse_component_when_lam_zero(self):
-        p = TwoLevelParams(omega21=1.0, gamma11=0.02, gamma22=0.0, gamma12=0.01, a12=0.2)
-        assert p.lam == 0.0
-        for t in np.linspace(-8.0, 8.0, 50):
-            value, _ = dipole_expectation(t, p, d21=2.5)
-            assert value == pytest.approx(2.5 * analytic_bloch(t, p).px, abs=1e-12)
+    def test_matches_transverse_component(self, canonical_params):
+        lam_zero = TwoLevelParams(omega21=1.0, gamma11=0.02, gamma22=0.0, gamma12=0.01, a12=0.2)
+        assert lam_zero.lam == 0.0 and canonical_params.lam != 0.0
+        for p in (lam_zero, canonical_params):
+            for t in np.linspace(-8.0, 8.0, 50):
+                value, _ = dipole_expectation(t, p, d21=2.5)
+                assert value == pytest.approx(2.5 * analytic_bloch(t, p).px, abs=1e-12)
 
     def test_theta0_override(self, canonical_params):
         value, theta = dipole_expectation(1.0, canonical_params, d21=1.0, theta0=0.25)
         assert theta == pytest.approx(0.25 - canonical_params.tau * 1.0
-                                      - (canonical_params.lam / canonical_params.q)
+                                      + (canonical_params.lam / canonical_params.q)
                                       * math.log(math.cosh(canonical_params.q)), rel=1e-12)
 
     def test_refuses_q_zero(self):
@@ -244,9 +244,10 @@ class TestFrequencyShift:
         assert frequency_shift(canonical_params.t0, canonical_params) == -canonical_params.tau
 
     def test_asymptotic_limits(self, canonical_params):
-        q, tau, lam = derived_params(canonical_params)
-        assert frequency_shift(1e4, canonical_params) == pytest.approx(-tau - lam, abs=1e-12)
-        assert frequency_shift(-1e4, canonical_params) == pytest.approx(-tau + lam, abs=1e-12)
+        tau, lam = canonical_params.tau, canonical_params.lam
+        # Pz -> -1 late and +1 early, so -tau - lam Pz -> -tau + lam and -tau - lam
+        assert frequency_shift(1e4, canonical_params) == pytest.approx(-tau + lam, abs=1e-12)
+        assert frequency_shift(-1e4, canonical_params) == pytest.approx(-tau - lam, abs=1e-12)
 
     def test_matches_theta_derivative(self, canonical_params):
         h = 1e-5

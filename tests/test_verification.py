@@ -1,0 +1,44 @@
+import numpy as np
+import pytest
+
+from quadbloch import BlochVector, TwoLevelParams, integrate
+from quadbloch.verification import _shift_phase_mismatch, run_checks
+
+SPAN = (-10.0, 10.0, 2e-3)
+
+
+def _check(report, name):
+    return next(c for c in report.checks if c.name == name)
+
+
+@pytest.mark.parametrize("case", ["canonical", "q-zero", "custom-start"])
+def test_shift_column_matches_trajectory_phase(case, canonical_params):
+    p, initial = canonical_params, None
+    if case == "q-zero":
+        p = TwoLevelParams(omega21=1.0, gamma11=0.1, gamma22=-0.05, gamma12=0.02)
+    elif case == "custom-start":
+        initial = BlochVector(0.6, 0.0, 0.8)
+    report, _ = run_checks(p, *SPAN, initial=initial)
+    check = _check(report, "shift_matches_trajectory_phase")
+    assert report.passed
+    assert not check.skipped and check.passed
+    assert check.measured < 1e-8
+
+
+@pytest.mark.parametrize("case", ["canonical", "rising-custom-start"])
+def test_old_shift_sign_fails(case, canonical_params):
+    # negative control: the lam term with the opposite sign misses the phase rate
+    p, initial = canonical_params, None
+    if case == "rising-custom-start":
+        p = TwoLevelParams(omega21=-0.7, gamma11=0.03, gamma22=-0.02, gamma12=0.07, a12=-0.3)
+        initial = BlochVector(0.3, -0.4, np.sqrt(0.75))
+    traj = integrate(initial, p, *SPAN)
+    old_sign = -p.tau + p.lam * traj.bloch[:, 2]
+    assert _shift_phase_mismatch(traj, traj.shift) < 1e-6
+    assert _shift_phase_mismatch(traj, old_sign) > 0.05
+
+
+def test_skipped_without_transverse_amplitude(canonical_params):
+    report, _ = run_checks(canonical_params, *SPAN, initial=BlochVector(0.0, 0.0, -1.0))
+    assert _check(report, "shift_matches_trajectory_phase").skipped
+    assert report.passed
