@@ -10,7 +10,7 @@ in Hartree atomic units; the CLI converts to SI on request.
 
 from .constants import SPEED_OF_LIGHT
 from .hydrogenic import BoundState, bound_energy, eigenstate_eval, radial_wavefunction, transition_frequency
-from .integrator import StepSizeError, Trajectory, default_initial, integrate
+from .integrator import StepSizeError, Trajectory, default_initial, exact_trajectory, integrate
 from .multilevel import NLevelSystem, frequency_shift_general, multilevel_rhs
 from .multipole import (
     CouplingRates,
@@ -32,6 +32,7 @@ from .twolevel import (
     additional_shift,
     analytic_bloch,
     analytic_density,
+    bloch_flow,
     bloch_rhs,
     bloch_to_density,
     density_rhs_two_level,
@@ -60,6 +61,7 @@ __all__ = [
     "additional_shift",
     "analytic_bloch",
     "analytic_density",
+    "bloch_flow",
     "bloch_rhs",
     "bloch_to_density",
     "bound_energy",
@@ -73,6 +75,7 @@ __all__ = [
     "dipole_moment",
     "energy_expectation",
     "eigenstate_eval",
+    "exact_trajectory",
     "frequency_shift",
     "frequency_shift_general",
     "gamma_estimate",

@@ -8,10 +8,12 @@ pair (state_a/state_b) or from explicit rates, never both.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
 from .hydrogenic import BoundState
+from .twolevel import BALL_SLACK
 
 MODES = ("coeffs", "simulate", "verify", "shift")
 DYNAMIC_MODES = ("simulate", "verify", "shift")
@@ -183,6 +185,11 @@ def _validate(cfg: RunConfig):
             raise ConfigError(f"key 't_end' must exceed t_start, got [{cfg.t_start}, {cfg.t_end}]")
         if cfg.mode == "simulate" and cfg.output is None:
             raise ConfigError("simulate mode requires key 'output'")
+        if cfg.initial is not None:
+            norm = math.sqrt(sum(v * v for v in cfg.initial))
+            if not norm <= 1.0 + BALL_SLACK:
+                raise ConfigError(f"initial state (px0, py0, pz0) has norm {norm:.17g}, "
+                                  f"outside the Bloch ball |P| <= 1 + {BALL_SLACK:g}")
     if cfg.k_max is not None and cfg.k_max < 0:
         raise ConfigError(f"key 'k_max' must be nonnegative, got {cfg.k_max}")
 

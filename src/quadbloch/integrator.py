@@ -1,5 +1,8 @@
-"""Fixed-step classical Runge-Kutta integration of the Bloch equations.
+"""Trajectories of the Bloch equations: exact samples and a fixed-step RK4.
 
+``exact_trajectory`` samples the closed-form flow (``twolevel.bloch_flow``);
+it is what ``simulate`` writes. ``integrate`` runs classical Runge-Kutta on
+the same grid and stays as the independent cross-check inside ``verify``.
 Deliberately fixed-step: at the intended parameter scales (|q| << |omega21|)
 the dynamics are smooth and non-stiff, and a fixed grid makes trajectories
 byte-for-byte reproducible. A companion pass at half the step provides a
@@ -13,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .twolevel import BlochVector, TwoLevelParams, _shift, analytic_bloch, bloch_rhs
+from .twolevel import (_EQUATOR, BALL_SLACK, BlochVector, TwoLevelParams, _shift, analytic_bloch,
+                       bloch_flow, bloch_rhs)
 
-_NORM_ABORT = 1.0 + 1e-6
+_NORM_ABORT = 1.0 + BALL_SLACK
 
 
 class StepSizeError(RuntimeError):
@@ -27,7 +31,7 @@ class Trajectory:
     """Time-ordered samples with the derived observables of each sample.
 
     ``error_estimate`` is the Richardson estimate of the global error of the
-    Bloch components (max norm over the run).
+    Bloch components (max norm over the run); 0 for exact samples.
     """
 
     t: np.ndarray
@@ -110,18 +114,34 @@ def integrate(initial: BlochVector | None, p: TwoLevelParams, t_start: float,
         samples[k] = y
         y_half = _rk4_step(_rk4_step(y_half, 0.5 * h, p), 0.5 * h, p)
         deviation = max(deviation, abs(y[0] - y_half[0]), abs(y[1] - y_half[1]), abs(y[2] - y_half[2]))
-    error_estimate = deviation * 16.0 / 15.0
+    return _trajectory(t, samples, p, h, deviation * 16.0 / 15.0)
 
+
+def exact_trajectory(initial: BlochVector | None, p: TwoLevelParams, t_start: float,
+                     t_end: float, step: float) -> Trajectory:
+    """Exact samples of the flow on the grid ``integrate`` uses for the same arguments.
+
+    ``initial=None`` follows the closed form through (1, 0, 0) at t0, which
+    passes through ``default_initial`` at t_start; at q = 0 the run starts at
+    (1, 0, 0) at t_start.
+    """
+    t, h = time_grid(t_start, t_end, step)
+    if initial is not None:
+        samples = bloch_flow(t, p, initial, t_start)
+    else:
+        samples = bloch_flow(t, p, _EQUATOR, t_start if p.q == 0.0 else p.t0)
+    return _trajectory(t, samples, p, h, 0.0)
+
+
+def _trajectory(t: np.ndarray, samples: np.ndarray, p: TwoLevelParams, h: float,
+                error_estimate: float) -> Trajectory:
+    """Bundle Bloch samples (N, 3) with the observables derived from them."""
     px, py, pz = samples[:, 0], samples[:, 1], samples[:, 2]
-    rho11 = 0.5 * (1.0 + pz)
-    rho22 = 0.5 * (1.0 - pz)
-    rho12 = 0.5 * (px - 1j * py)
-    energy = -0.5 * p.omega21 * pz
-    dipole = px.copy()                     # unit transition-dipole magnitude
-    shift = _shift(p, pz)
-
     return Trajectory(
-        t=t, bloch=samples, rho11=rho11, rho22=rho22, rho12=rho12,
-        energy=energy, dipole=dipole, shift=shift,
+        t=t, bloch=samples,
+        rho11=0.5 * (1.0 + pz), rho22=0.5 * (1.0 - pz), rho12=0.5 * (px - 1j * py),
+        energy=-0.5 * p.omega21 * pz,
+        dipole=px.copy(),                  # unit transition-dipole magnitude
+        shift=_shift(p, pz),
         error_estimate=error_estimate, step=h, params=p,
     )

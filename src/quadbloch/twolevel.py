@@ -18,8 +18,14 @@ equation for rho12 = (Px - i Py)/2,
 
 so arg(Px - i Py) turns at omega21 - tau - lam Pz: the instantaneous shift
 of the transition frequency is -tau - lam Pz, which is -tau + lam tanh q(t - t0)
-along the closed form Pz = -tanh q(t - t0). The closed-form solution below
-satisfies the equations to machine precision (enforced by the residual tests).
+along the closed form Pz = -tanh q(t - t0).
+
+The flow is exact for every starting state. Pz obeys the decoupled Riccati
+equation above, and Px - i Py the linear equation
+d/dt (Px - i Py) = [q Pz + i (omega21 - tau - lam Pz)] (Px - i Py), so
+``bloch_flow`` evaluates both in closed form, q = 0 and the fixed points
+Pz = +-1 included. ``analytic_bloch`` is its trajectory through (1, 0, 0) at
+t0; the residual tests hold both to the equations at machine precision.
 """
 
 from __future__ import annotations
@@ -27,6 +33,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
+
+import numpy as np
+
+# Slack by which a state may leave the closed unit ball (rounding of inputs
+# and of the fixed-step integrator), shared by the config and the integrator.
+BALL_SLACK = 1e-6
+_EQUATOR = (1.0, 0.0, 0.0)
 
 
 class BlochVector(NamedTuple):
@@ -122,10 +135,28 @@ def density_to_bloch(rho: DensityMatrix2) -> BlochVector:
     return BlochVector(2.0 * r12.real, -2.0 * r12.imag, r11 - r22)
 
 
-def _log_cosh(x: float) -> float:
-    # overflow-safe ln cosh
-    ax = abs(x)
-    return ax + math.log1p(math.exp(-2.0 * ax)) - math.log(2.0)
+def _log_cosh_ratio(u, pz0: float):
+    """ln(cosh u - pz0 sinh u), which is ln cosh(x0 + u) - ln cosh(x0) for
+    tanh(x0) = -pz0 and |pz0| < 1 (float or array ``u``).
+
+    Below |u| = 1 the argument is 1 + 2 sinh^2(u/2) - pz0 sinh u, so the
+    result keeps its relative precision as u -> 0 (the (lam/q) ln cosh phase
+    term at small q needs it). Above, the exponentials are factored out:
+    |u| - ln 2 + ln[(1 - s pz0) + e^(-2|u|) (1 + s pz0)] with s = sign u,
+    which cannot overflow.
+    """
+    u = np.asarray(u, dtype=float)
+    near = np.clip(u, -1.0, 1.0)
+    small = np.log1p(2.0 * np.sinh(0.5 * near) ** 2 - pz0 * np.sinh(near))
+    s = np.where(u < 0.0, -1.0, 1.0)
+    au = np.abs(u)
+    large = au - math.log(2.0) + np.log((1.0 - s * pz0) + np.exp(-2.0 * au) * (1.0 + s * pz0))
+    return np.where(au < 1.0, small, large)[()]
+
+
+def _log_cosh(x):
+    """Overflow-safe ln cosh, accurate to the last digits at small |x|."""
+    return _log_cosh_ratio(x, 0.0)
 
 
 def _sech(x: float) -> float:
@@ -134,21 +165,52 @@ def _sech(x: float) -> float:
     return 2.0 * e / (1.0 + e * e)
 
 
+def bloch_flow(t, p: TwoLevelParams, start, t_start: float) -> np.ndarray:
+    """Exact Bloch vectors at times ``t`` on the trajectory through ``start``
+    at ``t_start``; shape ``np.shape(t) + (3,)``.
+
+    For |Pz0| < 1 and q != 0, Pz = -tanh q(t - t1) with
+    t1 = t_start + atanh(Pz0)/q. At Pz0 = +-1 (a fixed point; |Pz0| > 1 is
+    treated as one) or q = 0, Pz stays Pz0. In every case
+
+        Px - i Py = (Px0 - i Py0) exp(-L + i[(omega21 - tau)(t - t_start) + (lam/q) L])
+
+    with L = -q times the integral of Pz from t_start, which is
+    ln cosh q(t - t1) - ln cosh q(t_start - t1) on the tanh branch and
+    -q Pz0 (t - t_start) at constant Pz, where (lam/q) L = -lam Pz0 (t - t_start).
+    """
+    px0, py0, pz0 = (float(v) for v in start)
+    t = np.asarray(t, dtype=float)
+    dt = t - t_start
+    q = p.q
+    if q != 0.0 and abs(pz0) < 1.0:
+        t1 = t_start + math.atanh(pz0) / q
+        pz = -np.tanh(q * (t - t1))
+        # the difference of the two ln cosh terms, formed without cancellation
+        big_l = _log_cosh_ratio(q * dt, pz0)
+        turn = (p.lam / q) * big_l
+    else:
+        pz = np.full(t.shape, pz0)
+        big_l = -q * pz0 * dt
+        turn = -p.lam * pz0 * dt
+    phase = (p.omega21 - p.tau) * dt + turn
+    # a zero transverse start stays zero even where the envelope overflows
+    env = np.exp(-big_l) if (px0 or py0) else np.zeros(t.shape)
+    c, s = np.cos(phase), np.sin(phase)
+    return np.stack([env * (px0 * c + py0 * s), env * (py0 * c - px0 * s), pz], axis=-1)
+
+
 def analytic_bloch(t: float, p: TwoLevelParams) -> BlochVector:
     """Closed-form solution passing through (1, 0, 0) at t = t0.
 
     Pz = -tanh q(t - t0); the transverse pair carries the sech envelope and
     the phase (omega21 - tau)(t - t0) + (lam/q) ln cosh q(t - t0). Refuses
-    q = 0, where the (lam/q) term is singular; integrate numerically instead.
+    q = 0, where this family has no t0 to pass through (``bloch_flow`` covers
+    q = 0 from any start).
     """
-    q = p.q
-    if q == 0.0:
-        raise ValueError("closed form undefined at q = 0 (ln cosh / q term); use the numeric integrator")
-    dt = t - p.t0
-    w = q * dt
-    env = _sech(w)
-    phase = (p.omega21 - p.tau) * dt + (p.lam / q) * _log_cosh(w)
-    return BlochVector(env * math.cos(phase), -env * math.sin(phase), -math.tanh(w))
+    if p.q == 0.0:
+        raise ValueError("closed form undefined at q = 0 (ln cosh / q term); use bloch_flow from a start")
+    return BlochVector(*bloch_flow(t, p, _EQUATOR, p.t0).tolist())
 
 
 def analytic_density(t: float, p: TwoLevelParams) -> DensityMatrix2:

@@ -1,10 +1,11 @@
+import io
 import math
 
 import numpy as np
 import pytest
 
-from quadbloch import constants
-from quadbloch.cli import main
+from quadbloch import TwoLevelParams, analytic_bloch, constants
+from quadbloch.cli import _CSV_ROWS_PER_WRITE, _write_csv_rows, main
 
 CANONICAL_DYNAMICS = """
 omega21 = 1.0
@@ -137,7 +138,8 @@ class TestSimulate:
         assert lines[0] == "# quadbloch simulate"
         header_idx = next(i for i, l in enumerate(lines) if not l.startswith("#"))
         assert lines[header_idx] == "t,Px,Py,Pz,rho11,rho22,re_rho12,im_rho12,energy,dipole,shift"
-        assert any(l.startswith("# richardson_error") for l in lines[:header_idx])
+        assert "# method = exact_flow" in lines[:header_idx]
+        assert not any(l.startswith("# richardson_error") for l in lines[:header_idx])
         assert "\r" not in text
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -173,12 +175,34 @@ class TestSimulate:
         assert "error:" in capsys.readouterr().err
 
     def test_integrator_abort_propagates(self, tmp_path, capsys):
+        # verify is the command that still runs RK4; simulate writes exact samples
+        cfg = write(tmp_path / "run.cfg",
+                    "mode = verify\nomega21 = 5.0\na12 = 0.2\n"
+                    "px0 = 1\npy0 = 0\npz0 = 0\nt_start = 0\nt_end = 100\nstep = 1.0\n")
+        assert main(["verify", "--config", cfg]) == 1
+        assert "smaller step" in capsys.readouterr().err
+
+    def test_coarse_step_is_sample_spacing_only(self, tmp_path):
+        # the step that aborts RK4 above only spaces the exact samples here
         out = tmp_path / "x.csv"
         cfg = write(tmp_path / "run.cfg",
                     f"mode = simulate\noutput = {out}\nomega21 = 5.0\na12 = 0.2\n"
                     "px0 = 1\npy0 = 0\npz0 = 0\nt_start = 0\nt_end = 100\nstep = 1.0\n")
-        assert main(["simulate", "--config", cfg]) == 1
-        assert "smaller step" in capsys.readouterr().err
+        assert main(["simulate", "--config", cfg]) == 0
+        rows = load_csv(out)
+        p = TwoLevelParams(omega21=5.0, a12=0.2)
+        exact = np.array([analytic_bloch(t, p) for t in rows[:, 0]])
+        assert len(rows) == 101
+        assert np.max(np.abs(rows[:, 1:4] - exact)) < 1e-14
+
+    def test_default_start_is_closed_form(self, tmp_path):
+        out = tmp_path / "run.csv"
+        cfg = write(tmp_path / "run.cfg", f"mode = simulate\noutput = {out}\n" + CANONICAL_DYNAMICS)
+        assert main(["simulate", "--config", cfg]) == 0
+        rows = load_csv(out)
+        p = TwoLevelParams(omega21=1.0, gamma11=0.02, gamma12=-0.04, a12=0.2)
+        exact = np.array([analytic_bloch(t, p) for t in rows[:, 0]])
+        assert np.max(np.abs(rows[:, 1:4] - exact)) < 1e-14
 
     def test_state_pair_drives_dynamics(self, tmp_path):
         # level pair supplies omega21 and the relaxation rates; gammas stay explicit
@@ -195,6 +219,22 @@ class TestSimulate:
         assert float(meta["omega21"]) == pytest.approx(-0.375, rel=1e-12)
         assert float(meta["a12"]) == pytest.approx(1.5162329e-08, rel=1e-6)
         assert float(meta["b12"]) == 0.0 and float(meta["c12"]) == 0.0
+
+
+class TestCsvWriter:
+    def test_bytes_match_per_cell_format(self):
+        # more rows than one write holds, with every special value in one column
+        special = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-310, math.inf, -math.inf,
+                   math.nan, 1.0, -1.0 / 3.0, 1.7976931348623157e308, 123456789.0]
+        rng = np.random.default_rng(7)
+        n = 2 * _CSV_ROWS_PER_WRITE + 5
+        columns = [rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n), np.resize(special, n),
+                   np.arange(n, dtype=float) * 1e-3]
+        buffer = io.StringIO()
+        _write_csv_rows(buffer, columns)
+        expected = "".join(",".join(format(float(col[k]), ".16e") for col in columns) + "\n"
+                           for k in range(n))
+        assert buffer.getvalue() == expected
 
 
 class TestVerify:

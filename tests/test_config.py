@@ -123,6 +123,16 @@ class TestParseConfig:
         assert cfg.initial == (0.0, 0.0, -1.0)
 
 
+    def test_start_outside_bloch_ball_names_norm(self):
+        with pytest.raises(ConfigError, match=r"norm 1\.0049\d+, outside the Bloch ball"):
+            parse_config(MINIMAL_SIMULATE + "px0 = 0.1\npy0 = 0\npz0 = 1\n")
+        with pytest.raises(ConfigError, match="outside the Bloch ball"):
+            parse_config(MINIMAL_SIMULATE + "px0 = nan\npy0 = 0\npz0 = 0\n")
+        # within the integrator's 1e-6 slack the start is kept as given
+        cfg = parse_config(MINIMAL_SIMULATE + "px0 = 0\npy0 = 0\npz0 = -1.0000005\n")
+        assert cfg.initial == (0.0, 0.0, -1.0000005)
+
+
 class TestOverrides:
     def test_override_applies_after_parse(self):
         cfg = parse_config_with_overrides(MINIMAL_SIMULATE, ["step=0.5", "output=other.csv"])

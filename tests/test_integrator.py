@@ -12,8 +12,12 @@ from quadbloch import (
     bloch_to_density,
     default_initial,
     density_rhs_two_level,
+    exact_trajectory,
     integrate,
 )
+
+RISING = TwoLevelParams(omega21=-0.7, gamma11=0.03, gamma22=-0.02, gamma12=0.07, a12=-0.3)
+NO_DECAY = TwoLevelParams(omega21=1.0, gamma11=0.1, gamma22=-0.05, gamma12=0.02)
 
 
 class TestBasics:
@@ -99,6 +103,41 @@ class TestRichardson:
         true_error = np.max(np.abs(traj.bloch - reference))
         assert true_error <= 10.0 * traj.error_estimate
         assert traj.error_estimate <= 10.0 * true_error
+
+
+class TestExactFlowCrossCheck:
+    @pytest.mark.parametrize("case", ["unit", "inside", "north", "south", "q-zero", "q-negative",
+                                      "default"])
+    def test_rk4_deviation_equals_richardson_estimate(self, case, canonical_params):
+        # the half-step estimate measures RK4's true error almost exactly, so
+        # the deviation from the exact flow must match it from both sides
+        p, initial = {
+            "unit": (canonical_params, BlochVector(0.6, 0.0, 0.8)),
+            "inside": (canonical_params, BlochVector(0.3, -0.2, 0.5)),
+            "north": (canonical_params, BlochVector(0.0, 0.0, 1.0)),
+            "south": (canonical_params, BlochVector(0.0, 0.0, -1.0)),
+            "q-zero": (NO_DECAY, BlochVector(0.6, 0.0, 0.8)),
+            "q-negative": (RISING, BlochVector(0.3, -0.4, math.sqrt(0.75))),
+            "default": (canonical_params, None),
+        }[case]
+        traj = integrate(initial, p, -10.0, 10.0, 0.02)
+        exact = exact_trajectory(initial, p, -10.0, 10.0, 0.02)
+        assert np.array_equal(traj.t, exact.t)
+        deviation = np.max(np.abs(traj.bloch - exact.bloch))
+        assert 0.99 * traj.error_estimate <= deviation <= 1.01 * traj.error_estimate
+
+    def test_same_observables_as_integrate(self, canonical_params):
+        exact = exact_trajectory(BlochVector(0.3, -0.2, 0.5), canonical_params, -5.0, 5.0, 0.01)
+        pz = exact.bloch[:, 2]
+        assert exact.error_estimate == 0.0 and exact.step == 0.01
+        assert np.array_equal(exact.rho11, 0.5 * (1.0 + pz))
+        assert np.array_equal(exact.energy, -0.5 * canonical_params.omega21 * pz)
+        assert np.array_equal(exact.shift, -canonical_params.tau - canonical_params.lam * pz)
+        assert np.array_equal(exact.rho12, 0.5 * (exact.bloch[:, 0] - 1j * exact.bloch[:, 1]))
+
+    def test_default_start_at_q_zero(self):
+        exact = exact_trajectory(None, NO_DECAY, -5.0, 5.0, 0.5)
+        assert tuple(exact.bloch[0]) == (1.0, 0.0, 0.0)
 
 
 class TestStepAbort:

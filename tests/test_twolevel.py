@@ -11,6 +11,7 @@ from quadbloch import (
     additional_shift,
     analytic_bloch,
     analytic_density,
+    bloch_flow,
     bloch_rhs,
     bloch_to_density,
     density_rhs_two_level,
@@ -19,6 +20,7 @@ from quadbloch import (
     energy_expectation,
     frequency_shift,
 )
+from quadbloch.twolevel import _log_cosh
 
 
 def random_params(rng, q_range=(0.01, 1.0), coeff_range=(0.0, 10.0)):
@@ -158,6 +160,92 @@ class TestAnalyticBloch:
     def test_no_overflow_far_from_t0(self, canonical_params):
         vec = analytic_bloch(1e5, canonical_params)
         assert all(math.isfinite(c) for c in vec)
+
+
+def closed_form_reference(t, p):
+    """The closed form through (1, 0, 0) at t0 with its sech envelope, written out."""
+    w = p.q * (t - p.t0)
+    phase = (p.omega21 - p.tau) * (t - p.t0) + (p.lam / p.q) * np.log(np.cosh(w))
+    return np.stack([np.cos(phase) / np.cosh(w), -np.sin(phase) / np.cosh(w), -np.tanh(w)], axis=-1)
+
+
+class TestBlochFlow:
+    def test_default_start_matches_closed_form(self, canonical_params):
+        p = canonical_params
+        t = np.linspace(-20.0, 20.0, 4001)
+        flow = bloch_flow(t, p, (1.0, 0.0, 0.0), p.t0)
+        assert np.max(np.abs(flow - closed_form_reference(t, p))) < 1e-14
+        scalar = np.array([analytic_bloch(x, p) for x in t[::40]])
+        assert np.max(np.abs(flow[::40] - scalar)) < 1e-14
+
+    def test_passes_through_start(self, rng, canonical_params):
+        for _ in range(20):
+            start = rng.standard_normal(3)
+            start *= rng.uniform(0.0, 1.0) / np.linalg.norm(start)
+            value = bloch_flow(-3.0, canonical_params, start, -3.0)
+            assert np.max(np.abs(value - start)) < 1e-15
+
+    def test_residual_against_rhs_from_any_start(self, rng):
+        # custom starts inside the ball and on the sphere, q = 0 and both signs of q
+        h = 1e-6
+        q_zero = TwoLevelParams(omega21=0.8, gamma11=0.3, gamma22=-0.1, gamma12=0.05)
+        worst = 0.0
+        for p in [random_params(rng) for _ in range(6)] + [q_zero]:
+            for radius in (1.0, 0.6):
+                start = rng.standard_normal(3)
+                start *= radius / np.linalg.norm(start)
+                t = np.linspace(-4.0, 4.0, 41)
+                x = bloch_flow(t, p, start, 0.5)
+                rhs = np.array(bloch_rhs(x.T, p)).T
+                fd = (bloch_flow(t + h, p, start, 0.5) - bloch_flow(t - h, p, start, 0.5)) / (2 * h)
+                worst = max(worst, float(np.max(np.abs(rhs - fd))))
+        assert worst < 1e-6
+
+    @pytest.mark.parametrize("pz0", [1.0, -1.0])
+    def test_fixed_points_stay(self, canonical_params, pz0):
+        # q t reaches 1000, where the unstable pole's envelope exp(q t) overflows
+        x = bloch_flow(np.linspace(-50.0, 1e4, 11), canonical_params, (0.0, 0.0, pz0), 0.0)
+        assert np.all(x[:, 2] == pz0) and np.all(x[:, :2] == 0.0)
+
+    def test_q_zero_is_plain_rotation(self):
+        p = TwoLevelParams(omega21=1.3, gamma11=0.1, gamma22=-0.04, gamma12=0.02)
+        start = (0.3, -0.4, 0.5)
+        t = np.linspace(0.0, 30.0, 301)
+        x = bloch_flow(t, p, start, 0.0)
+        rate = p.omega21 - p.tau - p.lam * start[2]
+        w = (start[0] - 1j * start[1]) * np.exp(1j * rate * t)
+        assert np.max(np.abs(x[:, 0] - w.real)) < 1e-13
+        assert np.max(np.abs(x[:, 1] + w.imag)) < 1e-13
+        assert np.all(x[:, 2] == start[2])
+
+    def test_norm_law_inside_the_ball(self, canonical_params):
+        # d|P|^2/dt = 2 q Pz (|P|^2 - 1): 1 - |P|^2 scales with exp(2 q int Pz) = sech^2 q t
+        p, start = canonical_params, (0.5, 0.0, 0.0)
+        t = np.linspace(0.0, 20.0, 201)
+        x = bloch_flow(t, p, start, 0.0)
+        deficit = 1.0 - np.sum(x**2, axis=1)
+        expected = 0.75 / np.cosh(p.q * t) ** 2
+        assert np.max(np.abs(deficit / expected - 1.0)) < 1e-12
+
+
+class TestLogCosh:
+    @pytest.mark.parametrize("q", [1e-4, 1e-8, 1e-10])
+    def test_small_q_phase_matches_series(self, q):
+        # (lam/q) ln cosh(q t) against lam (q t^2/2 - q^3 t^4/12); the old
+        # |x| + log1p(exp(-2|x|)) - ln 2 form loses the term as q -> 0
+        p = TwoLevelParams(omega21=1.0, gamma11=0.02, gamma12=-0.04, a12=2.0 * q)
+        for t in (-10.0, 3.0, 10.0):
+            w = q * t
+            assert _log_cosh(w) == pytest.approx(w * w / 2.0 - w**4 / 12.0, rel=1e-14)
+            phase = (p.omega21 - p.tau) * t + p.lam * (q * t * t / 2.0 - q**3 * t**4 / 12.0)
+            env = 1.0 / math.cosh(w)
+            expected = (env * math.cos(phase), -env * math.sin(phase), -math.tanh(w))
+            assert np.max(np.abs(np.array(analytic_bloch(t, p)) - expected)) < 1e-14
+
+    def test_matches_log_cosh_across_branches(self):
+        x = np.array([-40.0, -3.0, -1.0, -0.999, -0.3, 0.0, 0.2, 0.999, 1.0, 1.5, 30.0])
+        assert np.max(np.abs(_log_cosh(x) - np.log(np.cosh(x)))) < 4e-15
+        assert _log_cosh(1e5) == 1e5 - math.log(2.0)
 
 
 class TestAnalyticDensity:

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from quadbloch import BlochVector, TwoLevelParams, integrate
+from quadbloch import BlochVector, TwoLevelParams, integrate, verification
 from quadbloch.verification import _shift_phase_mismatch, run_checks
 
 SPAN = (-10.0, 10.0, 2e-3)
@@ -42,3 +44,41 @@ def test_skipped_without_transverse_amplitude(canonical_params):
     report, _ = run_checks(canonical_params, *SPAN, initial=BlochVector(0.0, 0.0, -1.0))
     assert _check(report, "shift_matches_trajectory_phase").skipped
     assert report.passed
+
+
+@pytest.mark.parametrize("case", ["custom-start", "q-zero", "q-zero-custom-start", "inside-ball"])
+def test_every_start_checked_against_exact_flow(case, canonical_params):
+    p, initial = canonical_params, None
+    if case.startswith("q-zero"):
+        p = TwoLevelParams(omega21=1.0, gamma11=0.1, gamma22=-0.05, gamma12=0.02)
+    if case.endswith("custom-start"):
+        initial = BlochVector(0.3, -0.4, np.sqrt(0.75))
+    elif case == "inside-ball":
+        initial = BlochVector(0.5, 0.0, 0.0)
+    report, _ = run_checks(p, *SPAN, initial=initial)
+    assert report.passed
+    for name in ("analytic_agreement", "bloch_norm_preservation"):
+        check = _check(report, name)
+        assert not check.skipped and check.passed and check.measured < 1e-10
+
+
+def test_coarse_canonical_norm_within_error_estimate(canonical_params):
+    # the norm drift of 5.4e-6 at step 0.1 is inside the run's own error estimate
+    report, traj = run_checks(canonical_params, -20.0, 20.0, 0.1)
+    check = _check(report, "bloch_norm_preservation")
+    assert 1e-6 < check.measured < 50.0 * traj.error_estimate
+    assert check.passed and report.passed
+
+
+@pytest.mark.parametrize("start", [None, BlochVector(0.5, 0.0, 0.0)])
+def test_perturbed_norm_fails(start, canonical_params, monkeypatch):
+    # negative control: a main pass whose |P| is off by 1e-6 fails the norm check
+    def perturbed(initial, p, t_start, t_end, step):
+        traj = integrate(initial, p, t_start, t_end, step)
+        return replace(traj, bloch=traj.bloch * (1.0 + 1e-6))
+
+    monkeypatch.setattr(verification, "integrate", perturbed)
+    report, _ = run_checks(canonical_params, *SPAN, initial=start)
+    check = _check(report, "bloch_norm_preservation")
+    assert not check.passed and check.measured > 1e-7
+    assert not report.passed
