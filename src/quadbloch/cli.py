@@ -185,9 +185,9 @@ def run_shift(cfg: RunConfig, out=None) -> int:
     t_c = constants.ATOMIC_TIME_S if cfg.units == "si" else 1.0
 
     times, _ = time_grid(cfg.t_start, cfg.t_end, cfg.step)
-    full = np.array([frequency_shift(t, p) for t in times.tolist()])
-    base = np.array([frequency_shift(t, dipole_only) for t in times.tolist()])
-    extra = np.array([additional_shift(t, p) for t in times.tolist()])
+    full = frequency_shift(times, p)
+    base = frequency_shift(times, dipole_only)
+    extra = additional_shift(times, p)
     print("t,shift_full,shift_dipole_only,additional_shift,identity_residual", file=out)
     _write_csv_rows(out, (times * t_c, full * freq_c, base * freq_c, extra * freq_c,
                           (full - base - extra) * freq_c))

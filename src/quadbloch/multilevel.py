@@ -43,6 +43,10 @@ class NLevelSystem:
     c_rates: np.ndarray                  # (N, N)
     dipoles: np.ndarray                  # (N, N, 3) complex
     drive: Callable[[float], np.ndarray] | None = field(default=None)
+    # fixed parts of multilevel_rhs, computed once from the fields above
+    _omega: np.ndarray = field(init=False, repr=False, compare=False)
+    _relax_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    _drive_dipoles: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         energies = np.asarray(self.energies, dtype=float)
@@ -63,6 +67,12 @@ class NLevelSystem:
             _require(np.max(np.abs(mat + mat.T)) <= _STRUCT_TOL, f"{name} must be antisymmetric")
         _require(np.max(np.abs(dip - np.conj(np.transpose(dip, (1, 0, 2))))) <= _STRUCT_TOL,
                  "dipole matrix must be Hermitian")
+
+        omega = self.omega_matrix()
+        object.__setattr__(self, "_omega", omega)
+        object.__setattr__(self, "_relax_matrix", 0.5 * self.a_rates - self.b_rates + self.c_rates)
+        # Omega_ab D_ab / c, so the drive coupling is one product with A0(t)
+        object.__setattr__(self, "_drive_dipoles", omega[:, :, None] * dip / SPEED_OF_LIGHT)
 
     @property
     def level_count(self) -> int:
@@ -85,29 +95,28 @@ def multilevel_rhs(rho: np.ndarray, system: NLevelSystem, t: float = 0.0) -> np.
         raise ValueError(f"rho must have shape ({n}, {n})")
     if np.max(np.abs(rho - rho.conj().T)) > _INPUT_TOL:
         raise ValueError("rho must be Hermitian (tolerance 1e-9)")
-    if abs(np.trace(rho).real - 1.0) > _INPUT_TOL or abs(np.trace(rho).imag) > _INPUT_TOL:
+    trace = np.trace(rho)
+    if abs(trace.real - 1.0) > _INPUT_TOL or abs(trace.imag) > _INPUT_TOL:
         raise ValueError("rho must have unit trace (tolerance 1e-9)")
 
     pops = np.real(np.diag(rho))
-    omega = system.omega_matrix()
 
     # population-weighted shift: sum_k (G_ak - G_kb) p_k = u_a - u_b for symmetric G
     u = system.gamma @ pops
     shift = u[:, None] - u[None, :]
 
     # relaxation: sum_k [ (A_ak + A_bk)/2 - (B_ak + B_bk) + (C_ak + C_bk) ] p_k
-    relax_matrix = 0.5 * system.a_rates - system.b_rates + system.c_rates
-    w = relax_matrix @ pops
+    w = system._relax_matrix @ pops
     relax = w[:, None] + w[None, :]
 
-    ddt = (-1j * (omega + shift) - relax) * rho
+    ddt = (-1j * (system._omega + shift) - relax) * rho
 
     if system.drive is not None:
         a0 = np.asarray(system.drive(t), dtype=float)
         if a0.shape != (3,):
             raise ValueError("drive must return a 3-vector")
-        coupling = omega * np.tensordot(system.dipoles, a0, axes=(2, 0))
-        ddt -= (coupling @ rho - rho @ coupling) / SPEED_OF_LIGHT
+        coupling = system._drive_dipoles @ a0
+        ddt -= coupling @ rho - rho @ coupling
 
     return ddt
 

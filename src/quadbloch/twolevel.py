@@ -159,10 +159,15 @@ def _log_cosh(x):
     return _log_cosh_ratio(x, 0.0)
 
 
-def _sech(x: float) -> float:
-    # overflow-safe 1/cosh: exp(-|x|) underflows to 0 gracefully
-    e = math.exp(-abs(x))
+def _sech(x):
+    """Overflow-safe 1/cosh (float or array): exp(-|x|) underflows to 0 gracefully."""
+    e = np.exp(-np.abs(x))
     return 2.0 * e / (1.0 + e * e)
+
+
+def _scalar_or_array(x):
+    """A float for a 0-d result, the array otherwise."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def bloch_flow(t, p: TwoLevelParams, start, t_start: float) -> np.ndarray:
@@ -244,13 +249,14 @@ def dipole_expectation(t: float, p: TwoLevelParams, d21: float,
     return value, theta
 
 
-def frequency_shift(t: float, p: TwoLevelParams) -> float:
+def frequency_shift(t, p: TwoLevelParams):
     """Instantaneous shift of the transition frequency along the closed form:
-    -tau - lam Pz with Pz = -tanh q(t - t0)."""
-    return _shift(p, -math.tanh(p.q * (t - p.t0)))
+    -tau - lam Pz with Pz = -tanh q(t - t0). ``t`` is a float or an array;
+    a float gives a float."""
+    return _scalar_or_array(_shift(p, -np.tanh(p.q * (np.asarray(t, dtype=float) - p.t0))))
 
 
-def additional_shift(t: float, p: TwoLevelParams) -> float:
+def additional_shift(t, p: TwoLevelParams):
     """Contribution of the current-moment rates to the frequency shift:
 
         lam tanh[(c12-b12) dt] sech^2[a12 dt / 2]
@@ -258,15 +264,19 @@ def additional_shift(t: float, p: TwoLevelParams) -> float:
         1 + tanh[a12 dt / 2] tanh[(c12-b12) dt]
 
     By the tanh addition formula this equals frequency_shift with the full q
-    minus frequency_shift with the dipole-only q = a12/2, exactly.
+    minus frequency_shift with the dipole-only q = a12/2, exactly. ``t`` is a
+    float or an array; a float gives a float.
     """
+    t = np.asarray(t, dtype=float)
     dt = t - p.t0
     x = 0.5 * p.a12 * dt
     y = (p.c12 - p.b12) * dt
     sech_x = _sech(x)
-    denom = 1.0 + math.tanh(x) * math.tanh(y)
-    value = p.lam * math.tanh(y) * sech_x * sech_x / denom if denom != 0.0 else math.nan
-    if not math.isfinite(value):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = p.lam * np.tanh(y) * sech_x * sech_x / (1.0 + np.tanh(x) * np.tanh(y))
+    saturated = ~np.isfinite(value)
+    if saturated.any():
         # saturated tanh at extreme arguments; fall back to the identical difference form
-        return frequency_shift(t, p) - frequency_shift(t, p.dipole_only())
-    return value
+        difference = frequency_shift(t, p) - frequency_shift(t, p.dipole_only())
+        value = np.where(saturated, difference, value)
+    return _scalar_or_array(value)

@@ -55,28 +55,26 @@ class Report:
         return "\n".join(lines)
 
 
-def _closed_form_residual(p: TwoLevelParams, rhs_params: TwoLevelParams, t_start: float,
-                          t_end: float, n_times: int = 1001) -> float:
-    """Max |bloch_rhs(x(t), rhs_params) - dx/dt| along the closed form x(t) of ``p``."""
+def _closed_form_residual(p: TwoLevelParams, rhs_params: TwoLevelParams, start, at: float,
+                          t_start: float, t_end: float, n_times: int = 1001) -> float:
+    """Max |bloch_rhs(x(t), rhs_params) - dx/dt| along the flow x(t) of ``p``
+    through ``start`` at time ``at``."""
     times = np.linspace(t_start, t_end, n_times)
 
-    def closed_form(t):
-        return bloch_flow(t, p, _EQUATOR, p.t0)
+    def flow(t):
+        return bloch_flow(t, p, start, at)
 
-    rhs = np.array(bloch_rhs(closed_form(times).T, rhs_params)).T
-    fd = (closed_form(times + _FD_STEP) - closed_form(times - _FD_STEP)) / (2.0 * _FD_STEP)
+    rhs = np.array(bloch_rhs(flow(times).T, rhs_params)).T
+    fd = (flow(times + _FD_STEP) - flow(times - _FD_STEP)) / (2.0 * _FD_STEP)
     return float(np.max(np.abs(rhs - fd)))
 
 
 def _shift_decomposition_residual(p: TwoLevelParams, t_start: float, t_end: float,
                                   n_times: int = 1001) -> float:
-    dipole_only = p.dipole_only()
-    worst = 0.0
-    for t in np.linspace(t_start, t_end, n_times):
-        full = frequency_shift(t, p)
-        base = frequency_shift(t, dipole_only)
-        worst = max(worst, abs(full - base - additional_shift(t, p)))
-    return worst
+    times = np.linspace(t_start, t_end, n_times)
+    full = frequency_shift(times, p)
+    base = frequency_shift(times, p.dipole_only())
+    return float(np.max(np.abs(full - base - additional_shift(times, p))))
 
 
 def _shift_phase_mismatch(traj: Trajectory, shift: np.ndarray) -> float | None:
@@ -105,16 +103,19 @@ def run_checks(p: TwoLevelParams, t_start: float, t_end: float, step: float,
 
     traj = integrate(initial, p, t_start, t_end, step)
 
+    rhs_params = p
+    if flip_rotation:
+        rhs_params = replace(p, omega21=-p.omega21, gamma11=-p.gamma11,
+                             gamma22=-p.gamma22, gamma12=-p.gamma12)
+    # the closed form through (1, 0, 0) at t0; at q = 0, which has no t0,
+    # the flow from the run's own start
     if q != 0.0:
-        rhs_params = p
-        if flip_rotation:
-            rhs_params = replace(p, omega21=-p.omega21, gamma11=-p.gamma11,
-                                 gamma22=-p.gamma22, gamma12=-p.gamma12)
-        residual = _closed_form_residual(p, rhs_params, t_start, t_end)
-        checks.append(Check("closed_form_residual", residual < _RESIDUAL_TOL,
-                            residual, f"< {_RESIDUAL_TOL:g}"))
+        start, at = _EQUATOR, p.t0
     else:
-        checks.append(Check("closed_form_residual", True, None, "q = 0", skipped=True))
+        start, at = (_EQUATOR if initial is None else initial), t_start
+    residual = _closed_form_residual(p, rhs_params, start, at, t_start, t_end)
+    checks.append(Check("closed_form_residual", residual < _RESIDUAL_TOL,
+                        residual, f"< {_RESIDUAL_TOL:g}"))
 
     # RK4 against the exact flow from the same start, within its own
     # estimated error once that exceeds the nominal floor

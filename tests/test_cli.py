@@ -253,12 +253,25 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "closed_form_residual" in out and "FAIL" in out
 
-    def test_q_zero_skips_analytic_checks(self, tmp_path, capsys):
+    def test_q_zero_runs_every_check(self, tmp_path, capsys):
         cfg = write(tmp_path / "v.cfg",
                     "mode = verify\nomega21 = 1.0\nt_start = -10\nt_end = 10\nstep = 0.01\n")
         assert main(["verify", "--config", cfg]) == 0
         out = capsys.readouterr().out
-        assert "skipped" in out and "overall: PASS" in out
+        assert "skipped" not in out and "overall: PASS" in out
+        residual_line = next(l for l in out.splitlines() if l.startswith("closed_form_residual"))
+        assert residual_line.split()[-1] == "pass"
+
+    @pytest.mark.parametrize("start", ["", "px0 = 0.6\npy0 = 0.0\npz0 = 0.8\n"],
+                             ids=["default-start", "custom-start"])
+    def test_flipped_rotation_fails_residual_at_q_zero(self, tmp_path, capsys, start):
+        cfg = write(tmp_path / "v.cfg",
+                    "mode = verify\nomega21 = 1.0\ngamma11 = 0.1\nt_start = -10\nt_end = 10\n"
+                    "step = 0.01\n" + start)
+        assert main(["verify", "--config", cfg, "--debug-flip-rotation"]) == 2
+        out = capsys.readouterr().out
+        residual_line = next(l for l in out.splitlines() if l.startswith("closed_form_residual"))
+        assert residual_line.split()[-1] == "FAIL"
 
     def test_coarse_step_reports_degraded_error(self, tmp_path, capsys):
         # convergence order still holds; the agreement check reports the larger error

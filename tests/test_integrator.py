@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,15 +10,62 @@ from quadbloch import (
     StepSizeError,
     TwoLevelParams,
     analytic_bloch,
+    bloch_rhs,
     bloch_to_density,
     default_initial,
     density_rhs_two_level,
     exact_trajectory,
     integrate,
 )
+from quadbloch.integrator import _pz_recurrence, time_grid
 
 RISING = TwoLevelParams(omega21=-0.7, gamma11=0.03, gamma22=-0.02, gamma12=0.07, a12=-0.3)
 NO_DECAY = TwoLevelParams(omega21=1.0, gamma11=0.1, gamma22=-0.05, gamma12=0.02)
+CANONICAL = TwoLevelParams(omega21=1.0, gamma11=0.02, gamma22=0.0, gamma12=-0.04, a12=0.2)
+
+START_CASES = {
+    "unit": (CANONICAL, BlochVector(0.6, 0.0, 0.8)),
+    "inside": (CANONICAL, BlochVector(0.3, -0.2, 0.5)),
+    "north": (CANONICAL, BlochVector(0.0, 0.0, 1.0)),
+    "south": (CANONICAL, BlochVector(0.0, 0.0, -1.0)),
+    "q-zero": (NO_DECAY, BlochVector(0.6, 0.0, 0.8)),
+    "q-negative": (RISING, BlochVector(0.3, -0.4, math.sqrt(0.75))),
+    "default": (CANONICAL, None),
+}
+
+
+def _oracle_step(y, h, p):
+    """One classical RK4 step of the 3-vector on bloch_rhs, component by component."""
+    px, py, pz = y
+    half = 0.5 * h
+    k1 = bloch_rhs(y, p)
+    k2 = bloch_rhs((px + half * k1[0], py + half * k1[1], pz + half * k1[2]), p)
+    k3 = bloch_rhs((px + half * k2[0], py + half * k2[1], pz + half * k2[2]), p)
+    k4 = bloch_rhs((px + h * k3[0], py + h * k3[1], pz + h * k3[2]), p)
+    c = h / 6.0
+    return (px + c * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+            py + c * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
+            pz + c * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]))
+
+
+def _oracle_integrate(initial, p, t_start, t_end, step):
+    """The per-step loop over 3-tuples: samples and Richardson estimate."""
+    t, h = time_grid(t_start, t_end, step)
+    y = y_half = tuple(float(v) for v in (default_initial(p, t_start) if initial is None else initial))
+    samples = [y]
+    deviation = 0.0
+    for k in range(1, len(t)):
+        y = _oracle_step(y, h, p)
+        norm = math.sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2])
+        if norm > 1.0 + 1e-6:
+            raise StepSizeError(
+                f"|P| = {norm:.9f} left the unit ball at t = {t_start + k * h:g}; "
+                f"step {h:g} is too large for these parameters, retry with a smaller step"
+            )
+        samples.append(y)
+        y_half = _oracle_step(_oracle_step(y_half, 0.5 * h, p), 0.5 * h, p)
+        deviation = max(deviation, abs(y[0] - y_half[0]), abs(y[1] - y_half[1]), abs(y[2] - y_half[2]))
+    return np.array(samples), deviation * 16.0 / 15.0
 
 
 class TestBasics:
@@ -140,11 +188,58 @@ class TestExactFlowCrossCheck:
         assert tuple(exact.bloch[0]) == (1.0, 0.0, 0.0)
 
 
+class TestAgainstLoopOracle:
+    @pytest.mark.parametrize("case", list(START_CASES))
+    def test_matches_per_step_loop(self, case):
+        p, initial = START_CASES[case]
+        traj = integrate(initial, p, -10.0, 10.0, 0.02)
+        samples, estimate = _oracle_integrate(initial, p, -10.0, 10.0, 0.02)
+        assert np.array_equal(traj.bloch[:, 2], samples[:, 2])
+        assert np.max(np.abs(traj.bloch[:, :2] - samples[:, :2])) <= 1e-12
+        assert abs(traj.error_estimate - estimate) <= 0.01 * estimate
+
+    def test_canonical_run_matches_per_step_loop(self):
+        traj = integrate(None, CANONICAL, -20.0, 20.0, 1e-3)
+        samples, _ = _oracle_integrate(None, CANONICAL, -20.0, 20.0, 1e-3)
+        assert len(traj) == 40_001
+        assert np.array_equal(traj.bloch[:, 2], samples[:, 2])
+        assert np.max(np.abs(traj.bloch[:, :2] - samples[:, :2])) <= 1e-12
+
+    @pytest.mark.parametrize("q, h", [(0.1, 0.02), (-0.15, 1e-3), (3.0, 0.5)])
+    def test_pz_loop_is_bloch_rhs_step(self, q, h, rng):
+        # one step of the scalar Pz loop against the third component of the
+        # 3-vector step, whose rates come from bloch_rhs
+        p = TwoLevelParams(omega21=1.3, gamma11=0.02, a12=2.0 * q)
+        for pz in np.concatenate(([-1.0, 1.0, 0.0], rng.uniform(-1.0, 1.0, 200))).tolist():
+            transverse = rng.uniform(-1.0, 1.0, 2).tolist()
+            expected = _oracle_step((*transverse, pz), h, p)[2]
+            assert _pz_recurrence(pz, p.q, h, 1) == [pz, expected]
+
+
 class TestStepAbort:
     def test_oversized_step_aborts_with_diagnostic(self):
         p = TwoLevelParams(omega21=5.0, a12=0.2)
         with pytest.raises(StepSizeError, match="smaller step"):
             integrate(BlochVector(1.0, 0.0, 0.0), p, 0.0, 100.0, 1.0)
+
+    @pytest.mark.parametrize("p", [TwoLevelParams(omega21=5.0, a12=0.2),     # rotation
+                                   TwoLevelParams(omega21=0.1, a12=20.0)])   # relaxation
+    def test_abort_matches_per_step_loop_without_warnings(self, p):
+        with pytest.raises(StepSizeError) as expected:
+            _oracle_integrate(BlochVector(0.6, 0.0, -0.8), p, 0.0, 100.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepSizeError) as raised:
+                integrate(BlochVector(0.6, 0.0, -0.8), p, 0.0, 100.0, 1.0)
+        assert str(raised.value) == str(expected.value)
+
+    def test_overflowing_step_aborts_without_warnings(self):
+        # the stage values overflow to inf and nan; the first step still aborts
+        p = TwoLevelParams(omega21=1.0, a12=1e120)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepSizeError, match="at t = 1;"):
+                integrate(BlochVector(1.0, 0.0, 0.0), p, 0.0, 10.0, 1.0)
 
 
 class TestRepresentationEquivariance:

@@ -12,6 +12,7 @@ from quadbloch import (
     frequency_shift_general,
     multilevel_rhs,
 )
+from quadbloch.constants import SPEED_OF_LIGHT
 
 
 def random_hermitian_density(rng, n):
@@ -118,6 +119,21 @@ class TestMultilevelRhs:
         rho = np.array([[0.7, 0.1 + 0.05j], [0.1 - 0.05j, 0.3]], dtype=complex)
         d = multilevel_rhs(rho, sysm, t=0.0)
         assert abs(d[0, 0]) > 0.0
+
+    def test_drive_term_matches_written_out_coupling(self, rng):
+        # -[V, rho]/c with V_ab = (E_a - E_b) sum_i D_ab,i A0_i, element by element
+        a0 = np.array([0.4, -0.9, 0.25])
+        for n in (2, 3, 5):
+            free = random_system(rng, n)
+            driven = NLevelSystem(free.energies, free.gamma, free.a_rates, free.b_rates,
+                                  free.c_rates, free.dipoles, drive=lambda t: a0)
+            rho = random_hermitian_density(rng, n)
+            term = multilevel_rhs(rho, driven, t=0.3) - multilevel_rhs(rho, free, t=0.3)
+            v = np.array([[(free.energies[a] - free.energies[b])
+                           * sum(free.dipoles[a, b, i] * a0[i] for i in range(3))
+                           for b in range(n)] for a in range(n)])
+            expected = -(v @ rho - rho @ v) / SPEED_OF_LIGHT
+            assert np.max(np.abs(term - expected)) < 1e-13
 
     def test_reduces_to_two_level(self, rng):
         p = TwoLevelParams(omega21=1.3, gamma11=0.05, gamma22=-0.02, gamma12=0.01,

@@ -378,3 +378,25 @@ class TestAdditionalShift:
         assert math.isfinite(val)
         direct = frequency_shift(1e5, p) - frequency_shift(1e5, p.dipole_only())
         assert val == pytest.approx(direct, abs=1e-12)
+
+    def test_array_fallback_is_element_by_element(self):
+        # tanh(x) tanh(y) = -1 at both ends (0/0 in the formula); finite in between
+        p = TwoLevelParams(omega21=1.0, gamma11=0.2, gamma12=-0.2, a12=0.5, b12=0.2)
+        times = np.concatenate(([-1e5], np.linspace(-20.0, 20.0, 41), [1e5]))
+        values = additional_shift(times, p)
+        direct = frequency_shift(times, p) - frequency_shift(times, p.dipole_only())
+        assert np.all(np.isfinite(values))
+        assert np.max(np.abs(values - direct)) < 1e-12
+        assert values.tolist() == [additional_shift(t, p) for t in times.tolist()]
+
+
+class TestShiftArrays:
+    @pytest.mark.parametrize("shift", [frequency_shift, additional_shift])
+    def test_array_call_equals_scalar_calls(self, shift, rng):
+        p = TwoLevelParams(omega21=1.0, gamma11=0.02, gamma12=-0.04, a12=0.2, b12=0.02, c12=0.05, t0=0.7)
+        times = rng.uniform(-30.0, 30.0, 101)
+        values = shift(times, p)
+        assert isinstance(values, np.ndarray) and values.shape == times.shape
+        scalars = [shift(t, p) for t in times.tolist()]
+        assert all(type(v) is float for v in scalars)
+        assert values.tolist() == scalars

@@ -82,3 +82,16 @@ def test_perturbed_norm_fails(start, canonical_params, monkeypatch):
     check = _check(report, "bloch_norm_preservation")
     assert not check.passed and check.measured > 1e-7
     assert not report.passed
+
+
+def test_residual_at_q_zero_follows_the_run_start():
+    # flipping the rotation at q = 0 leaves a residual of 2 |Omega| |Px0 - i Py0|,
+    # Omega = omega21 - tau - lam Pz0, along the flow from the run's own start
+    p = TwoLevelParams(omega21=1.0, gamma11=0.1)
+    start = BlochVector(0.3, 0.0, 0.4)
+    report, _ = run_checks(p, *SPAN, initial=start, flip_rotation=True)
+    check = _check(report, "closed_form_residual")
+    expected = 2.0 * abs(p.omega21 - p.tau - p.lam * start.pz) * 0.3
+    assert not check.passed and check.measured == pytest.approx(expected, rel=1e-3)
+    report, _ = run_checks(p, *SPAN, initial=start)
+    assert _check(report, "closed_form_residual").measured < 1e-8 and report.passed
