@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre
 
 _ORBITAL_LETTERS = "spdfghik"
 
@@ -69,71 +68,76 @@ def transition_frequency(a: BoundState, b: BoundState) -> float:
     return bound_energy(a) - bound_energy(b)
 
 
-def _solid_harmonic_table(l_max, pts):
-    """Complex solid harmonics r^l Y_lm and their Cartesian gradients.
+def _solid_harmonic_chain(l, m, pts):
+    """Complex solid harmonic r^l Y_lm and its Cartesian gradient, 0 <= m <= l.
 
-    Returns dicts keyed by (l, m) for 0 <= m <= l <= l_max. The recursion
-    carries the gradient alongside the value, so both are exact polynomial
-    evaluations (no pole at sin(theta) = 0).
+    Only the entries the recursion needs are built: the diagonal up to
+    S_m^m, then the column m up to S_l^m. The recursion carries the gradient
+    alongside the value, so both are exact polynomial evaluations (no pole
+    at sin(theta) = 0).
     """
     x = pts[..., 0]
     y = pts[..., 1]
     z = pts[..., 2]
     r2 = x * x + y * y + z * z
     xy = x + 1j * y
-
-    vals = {}
-    grads = {}
     shape = x.shape
-    vals[(0, 0)] = np.full(shape, 0.5 / math.sqrt(math.pi), dtype=complex)
-    grads[(0, 0)] = np.zeros(shape + (3,), dtype=complex)
+    v = np.full(shape, 0.5 / math.sqrt(math.pi), dtype=complex)
+    g = np.zeros(shape + (3,), dtype=complex)
 
-    for l in range(1, l_max + 1):
-        # diagonal: S_l^l = -sqrt((2l+1)/(2l)) (x + iy) S_{l-1}^{l-1}
-        c = -math.sqrt((2 * l + 1) / (2 * l))
-        v0 = vals[(l - 1, l - 1)]
-        g0 = grads[(l - 1, l - 1)]
-        vals[(l, l)] = c * xy * v0
+    # diagonal: S_j^j = -sqrt((2j+1)/(2j)) (x + iy) S_{j-1}^{j-1}
+    for j in range(1, m + 1):
+        c = -math.sqrt((2 * j + 1) / (2 * j))
+        v0, g0 = v, g
+        v = c * xy * v0
         g = np.empty(shape + (3,), dtype=complex)
         g[..., 0] = c * (v0 + xy * g0[..., 0])
         g[..., 1] = c * (1j * v0 + xy * g0[..., 1])
         g[..., 2] = c * xy * g0[..., 2]
-        grads[(l, l)] = g
+    if l == m:
+        return v, g
 
-        # first subdiagonal: S_l^{l-1} = sqrt(2l+1) z S_{l-1}^{l-1}
-        c = math.sqrt(2 * l + 1)
-        vals[(l, l - 1)] = c * z * v0
-        g = c * z[..., None] * g0
-        g[..., 2] += c * v0
-        grads[(l, l - 1)] = g
+    # first subdiagonal: S_{m+1}^m = sqrt(2m+3) z S_m^m
+    c = math.sqrt(2 * m + 3)
+    v2, g2 = v, g
+    v = c * z * v2
+    g = c * z[..., None] * g2
+    g[..., 2] += c * v2
 
-        # downward in m: S_l^m = a [z S_{l-1}^m - b r^2 S_{l-2}^m]
-        for m in range(l - 2, -1, -1):
-            a = math.sqrt((4 * l * l - 1) / (l * l - m * m))
-            b = math.sqrt(((l - 1) ** 2 - m * m) / (4 * (l - 1) ** 2 - 1))
-            v1 = vals[(l - 1, m)]
-            g1 = grads[(l - 1, m)]
-            v2 = vals[(l - 2, m)]
-            g2 = grads[(l - 2, m)]
-            vals[(l, m)] = a * (z * v1 - b * r2 * v2)
-            g = np.empty(shape + (3,), dtype=complex)
-            g[..., 0] = a * (z * g1[..., 0] - b * (2 * x * v2 + r2 * g2[..., 0]))
-            g[..., 1] = a * (z * g1[..., 1] - b * (2 * y * v2 + r2 * g2[..., 1]))
-            g[..., 2] = a * (v1 + z * g1[..., 2] - b * (2 * z * v2 + r2 * g2[..., 2]))
-            grads[(l, m)] = g
-
-    return vals, grads
+    # up the column: S_j^m = a [z S_{j-1}^m - b r^2 S_{j-2}^m]
+    for j in range(m + 2, l + 1):
+        a = math.sqrt((4 * j * j - 1) / (j * j - m * m))
+        b = math.sqrt(((j - 1) ** 2 - m * m) / (4 * (j - 1) ** 2 - 1))
+        v1, g1 = v, g
+        v = a * (z * v1 - b * r2 * v2)
+        g = np.empty(shape + (3,), dtype=complex)
+        g[..., 0] = a * (z * g1[..., 0] - b * (2 * x * v2 + r2 * g2[..., 0]))
+        g[..., 1] = a * (z * g1[..., 1] - b * (2 * y * v2 + r2 * g2[..., 1]))
+        g[..., 2] = a * (v1 + z * g1[..., 2] - b * (2 * z * v2 + r2 * g2[..., 2]))
+        v2, g2 = v1, g1
+    return v, g
 
 
 def solid_harmonic(l, m, points):
     """Evaluate r^l Y_lm and its Cartesian gradient at ``points`` (shape (..., 3))."""
     pts = np.asarray(points, dtype=float)
-    vals, grads = _solid_harmonic_table(l, pts)
+    val, grad = _solid_harmonic_chain(l, abs(m), pts)
     if m >= 0:
-        return vals[(l, m)], grads[(l, m)]
+        return val, grad
     # S_l^{-m} = (-1)^m conj(S_l^m); coordinates are real so the gradient conjugates too
     sign = -1.0 if m % 2 else 1.0
-    return sign * np.conj(vals[(l, -m)]), sign * np.conj(grads[(l, -m)])
+    return sign * np.conj(val), sign * np.conj(grad)
+
+
+def _laguerre(k, alpha, u):
+    """Generalized Laguerre polynomial L_k^alpha(u) by its three-term recurrence."""
+    prev = np.ones_like(u)
+    if k == 0:
+        return prev
+    cur = 1.0 + alpha - u
+    for j in range(1, k):
+        prev, cur = cur, ((2 * j + 1 + alpha - u) * cur - (j + alpha) * prev) / (j + 1)
+    return cur
 
 
 def _radial_envelope(state: BoundState, r):
@@ -146,9 +150,9 @@ def _radial_envelope(state: BoundState, r):
     a = 2.0 * z / n
     norm = math.sqrt(a**3 * math.factorial(n - l - 1) / (2 * n * math.factorial(n + l)))
     u = a * r
-    lag = eval_genlaguerre(n - l - 1, 2 * l + 1, u)
+    lag = _laguerre(n - l - 1, 2 * l + 1, u)
     if n - l - 2 >= 0:
-        dlag = -eval_genlaguerre(n - l - 2, 2 * l + 2, u)
+        dlag = -_laguerre(n - l - 2, 2 * l + 2, u)
     else:
         dlag = np.zeros_like(u)
     envelope = np.exp(-0.5 * u)

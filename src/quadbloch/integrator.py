@@ -153,15 +153,29 @@ def integrate(initial: BlochVector | None, p: TwoLevelParams, t_start: float,
     leaves the closed unit ball by more than 1e-6, which on this flow can
     only be a discretization artifact.
     """
+    return _integrate(initial, p, t_start, t_end, step, {})
+
+
+def _integrate(initial: BlochVector | None, p: TwoLevelParams, t_start: float, t_end: float,
+               step: float, passes: dict[int, np.ndarray]) -> Trajectory:
+    """``integrate``, taking its RK4 passes from ``passes`` (keyed by step
+    count) where present and adding the ones it runs.
+
+    A dict shared between calls with the same ``initial``, ``p`` and span
+    runs each pass once: n steps over the span always have the width
+    span / n, because halving a float is exact.
+    """
     t, h = time_grid(t_start, t_end, step)
     start = default_initial(p, t_start) if initial is None else initial
     start = tuple(float(v) for v in start)
     n_steps = len(t) - 1
+    for n, width in ((n_steps, h), (2 * n_steps, 0.5 * h)):
+        if n not in passes:
+            passes[n] = _rk4_pass(start, p, t_start, width, n)
 
-    samples = _rk4_pass(start, p, t_start, h, n_steps)
+    samples = passes[n_steps]
     # Richardson companion at half the step, compared at the shared times
-    half = _rk4_pass(start, p, t_start, 0.5 * h, 2 * n_steps)
-    deviation = float(np.max(np.abs(samples - half[::2])))
+    deviation = float(np.max(np.abs(samples - passes[2 * n_steps][::2])))
     return _trajectory(t, samples, p, h, deviation * 16.0 / 15.0)
 
 

@@ -93,10 +93,11 @@ def multilevel_rhs(rho: np.ndarray, system: NLevelSystem, t: float = 0.0) -> np.
     n = system.level_count
     if rho.shape != (n, n):
         raise ValueError(f"rho must have shape ({n}, {n})")
-    if np.max(np.abs(rho - rho.conj().T)) > _INPUT_TOL:
+    # written as "not <=" so that nan fails
+    if not np.max(np.abs(rho - rho.conj().T)) <= _INPUT_TOL:
         raise ValueError("rho must be Hermitian (tolerance 1e-9)")
     trace = np.trace(rho)
-    if abs(trace.real - 1.0) > _INPUT_TOL or abs(trace.imag) > _INPUT_TOL:
+    if not (abs(trace.real - 1.0) <= _INPUT_TOL and abs(trace.imag) <= _INPUT_TOL):
         raise ValueError("rho must have unit trace (tolerance 1e-9)")
 
     pops = np.real(np.diag(rho))

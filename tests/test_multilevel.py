@@ -77,6 +77,23 @@ class TestMultilevelRhs:
         with pytest.raises(ValueError, match="trace"):
             multilevel_rhs(rho * 1.001, sysm)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("entry", [(0, 1), (1, 1)])
+    def test_non_finite_density_rejected(self, rng, bad, entry):
+        # a Hermitian placement: the coherence and its conjugate, or a population
+        sysm = random_system(rng, 3)
+        rho = random_hermitian_density(rng, 3)
+        i, j = entry
+        rho[i, j] = rho[j, i] = bad
+        with pytest.raises(ValueError, match="Hermitian|trace"):
+            multilevel_rhs(rho, sysm)
+
+    def test_trace_overflowing_to_nan_rejected(self, rng):
+        # finite and Hermitian, but the trace sums inf and -inf
+        rho = np.diag([1e308, 1e308, -1e308, -1e308]).astype(complex)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="trace"):
+            multilevel_rhs(rho, random_system(rng, 4))
+
     def test_free_evolution_exact(self, rng):
         n = 4
         energies = rng.normal(size=n)

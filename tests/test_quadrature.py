@@ -41,6 +41,15 @@ class TestRadialRule:
             val = float(np.dot(w, np.exp(-x) * x**k))
             assert val == pytest.approx(math.factorial(k), rel=1e-12)
 
+    @pytest.mark.parametrize("count", [16, 17, 40, 200])
+    def test_nodes_match_scipy_tridiagonal_solver(self, count):
+        from scipy.linalg import eigh_tridiagonal
+
+        want = eigh_tridiagonal(2.0 * np.arange(count) + 1.0, np.arange(1.0, count), eigvals_only=True)
+        x, _ = _radial_rule(count)
+        assert x.shape == want.shape
+        assert np.max(np.abs(x - want) / want) <= 1e-13
+
     def test_overflowing_tail_dropped(self):
         x, w = _radial_rule(200)
         assert np.all(np.isfinite(w))

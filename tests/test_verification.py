@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from quadbloch import BlochVector, TwoLevelParams, integrate, verification
+from quadbloch import BlochVector, TwoLevelParams, integrate, integrator, verification
+from quadbloch.integrator import _integrate
 from quadbloch.verification import _shift_phase_mismatch, run_checks
 
 SPAN = (-10.0, 10.0, 2e-3)
@@ -73,11 +74,11 @@ def test_coarse_canonical_norm_within_error_estimate(canonical_params):
 @pytest.mark.parametrize("start", [None, BlochVector(0.5, 0.0, 0.0)])
 def test_perturbed_norm_fails(start, canonical_params, monkeypatch):
     # negative control: a main pass whose |P| is off by 1e-6 fails the norm check
-    def perturbed(initial, p, t_start, t_end, step):
-        traj = integrate(initial, p, t_start, t_end, step)
+    def perturbed(initial, p, t_start, t_end, step, passes):
+        traj = _integrate(initial, p, t_start, t_end, step, passes)
         return replace(traj, bloch=traj.bloch * (1.0 + 1e-6))
 
-    monkeypatch.setattr(verification, "integrate", perturbed)
+    monkeypatch.setattr(verification, "_integrate", perturbed)
     report, _ = run_checks(canonical_params, *SPAN, initial=start)
     check = _check(report, "bloch_norm_preservation")
     assert not check.passed and check.measured > 1e-7
@@ -95,3 +96,40 @@ def test_residual_at_q_zero_follows_the_run_start():
     assert not check.passed and check.measured == pytest.approx(expected, rel=1e-3)
     report, _ = run_checks(p, *SPAN, initial=start)
     assert _check(report, "closed_form_residual").measured < 1e-8 and report.passed
+
+
+def _count_rk4_steps(monkeypatch):
+    steps = []
+    original = integrator._rk4_pass
+
+    def counting(start, p, t_start, h, n_steps):
+        steps.append(n_steps)
+        return original(start, p, t_start, h, n_steps)
+
+    monkeypatch.setattr(integrator, "_rk4_pass", counting)
+    return steps
+
+
+@pytest.mark.parametrize("step,expected", [
+    (2e-3, 10_000 + 20_000 + 2_000 + 4_000 + 8_000),     # order checked at span/2000
+    (0.05, 400 + 800 + 1_600),                          # order checked at the run's own step
+])
+def test_each_rk4_pass_runs_once(step, expected, canonical_params, monkeypatch):
+    steps = _count_rk4_steps(monkeypatch)
+    report, _ = run_checks(canonical_params, -10.0, 10.0, step)
+    assert report.passed
+    assert sum(steps) == expected
+    assert len(steps) == len(set(steps))
+
+
+@pytest.mark.parametrize("span", [(-10.0, 10.0, 2e-3), (-10.0, 10.0, 0.05), (-10.0, 10.0, 0.03),
+                                  (-7.3, 9.1, 0.0137)])
+def test_convergence_order_equals_separate_integrations(span, canonical_params):
+    # shared passes give the ratio of two independent integrate calls bit for bit,
+    # also where round(2 span / step) is not twice round(span / step)
+    report, _ = run_checks(canonical_params, *span)
+    t_start, t_end, step = span
+    conv_step = max(step, (t_end - t_start) / 2000.0)
+    coarse = integrate(None, canonical_params, t_start, t_end, conv_step)
+    half = integrate(None, canonical_params, t_start, t_end, conv_step / 2.0)
+    assert _check(report, "convergence_order").measured == coarse.error_estimate / half.error_estimate
