@@ -6,6 +6,14 @@ nonlinear relaxation from the antisymmetric rate matrices, and coupling of
 the coherences to an externally applied vector field through the dipole
 matrix. Antisymmetry of the rates makes the trace exactly conserved, and
 Hermiticity of rho is preserved to first order.
+
+With populations p, u = Gamma p and w = (A/2 - B + C) p, the shift and
+relaxation of rho_ab are -i (u_a - u_b) - (w_a + w_b). ``NLevelSystem``
+stores the complex rate matrix (A/2 - B + C) + i Gamma, so one product gives
+y = w + i u and both terms are -(y_a + conj y_b).
+
+``multilevel_rhs`` checks its input on every call: shape, finiteness,
+Hermiticity and unit trace of rho, and the shape of the drive's field.
 """
 
 from __future__ import annotations
@@ -44,8 +52,8 @@ class NLevelSystem:
     dipoles: np.ndarray                  # (N, N, 3) complex
     drive: Callable[[float], np.ndarray] | None = field(default=None)
     # fixed parts of multilevel_rhs, computed once from the fields above
-    _omega: np.ndarray = field(init=False, repr=False, compare=False)
-    _relax_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    _free: np.ndarray = field(init=False, repr=False, compare=False)
+    _rates: np.ndarray = field(init=False, repr=False, compare=False)
     _drive_dipoles: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -69,8 +77,9 @@ class NLevelSystem:
                  "dipole matrix must be Hermitian")
 
         omega = self.omega_matrix()
-        object.__setattr__(self, "_omega", omega)
-        object.__setattr__(self, "_relax_matrix", 0.5 * self.a_rates - self.b_rates + self.c_rates)
+        object.__setattr__(self, "_free", -1j * omega)
+        relax = 0.5 * self.a_rates - self.b_rates + self.c_rates
+        object.__setattr__(self, "_rates", relax + 1j * self.gamma)
         # Omega_ab D_ab / c, so the drive coupling is one product with A0(t)
         object.__setattr__(self, "_drive_dipoles", omega[:, :, None] * dip / SPEED_OF_LIGHT)
 
@@ -86,31 +95,24 @@ class NLevelSystem:
 def multilevel_rhs(rho: np.ndarray, system: NLevelSystem, t: float = 0.0) -> np.ndarray:
     """Time derivative of an N x N density matrix.
 
-    Rejects inputs that are not Hermitian with unit trace (tolerance 1e-9);
-    the returned derivative is traceless and Hermitian to rounding.
+    Rejects inputs that are not finite, Hermitian and of unit trace
+    (tolerance 1e-9); the returned derivative is traceless and Hermitian
+    to rounding.
     """
     rho = np.asarray(rho, dtype=complex)
     n = system.level_count
     if rho.shape != (n, n):
         raise ValueError(f"rho must have shape ({n}, {n})")
-    # written as "not <=" so that nan fails
-    if not np.max(np.abs(rho - rho.conj().T)) <= _INPUT_TOL:
+    # finite first, so that inf - inf in the difference cannot warn; "not <=" so nan fails
+    if not (np.isfinite(rho).all() and np.abs(rho - rho.conj().T).max() <= _INPUT_TOL):
         raise ValueError("rho must be Hermitian (tolerance 1e-9)")
-    trace = np.trace(rho)
+    trace = rho.trace()
     if not (abs(trace.real - 1.0) <= _INPUT_TOL and abs(trace.imag) <= _INPUT_TOL):
         raise ValueError("rho must have unit trace (tolerance 1e-9)")
 
-    pops = np.real(np.diag(rho))
-
-    # population-weighted shift: sum_k (G_ak - G_kb) p_k = u_a - u_b for symmetric G
-    u = system.gamma @ pops
-    shift = u[:, None] - u[None, :]
-
-    # relaxation: sum_k [ (A_ak + A_bk)/2 - (B_ak + B_bk) + (C_ak + C_bk) ] p_k
-    w = system._relax_matrix @ pops
-    relax = w[:, None] + w[None, :]
-
-    ddt = (-1j * (system._omega + shift) - relax) * rho
+    # y_a = w_a + i u_a, so -(y_a + conj y_b) = -(w_a + w_b) - i (u_a - u_b)
+    y = system._rates @ rho.diagonal().real
+    ddt = (system._free - y[:, None] - y.conj()) * rho
 
     if system.drive is not None:
         a0 = np.asarray(system.drive(t), dtype=float)
@@ -129,7 +131,8 @@ def frequency_shift_general(populations: np.ndarray, gamma_matrix: np.ndarray) -
     n = pops.shape[0]
     if gamma.shape != (n, n):
         raise ValueError(f"gamma_matrix must have shape ({n}, {n})")
-    if abs(pops.sum() - 1.0) > _INPUT_TOL:
+    # finite first, so that inf - inf in the sum cannot warn; "not <=" so nan fails
+    if not (np.isfinite(pops).all() and abs(pops.sum() - 1.0) <= _INPUT_TOL):
         raise ValueError("populations must sum to 1 (tolerance 1e-9)")
     u = gamma @ pops
     v = gamma.T @ pops

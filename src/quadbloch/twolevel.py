@@ -239,7 +239,7 @@ def dipole_expectation(t: float, p: TwoLevelParams, d21: float,
     """
     q = p.q
     if q == 0.0:
-        raise ValueError("theta undefined at q = 0 (ln cosh / q term); use the numeric integrator")
+        raise ValueError("theta undefined at q = 0 (ln cosh / q term); use bloch_flow from a start")
     if theta0 is None:
         theta0 = (p.tau - p.omega21) * p.t0
     dt = t - p.t0

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,29 @@ def random_system(rng, n, drive=None):
     dip = rng.normal(size=(n, n, 3)) + 1j * rng.normal(size=(n, n, 3))
     dip = 0.5 * (dip + np.conj(np.transpose(dip, (1, 0, 2))))
     return NLevelSystem(energies, gamma, anti(), anti(), anti(), dip, drive)
+
+
+def reference_rhs(rho, system, t=0.0):
+    """The earlier multilevel_rhs body: a real shift product and a real
+    relaxation product, each spread into an outer difference or sum."""
+    rho = np.asarray(rho, dtype=complex)
+    pops = np.real(np.diag(rho))
+    omega = system.omega_matrix()
+
+    u = system.gamma @ pops
+    shift = u[:, None] - u[None, :]
+
+    w = (0.5 * system.a_rates - system.b_rates + system.c_rates) @ pops
+    relax = w[:, None] + w[None, :]
+
+    ddt = (-1j * (omega + shift) - relax) * rho
+
+    if system.drive is not None:
+        a0 = np.asarray(system.drive(t), dtype=float)
+        coupling = (omega[:, :, None] * system.dipoles / SPEED_OF_LIGHT) @ a0
+        ddt -= coupling @ rho - rho @ coupling
+
+    return ddt
 
 
 def two_level_system(p: TwoLevelParams) -> NLevelSystem:
@@ -85,8 +110,11 @@ class TestMultilevelRhs:
         rho = random_hermitian_density(rng, 3)
         i, j = entry
         rho[i, j] = rho[j, i] = bad
-        with pytest.raises(ValueError, match="Hermitian|trace"):
-            multilevel_rhs(rho, sysm)
+        # rejected with no numpy RuntimeWarning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="Hermitian|trace"):
+                multilevel_rhs(rho, sysm)
 
     def test_trace_overflowing_to_nan_rejected(self, rng):
         # finite and Hermitian, but the trace sums inf and -inf
@@ -103,6 +131,18 @@ class TestMultilevelRhs:
         rho = random_hermitian_density(rng, n)
         omega = energies[:, None] - energies[None, :]
         assert np.max(np.abs(multilevel_rhs(rho, sysm) - (-1j) * omega * rho)) == 0.0
+
+    @pytest.mark.parametrize("driven", [False, True])
+    def test_matches_reference(self, rng, driven):
+        # one complex rate product in place of two real ones: equal to rounding
+        drive = (lambda t: np.array([0.4 * np.cos(2.0 * t), 0.1, -0.3 * np.sin(t)])) if driven else None
+        for n in (2, 3, 4, 5, 6):
+            sysm = random_system(rng, n, drive=drive)
+            for t in rng.uniform(-3.0, 3.0, size=10):
+                rho = random_hermitian_density(rng, n)
+                d = multilevel_rhs(rho, sysm, t=t)
+                ref = reference_rhs(rho, sysm, t=t)
+                assert np.max(np.abs(d - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_traceless_derivative(self, rng):
         for n in (2, 3, 4, 5):
@@ -227,3 +267,10 @@ class TestFrequencyShiftGeneral:
     def test_population_sum_validated(self):
         with pytest.raises(ValueError, match="sum to 1"):
             frequency_shift_general(np.array([0.6, 0.6]), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("pops", [[np.nan, 0.5], [1.0, np.nan], [np.inf, 0.0], [np.inf, -np.inf]])
+    def test_non_finite_populations_rejected(self, pops):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sum to 1"):
+                frequency_shift_general(np.array(pops), np.eye(2))

@@ -323,7 +323,7 @@ class TestDipoleExpectation:
                                       * math.log(math.cosh(canonical_params.q)), rel=1e-12)
 
     def test_refuses_q_zero(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bloch_flow"):
             dipole_expectation(0.0, TwoLevelParams(omega21=1.0), d21=1.0)
 
 
