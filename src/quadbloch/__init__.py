@@ -10,7 +10,7 @@ in Hartree atomic units; the CLI converts to SI on request.
 
 from .constants import SPEED_OF_LIGHT
 from .hydrogenic import BoundState, bound_energy, eigenstate_eval, radial_wavefunction, transition_frequency
-from .integrator import StepSizeError, Trajectory, default_initial, exact_trajectory, integrate
+from .integrator import StepSizeError, Trajectory, exact_trajectory, integrate
 from .multilevel import NLevelSystem, frequency_shift_general, multilevel_rhs
 from .multipole import (
     CouplingRates,
@@ -31,14 +31,10 @@ from .twolevel import (
     TwoLevelParams,
     additional_shift,
     analytic_bloch,
-    analytic_density,
     bloch_flow,
     bloch_rhs,
     bloch_to_density,
     density_rhs_two_level,
-    density_to_bloch,
-    dipole_expectation,
-    energy_expectation,
     frequency_shift,
 )
 
@@ -60,7 +56,6 @@ __all__ = [
     "TwoLevelParams",
     "additional_shift",
     "analytic_bloch",
-    "analytic_density",
     "bloch_flow",
     "bloch_rhs",
     "bloch_to_density",
@@ -68,12 +63,8 @@ __all__ = [
     "coupling_rates",
     "current_integrals",
     "current_kernel",
-    "default_initial",
     "density_rhs_two_level",
-    "density_to_bloch",
-    "dipole_expectation",
     "dipole_moment",
-    "energy_expectation",
     "eigenstate_eval",
     "exact_trajectory",
     "frequency_shift",

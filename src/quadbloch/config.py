@@ -112,9 +112,12 @@ def _build(raw: dict[str, tuple[str, str]], default_mode: str | None) -> RunConf
             return None
         value, where = raw[key]
         try:
-            return float(value)
+            number = float(value)
         except ValueError:
             raise ConfigError(f"{where}: key '{key}' has malformed number {value!r}") from None
+        if not math.isfinite(number):
+            raise ConfigError(f"{where}: key '{key}' must be finite, got {value!r}")
+        return number
 
     mode = raw.get("mode", (default_mode, "default"))[0]
     if mode is None:

@@ -3,6 +3,8 @@
 ``exact_trajectory`` samples the closed-form flow (``twolevel.bloch_flow``);
 it is what ``simulate`` writes. ``integrate`` runs classical Runge-Kutta on
 the same grid and stays as the independent cross-check inside ``verify``.
+Both start where ``twolevel._flow_anchor`` says and take every other column
+from their Bloch samples.
 Deliberately fixed-step: at the intended parameter scales (|q| << |omega21|)
 the dynamics are smooth and non-stiff, and a fixed grid makes trajectories
 byte-for-byte reproducible. A companion pass at half the step provides a
@@ -24,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .twolevel import (_EQUATOR, BALL_SLACK, BlochVector, TwoLevelParams, _shift, analytic_bloch,
-                       bloch_flow, bloch_rhs)
+from .twolevel import (BALL_SLACK, BlochVector, TwoLevelParams, _flow_anchor, _shift, bloch_flow,
+                       bloch_rhs, bloch_to_density)
 
 _NORM_ABORT = 1.0 + BALL_SLACK
 
@@ -70,13 +72,6 @@ def time_grid(t_start: float, t_end: float, step: float) -> tuple[np.ndarray, fl
     n_steps = max(1, int(round((t_end - t_start) / step)))
     h = (t_end - t_start) / n_steps
     return t_start + h * np.arange(n_steps + 1), h
-
-
-def default_initial(p: TwoLevelParams, t_start: float) -> BlochVector:
-    """Closed-form value at t_start; at q = 0 the t0 value (1, 0, 0) is used."""
-    if p.q == 0.0:
-        return BlochVector(1.0, 0.0, 0.0)
-    return analytic_bloch(t_start, p)
 
 
 def _pz_recurrence(pz: float, q: float, h: float, n_steps: int) -> list[float]:
@@ -166,8 +161,10 @@ def _integrate(initial: BlochVector | None, p: TwoLevelParams, t_start: float, t
     span / n, because halving a float is exact.
     """
     t, h = time_grid(t_start, t_end, step)
-    start = default_initial(p, t_start) if initial is None else initial
-    start = tuple(float(v) for v in start)
+    # a given start enters RK4 as given, not re-evaluated through the flow
+    if initial is None:
+        initial = bloch_flow(t_start, p, *_flow_anchor(p, t_start))
+    start = tuple(float(v) for v in initial)
     n_steps = len(t) - 1
     for n, width in ((n_steps, h), (2 * n_steps, 0.5 * h)):
         if n not in passes:
@@ -183,25 +180,22 @@ def exact_trajectory(initial: BlochVector | None, p: TwoLevelParams, t_start: fl
                      t_end: float, step: float) -> Trajectory:
     """Exact samples of the flow on the grid ``integrate`` uses for the same arguments.
 
-    ``initial=None`` follows the closed form through (1, 0, 0) at t0, which
-    passes through ``default_initial`` at t_start; at q = 0 the run starts at
+    ``initial=None`` follows the closed form through (1, 0, 0) at t0, the
+    start ``integrate`` takes at t_start; at q = 0 the run starts at
     (1, 0, 0) at t_start.
     """
     t, h = time_grid(t_start, t_end, step)
-    if initial is not None:
-        samples = bloch_flow(t, p, initial, t_start)
-    else:
-        samples = bloch_flow(t, p, _EQUATOR, t_start if p.q == 0.0 else p.t0)
-    return _trajectory(t, samples, p, h, 0.0)
+    return _trajectory(t, bloch_flow(t, p, *_flow_anchor(p, t_start, initial)), p, h, 0.0)
 
 
 def _trajectory(t: np.ndarray, samples: np.ndarray, p: TwoLevelParams, h: float,
                 error_estimate: float) -> Trajectory:
     """Bundle Bloch samples (N, 3) with the observables derived from them."""
-    px, py, pz = samples[:, 0], samples[:, 1], samples[:, 2]
+    px, pz = samples[:, 0], samples[:, 2]
+    rho11, rho22, rho12 = bloch_to_density(samples.T)
     return Trajectory(
-        t=t, bloch=samples,
-        rho11=0.5 * (1.0 + pz), rho22=0.5 * (1.0 - pz), rho12=0.5 * (px - 1j * py),
+        t=t, bloch=samples, rho11=rho11, rho22=rho22, rho12=rho12,
+        # energy zero midway between the levels (E2 = -E1 = omega21/2)
         energy=-0.5 * p.omega21 * pz,
         dipole=px.copy(),                  # unit transition-dipole magnitude
         shift=_shift(p, pz),

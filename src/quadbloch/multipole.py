@@ -80,8 +80,8 @@ class MultipoleData:
 
     def gamma(self, k_max: float) -> float:
         """Gamma_ab(k_max) as defined in ``gamma_estimate``."""
-        if k_max < 0:
-            raise ValueError(f"k_max must be nonnegative, got {k_max}")
+        if not 0.0 <= k_max < np.inf:
+            raise ValueError(f"k_max must be finite and nonnegative, got {k_max}")
         mag2 = 0.5 * (float(np.sum(np.abs(self.grad_ab) ** 2)) + float(np.sum(np.abs(self.grad_ba) ** 2)))
         return (4.0 / (3.0 * np.pi * SPEED_OF_LIGHT**2)) * k_max * mag2
 

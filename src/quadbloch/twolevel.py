@@ -24,8 +24,10 @@ The flow is exact for every starting state. Pz obeys the decoupled Riccati
 equation above, and Px - i Py the linear equation
 d/dt (Px - i Py) = [q Pz + i (omega21 - tau - lam Pz)] (Px - i Py), so
 ``bloch_flow`` evaluates both in closed form, q = 0 and the fixed points
-Pz = +-1 included. ``analytic_bloch`` is its trajectory through (1, 0, 0) at
-t0; the residual tests hold both to the equations at machine precision.
+Pz = +-1 included. It is the only closed form: ``analytic_bloch`` is its
+trajectory through (1, 0, 0) at t0, and the density matrix, energy, dipole
+and shift of a trajectory are read off its samples. The residual tests hold
+it to the equations at machine precision.
 """
 
 from __future__ import annotations
@@ -126,13 +128,10 @@ def density_rhs_two_level(rho: DensityMatrix2, p: TwoLevelParams) -> DensityMatr
 
 
 def bloch_to_density(state: BlochVector) -> DensityMatrix2:
+    """rho11 = (1 + Pz)/2, rho22 = (1 - Pz)/2, rho12 = (Px - i Py)/2; the
+    components may be floats or arrays of equal shape."""
     px, py, pz = state
     return DensityMatrix2(0.5 * (1.0 + pz), 0.5 * (1.0 - pz), 0.5 * (px - 1j * py))
-
-
-def density_to_bloch(rho: DensityMatrix2) -> BlochVector:
-    r11, r22, r12 = rho
-    return BlochVector(2.0 * r12.real, -2.0 * r12.imag, r11 - r22)
 
 
 def _log_cosh_ratio(u, pz0: float):
@@ -152,11 +151,6 @@ def _log_cosh_ratio(u, pz0: float):
     au = np.abs(u)
     large = au - math.log(2.0) + np.log((1.0 - s * pz0) + np.exp(-2.0 * au) * (1.0 + s * pz0))
     return np.where(au < 1.0, small, large)[()]
-
-
-def _log_cosh(x):
-    """Overflow-safe ln cosh, accurate to the last digits at small |x|."""
-    return _log_cosh_ratio(x, 0.0)
 
 
 def _sech(x):
@@ -205,6 +199,14 @@ def bloch_flow(t, p: TwoLevelParams, start, t_start: float) -> np.ndarray:
     return np.stack([env * (px0 * c + py0 * s), env * (py0 * c - px0 * s), pz], axis=-1)
 
 
+def _flow_anchor(p: TwoLevelParams, t_start: float, initial=None) -> tuple[tuple, float]:
+    """(start, at) of a run from t_start: ``initial`` at t_start, or by default
+    (1, 0, 0) at t0, or at t_start when q = 0, which has no t0."""
+    if initial is not None:
+        return initial, t_start
+    return _EQUATOR, (t_start if p.q == 0.0 else p.t0)
+
+
 def analytic_bloch(t: float, p: TwoLevelParams) -> BlochVector:
     """Closed-form solution passing through (1, 0, 0) at t = t0.
 
@@ -216,37 +218,6 @@ def analytic_bloch(t: float, p: TwoLevelParams) -> BlochVector:
     if p.q == 0.0:
         raise ValueError("closed form undefined at q = 0 (ln cosh / q term); use bloch_flow from a start")
     return BlochVector(*bloch_flow(t, p, _EQUATOR, p.t0).tolist())
-
-
-def analytic_density(t: float, p: TwoLevelParams) -> DensityMatrix2:
-    """Closed-form density matrix: logistic populations, coherence from analytic_bloch."""
-    return bloch_to_density(analytic_bloch(t, p))
-
-
-def energy_expectation(rho: DensityMatrix2, p: TwoLevelParams) -> float:
-    """<H0> with the energy zero midway between the levels (E2 = -E1 = omega21/2)."""
-    return 0.5 * p.omega21 * (rho.rho22 - rho.rho11)
-
-
-def dipole_expectation(t: float, p: TwoLevelParams, d21: float,
-                       theta0: float | None = None) -> tuple[float, float]:
-    """Dipole projection d21 sech q(t-t0) cos(omega21 t + theta(t)) and theta(t).
-
-    theta(t) = theta0 - tau t + (lam/q) ln cosh q(t - t0), with theta0
-    defaulting to (tau - omega21) t0 so the carrier is unshifted at t0.
-    d/dt theta reproduces ``frequency_shift``. With the default theta0 the
-    value equals d21 * Px of ``analytic_bloch``.
-    """
-    q = p.q
-    if q == 0.0:
-        raise ValueError("theta undefined at q = 0 (ln cosh / q term); use bloch_flow from a start")
-    if theta0 is None:
-        theta0 = (p.tau - p.omega21) * p.t0
-    dt = t - p.t0
-    w = q * dt
-    theta = theta0 - p.tau * t + (p.lam / q) * _log_cosh(w)
-    value = d21 * _sech(w) * math.cos(p.omega21 * t + theta)
-    return value, theta
 
 
 def frequency_shift(t, p: TwoLevelParams):

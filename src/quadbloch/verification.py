@@ -15,7 +15,7 @@ import numpy as np
 
 from .integrator import Trajectory, _integrate, exact_trajectory
 from .integrator import integrate  # noqa: F401  # unused; bench/selftest.py checks the tracer rebinds it
-from .twolevel import _EQUATOR, TwoLevelParams, additional_shift, bloch_flow, bloch_rhs, frequency_shift
+from .twolevel import TwoLevelParams, _flow_anchor, additional_shift, bloch_flow, bloch_rhs, frequency_shift
 
 _RESIDUAL_TOL = 1e-6
 _TRACE_TOL = 1e-10
@@ -110,12 +110,9 @@ def run_checks(p: TwoLevelParams, t_start: float, t_end: float, step: float,
     if flip_rotation:
         rhs_params = replace(p, omega21=-p.omega21, gamma11=-p.gamma11,
                              gamma22=-p.gamma22, gamma12=-p.gamma12)
-    # the closed form through (1, 0, 0) at t0; at q = 0, which has no t0,
-    # the flow from the run's own start
-    if q != 0.0:
-        start, at = _EQUATOR, p.t0
-    else:
-        start, at = (_EQUATOR if initial is None else initial), t_start
+    # the default closed form, which passes through (1, 0, 0) at t0; at
+    # q = 0, which has no t0, the flow from the run's own start
+    start, at = _flow_anchor(p, t_start, initial if q == 0.0 else None)
     residual = _closed_form_residual(p, rhs_params, start, at, t_start, t_end)
     checks.append(Check("closed_form_residual", residual < _RESIDUAL_TOL,
                         residual, f"< {_RESIDUAL_TOL:g}"))

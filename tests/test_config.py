@@ -13,6 +13,14 @@ step = 0.01
 output = run.csv
 """
 
+# valid documents that take each key
+VALID_WITH = {
+    "step": MINIMAL_SIMULATE,
+    "k_max": "mode = coeffs\nstate_a = 2p0\nstate_b = 1s\n",
+    "t0": MINIMAL_SIMULATE,
+    "px0": MINIMAL_SIMULATE + "py0 = 0\npz0 = 0\n",
+}
+
 
 class TestParseState:
     def test_spectroscopic(self):
@@ -57,9 +65,20 @@ class TestParseConfig:
             parse_config("mode = shift\nfoo = 1\n")
 
     def test_theta0_is_not_a_key(self):
-        # dipole_expectation takes theta0 as an argument; no run mode reads it
+        # the phase offset is fixed by the start; no run mode reads a theta0
         with pytest.raises(ConfigError, match="unknown key 'theta0'"):
             parse_config(MINIMAL_SIMULATE + "theta0 = 0.1\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", list(VALID_WITH))
+    def test_non_finite_number_names_line_and_key(self, key, value):
+        text = VALID_WITH[key]
+        # the key replaces its line, if any, as the document's last line
+        lines = [line for line in text.splitlines() if not line.startswith(key)] + [f"{key} = {value}"]
+        with pytest.raises(ConfigError, match=f"line {len(lines)}: key '{key}' must be finite, got '{value}'"):
+            parse_config("\n".join(lines))
+        with pytest.raises(ConfigError, match=f"override '{key}={value}': key '{key}' must be finite"):
+            parse_config_with_overrides(text, [f"{key}={value}"])
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate key"):
@@ -126,7 +145,7 @@ class TestParseConfig:
     def test_start_outside_bloch_ball_names_norm(self):
         with pytest.raises(ConfigError, match=r"norm 1\.0049\d+, outside the Bloch ball"):
             parse_config(MINIMAL_SIMULATE + "px0 = 0.1\npy0 = 0\npz0 = 1\n")
-        with pytest.raises(ConfigError, match="outside the Bloch ball"):
+        with pytest.raises(ConfigError, match="'px0' must be finite"):
             parse_config(MINIMAL_SIMULATE + "px0 = nan\npy0 = 0\npz0 = 0\n")
         # within the integrator's 1e-6 slack the start is kept as given
         cfg = parse_config(MINIMAL_SIMULATE + "px0 = 0\npy0 = 0\npz0 = -1.0000005\n")

@@ -12,7 +12,6 @@ from quadbloch import (
     analytic_bloch,
     bloch_rhs,
     bloch_to_density,
-    default_initial,
     density_rhs_two_level,
     exact_trajectory,
     integrate,
@@ -51,7 +50,9 @@ def _oracle_step(y, h, p):
 def _oracle_integrate(initial, p, t_start, t_end, step):
     """The per-step loop over 3-tuples: samples and Richardson estimate."""
     t, h = time_grid(t_start, t_end, step)
-    y = y_half = tuple(float(v) for v in (default_initial(p, t_start) if initial is None else initial))
+    if initial is None:
+        initial = (1.0, 0.0, 0.0) if p.q == 0.0 else analytic_bloch(t_start, p)
+    y = y_half = tuple(float(v) for v in initial)
     samples = [y]
     deviation = 0.0
     for k in range(1, len(t)):
@@ -94,12 +95,14 @@ class TestBasics:
         assert np.all(np.diff(traj.t) > 0.0)
 
     def test_default_initial_matches_closed_form(self, canonical_params):
-        start = default_initial(canonical_params, -7.0)
-        assert start == analytic_bloch(-7.0, canonical_params)
+        start = integrate(None, canonical_params, -7.0, -6.0, 0.5).bloch[0]
+        assert tuple(start.tolist()) == analytic_bloch(-7.0, canonical_params)
 
     def test_default_initial_at_q_zero(self):
         p = TwoLevelParams(omega21=1.0)
-        assert default_initial(p, -5.0) == BlochVector(1.0, 0.0, 0.0)
+        start = integrate(None, p, -5.0, -4.0, 0.5).bloch[0]
+        assert tuple(start.tolist()) == (1.0, 0.0, 0.0)
+        assert not np.signbit(start).any()
 
 
 class TestAccuracy:
@@ -186,6 +189,7 @@ class TestExactFlowCrossCheck:
     def test_default_start_at_q_zero(self):
         exact = exact_trajectory(None, NO_DECAY, -5.0, 5.0, 0.5)
         assert tuple(exact.bloch[0]) == (1.0, 0.0, 0.0)
+        assert not np.signbit(exact.bloch[0]).any()
 
 
 class TestAgainstLoopOracle:

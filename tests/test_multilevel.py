@@ -7,7 +7,7 @@ from quadbloch import (
     BlochVector,
     NLevelSystem,
     TwoLevelParams,
-    analytic_density,
+    analytic_bloch,
     bloch_to_density,
     density_rhs_two_level,
     frequency_shift,
@@ -260,7 +260,7 @@ class TestFrequencyShiftGeneral:
                 continue
             gamma = np.array([[g11, g12], [g12, g22]])
             for t in rng.uniform(-10.0, 10.0, size=20):
-                rho = analytic_density(t, p)
+                rho = bloch_to_density(analytic_bloch(t, p))
                 shifts = frequency_shift_general(np.array([rho.rho11, rho.rho22]), gamma)
                 assert abs(frequency_shift(t, p) - shifts[0, 1]) < 1e-12
 

@@ -267,6 +267,24 @@ class TestCouplingRates:
         rates = coupling_rates(S2P0, BoundState(2, 1, 1))
         assert rates.a_rate == 0.0 and rates.b_rate == 0.0 and rates.c_rate == 0.0
 
+    def test_b_and_c_contractions_are_imaginary(self):
+        # B and C take the real parts of D.Delta and Q:sym(delta), which are
+        # rounding noise for every n <= 3 pair; below the 1e-12 floor the
+        # contraction is itself a rounding residue and may be real
+        states = [BoundState(n, l, m) for n in range(1, 4) for l in range(n) for m in range(-l, l + 1)]
+        checked = 0
+        for a in states:
+            for b in states:
+                data = transition_multipoles(a, b)
+                if data.omega == 0.0:
+                    continue
+                sym_delta = 0.5 * (data.delta_tensor + data.delta_tensor.T)
+                for value in (np.dot(data.dipole, data.delta_vec), np.sum(data.quadrupole * sym_delta)):
+                    if abs(value) > 1e-12:
+                        assert abs(value.real) <= 1e-12 * abs(value), (a, b, value)
+                        checked += 1
+        assert checked == 56
+
     def test_multipole_data_bundle(self):
         data = transition_multipoles(S2P0, S1S)
         assert data.omega == pytest.approx(0.375, rel=1e-15)
@@ -291,6 +309,13 @@ class TestGammaEstimate:
     def test_negative_cutoff_rejected(self):
         with pytest.raises(ValueError):
             gamma_estimate(S2P0, S1S, -1.0)
+
+    @pytest.mark.parametrize("k_max", [-1.0, math.nan, math.inf])
+    def test_cutoff_must_be_finite_and_nonnegative(self, k_max):
+        with pytest.raises(ValueError, match="k_max must be finite and nonnegative"):
+            transition_multipoles(S2P0, S1S).gamma(k_max)
+        with pytest.raises(ValueError, match="k_max must be finite and nonnegative"):
+            coupling_rates(S2P0, S1S, k_max=k_max)
 
     def test_exactly_symmetric(self):
         for k in (1.0, 2.0, 4.0, 8.0):

@@ -1,5 +1,5 @@
 import math
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -10,17 +10,14 @@ from quadbloch import (
     TwoLevelParams,
     additional_shift,
     analytic_bloch,
-    analytic_density,
     bloch_flow,
     bloch_rhs,
     bloch_to_density,
     density_rhs_two_level,
-    density_to_bloch,
-    dipole_expectation,
-    energy_expectation,
+    exact_trajectory,
     frequency_shift,
 )
-from quadbloch.twolevel import _log_cosh
+from quadbloch.twolevel import _log_cosh_ratio
 
 
 def random_params(rng, q_range=(0.01, 1.0), coeff_range=(0.0, 10.0)):
@@ -113,12 +110,13 @@ class TestPauliMaps:
         assert rho.rho12 == 0.5 + 0.0j
 
     def test_round_trip_on_sphere(self, rng):
+        # arrays map element by element, and the inverse map recovers the vectors
         vecs = rng.normal(size=(1000, 3))
         vecs /= np.linalg.norm(vecs, axis=1)[:, None]
-        for row in vecs:
-            vec = BlochVector(*row)
-            back = density_to_bloch(bloch_to_density(vec))
-            assert max(abs(back.px - vec.px), abs(back.py - vec.py), abs(back.pz - vec.pz)) < 1e-15
+        r11, r22, r12 = bloch_to_density(vecs.T)
+        assert [tuple(x) for x in zip(r11, r22, r12)] == [bloch_to_density(BlochVector(*row)) for row in vecs]
+        back = np.stack([2.0 * r12.real, -2.0 * r12.imag, r11 - r22], axis=-1)
+        assert np.max(np.abs(back - vecs)) < 1e-15
 
 
 class TestAnalyticBloch:
@@ -236,7 +234,7 @@ class TestLogCosh:
         p = TwoLevelParams(omega21=1.0, gamma11=0.02, gamma12=-0.04, a12=2.0 * q)
         for t in (-10.0, 3.0, 10.0):
             w = q * t
-            assert _log_cosh(w) == pytest.approx(w * w / 2.0 - w**4 / 12.0, rel=1e-14)
+            assert _log_cosh_ratio(w, 0.0) == pytest.approx(w * w / 2.0 - w**4 / 12.0, rel=1e-14)
             phase = (p.omega21 - p.tau) * t + p.lam * (q * t * t / 2.0 - q**3 * t**4 / 12.0)
             env = 1.0 / math.cosh(w)
             expected = (env * math.cos(phase), -env * math.sin(phase), -math.tanh(w))
@@ -244,87 +242,92 @@ class TestLogCosh:
 
     def test_matches_log_cosh_across_branches(self):
         x = np.array([-40.0, -3.0, -1.0, -0.999, -0.3, 0.0, 0.2, 0.999, 1.0, 1.5, 30.0])
-        assert np.max(np.abs(_log_cosh(x) - np.log(np.cosh(x)))) < 4e-15
-        assert _log_cosh(1e5) == 1e5 - math.log(2.0)
+        assert np.max(np.abs(_log_cosh_ratio(x, 0.0) - np.log(np.cosh(x)))) < 4e-15
+        assert _log_cosh_ratio(1e5, 0.0) == 1e5 - math.log(2.0)
+
+
+def closed_form_density(t, p):
+    return bloch_to_density(analytic_bloch(t, p))
 
 
 class TestAnalyticDensity:
     def test_midpoint(self, canonical_params):
-        rho = analytic_density(canonical_params.t0, canonical_params)
+        rho = closed_form_density(canonical_params.t0, canonical_params)
         assert rho.rho11 == pytest.approx(0.5, abs=1e-15)
         assert rho.rho22 == pytest.approx(0.5, abs=1e-15)
 
     def test_trace_exactly_one(self, rng, canonical_params):
         for t in rng.uniform(-40.0, 40.0, size=100):
-            rho = analytic_density(t, canonical_params)
+            rho = closed_form_density(t, canonical_params)
             assert rho.rho11 + rho.rho22 == pytest.approx(1.0, abs=1e-15)
 
     def test_logistic_populations(self, canonical_params):
         q = canonical_params.q
         for t in (-7.3, 0.4, 12.0):
-            rho = analytic_density(t, canonical_params)
+            rho = closed_form_density(t, canonical_params)
             assert rho.rho11 == pytest.approx(1.0 / (math.exp(2 * q * t) + 1.0), rel=1e-12)
             assert rho.rho22 == pytest.approx(1.0 / (math.exp(-2 * q * t) + 1.0), rel=1e-12)
 
-    def test_consistent_with_bloch_map(self, rng, canonical_params):
-        for t in rng.uniform(-40.0, 40.0, size=100):
-            rho = analytic_density(t, canonical_params)
-            mapped = bloch_to_density(analytic_bloch(t, canonical_params))
-            assert abs(rho.rho11 - mapped.rho11) < 1e-12
-            assert abs(rho.rho12 - mapped.rho12) < 1e-12
+    def test_consistent_with_bloch_map(self, canonical_params):
+        # the trajectory's density columns are the map of its closed-form samples
+        traj = exact_trajectory(None, canonical_params, -40.0, 40.0, 0.8)
+        for k, t in enumerate(traj.t.tolist()):
+            rho = closed_form_density(t, canonical_params)
+            assert abs(rho.rho11 - traj.rho11[k]) < 1e-15
+            assert abs(rho.rho22 - traj.rho22[k]) < 1e-15
+            assert abs(rho.rho12 - traj.rho12[k]) < 1e-15
 
 
 class TestEnergyExpectation:
+    # the trajectory's energy column, with the zero midway between the levels
     def test_balanced_mixture_is_zero(self, canonical_params):
-        assert energy_expectation(DensityMatrix2(0.5, 0.5, 0.0), canonical_params) == 0.0
+        traj = exact_trajectory(BlochVector(0.0, 0.0, 0.0), canonical_params, 0.0, 1.0, 0.5)
+        assert traj.energy[0] == 0.0
 
     def test_pure_level_one(self, canonical_params):
-        val = energy_expectation(DensityMatrix2(1.0, 0.0, 0.0), canonical_params)
-        assert val == pytest.approx(-0.5 * canonical_params.omega21, rel=1e-15)
+        traj = exact_trajectory(BlochVector(0.0, 0.0, 1.0), canonical_params, 0.0, 1.0, 0.5)
+        assert np.all(traj.energy == -0.5 * canonical_params.omega21)
 
     def test_tanh_law_along_closed_form(self, canonical_params):
         q = canonical_params.q
-        for t in (-9.0, -1.0, 2.5, 14.0):
-            val = energy_expectation(analytic_density(t, canonical_params), canonical_params)
-            assert val == pytest.approx(0.5 * canonical_params.omega21 * math.tanh(q * t), rel=1e-12)
+        traj = exact_trajectory(None, canonical_params, -9.0, 14.0, 0.5)
+        expected = 0.5 * canonical_params.omega21 * np.tanh(q * traj.t)
+        assert np.max(np.abs(traj.energy - expected)) < 1e-15
 
 
 class TestDipoleExpectation:
+    # the trajectory's dipole column: Px, the dipole projection for a unit d21
     def test_envelope_at_t0(self):
         p = TwoLevelParams(omega21=1.0, gamma11=0.02, gamma22=0.0, gamma12=-0.04, a12=0.2, t0=3.0)
-        value, theta = dipole_expectation(p.t0, p, d21=2.0)
-        assert value == pytest.approx(2.0 * math.cos(p.omega21 * p.t0 + theta), rel=1e-15)
-        assert p.omega21 * p.t0 + theta == pytest.approx(0.0, abs=1e-12)
+        traj = exact_trajectory(None, p, 1.0, 5.0, 0.5)
+        assert traj.t[4] == p.t0 and traj.dipole[4] == 1.0
 
-    def test_bounded_by_envelope(self, rng, canonical_params):
+    def test_bounded_by_envelope(self, canonical_params):
         q = canonical_params.q
-        for t in rng.uniform(-30.0, 30.0, size=200):
-            value, _ = dipole_expectation(t, canonical_params, d21=1.5)
-            assert abs(value) <= 1.5 / math.cosh(q * t) + 1e-15
+        traj = exact_trajectory(None, canonical_params, -30.0, 30.0, 0.05)
+        assert np.all(np.abs(traj.dipole) <= 1.0 / np.cosh(q * traj.t) + 1e-15)
 
     def test_pure_carrier_when_no_shifts(self):
-        p = TwoLevelParams(omega21=2.0, a12=0.3)
-        _, theta_a = dipole_expectation(-4.0, p, d21=1.0)
-        _, theta_b = dipole_expectation(6.0, p, d21=1.0)
-        assert theta_a == pytest.approx(theta_b, abs=1e-14)
+        # tau = lam = 0 leaves the unshifted carrier omega21 (t - t0) under the envelope
+        p = TwoLevelParams(omega21=2.0, a12=0.3, t0=0.5)
+        traj = exact_trajectory(None, p, -4.0, 6.0, 0.01)
+        dt = traj.t - p.t0
+        expected = np.cos(p.omega21 * dt) / np.cosh(p.q * dt)
+        assert np.max(np.abs(traj.dipole - expected)) < 1e-13
 
     def test_matches_transverse_component(self, canonical_params):
         lam_zero = TwoLevelParams(omega21=1.0, gamma11=0.02, gamma22=0.0, gamma12=0.01, a12=0.2)
         assert lam_zero.lam == 0.0 and canonical_params.lam != 0.0
         for p in (lam_zero, canonical_params):
-            for t in np.linspace(-8.0, 8.0, 50):
-                value, _ = dipole_expectation(t, p, d21=2.5)
-                assert value == pytest.approx(2.5 * analytic_bloch(t, p).px, abs=1e-12)
+            traj = exact_trajectory(None, p, -8.0, 8.0, 0.16)
+            expected = [analytic_bloch(t, p).px for t in traj.t.tolist()]
+            assert np.max(np.abs(traj.dipole - expected)) < 1e-15
 
-    def test_theta0_override(self, canonical_params):
-        value, theta = dipole_expectation(1.0, canonical_params, d21=1.0, theta0=0.25)
-        assert theta == pytest.approx(0.25 - canonical_params.tau * 1.0
-                                      + (canonical_params.lam / canonical_params.q)
-                                      * math.log(math.cosh(canonical_params.q)), rel=1e-12)
-
-    def test_refuses_q_zero(self):
-        with pytest.raises(ValueError, match="bloch_flow"):
-            dipole_expectation(0.0, TwoLevelParams(omega21=1.0), d21=1.0)
+    def test_defined_at_q_zero(self):
+        # a plain rotation at omega21 - tau - lam Pz0 from (1, 0, 0) at t_start
+        p = TwoLevelParams(omega21=1.0, gamma11=0.1, gamma22=0.04, gamma12=0.01)
+        traj = exact_trajectory(None, p, -2.0, 8.0, 0.01)
+        assert np.max(np.abs(traj.dipole - np.cos((p.omega21 - p.tau) * (traj.t + 2.0)))) < 1e-13
 
 
 class TestFrequencyShift:
@@ -338,13 +341,22 @@ class TestFrequencyShift:
         assert frequency_shift(-1e4, canonical_params) == pytest.approx(-tau - lam, abs=1e-12)
 
     def test_matches_theta_derivative(self, canonical_params):
+        # theta is the phase of Px - i Py less the carrier. A start inside the
+        # ball at t = -4 lies on the tanh branch through Pz = 0 at t1, so its
+        # rate is the shift of the closed form with t0 = t1.
         h = 1e-5
-        for t in (-6.0, 0.3, 4.4, 11.0):
-            _, theta_p = dipole_expectation(t + h, canonical_params, d21=1.0)
-            _, theta_m = dipole_expectation(t - h, canonical_params, d21=1.0)
-            fd = (theta_p - theta_m) / (2 * h)
-            shift = frequency_shift(t, canonical_params)
-            assert abs(fd - shift) / max(abs(shift), 1e-12) < 1e-6
+        rising = TwoLevelParams(omega21=-0.7, gamma11=0.03, gamma22=-0.02, gamma12=0.07, a12=-0.3, t0=1.5)
+        inside = (0.3, -0.2, 0.5)
+        t1 = -4.0 + math.atanh(inside[2]) / canonical_params.q
+        for p, start, at, on_branch in ((canonical_params, (1.0, 0.0, 0.0), 0.0, canonical_params),
+                                        (rising, (1.0, 0.0, 0.0), 1.5, rising),
+                                        (canonical_params, inside, -4.0, replace(canonical_params, t0=t1))):
+            for t in (-6.0, 0.3, 4.4, 11.0):
+                x = bloch_flow(np.array([t - h, t + h]), p, start, at)
+                theta = np.unwrap(np.angle(x[:, 0] - 1j * x[:, 1]))
+                fd = (theta[1] - theta[0]) / (2 * h) - p.omega21
+                shift = frequency_shift(t, on_branch)
+                assert abs(fd - shift) / max(abs(shift), 1e-12) < 1e-6
 
     def test_well_defined_at_q_zero(self):
         p = TwoLevelParams(omega21=1.0, gamma11=0.1, gamma22=0.04, gamma12=0.01)
