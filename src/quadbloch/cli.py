@@ -205,7 +205,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ("coeffs", "print transition moments and coupling rates for a level pair"),
         ("simulate", "write the exact Bloch trajectory as CSV"),
         ("verify", "run the invariant checks at the configured parameters"),
-        ("shift", "tabulate the frequency-shift decomposition"),
+        ("shift", "tabulate the frequency-shift decomposition along the default closed form "
+                   "(px0/py0/pz0 are not read)"),
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to a key=value config file")

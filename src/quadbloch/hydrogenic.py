@@ -172,6 +172,26 @@ def radial_wavefunction(state: BoundState, r):
     return g * rl, gp * rl + l * g * r ** (l - 1)
 
 
+def eigenstate_factors(state: BoundState, r, unit):
+    """The state's radial and angular factors on a product grid r_i n_j.
+
+    With S = r^l Y_lm homogeneous of degree l, psi(r n) = u(r) S(n) and
+    grad psi(r n) = u'(r) S(n) n + v(r) grad S(n), where u = g r^l,
+    u' = g' r^l and v = g r^(l-1) (g from ``_radial_envelope``). Returns the
+    real radial rows (u, u', v), shape (3, Nr), and the complex angular rows
+    (S, S n_x, S n_y, S n_z, dS/dx, dS/dy, dS/dz), shape (7, Na). Radial
+    nodes must be positive.
+    """
+    l = state.l
+    g, gp = _radial_envelope(state, r)
+    rl1 = r ** (l - 1)
+    rl = rl1 * r
+    sval, sgrad = solid_harmonic(l, state.m, unit)
+    radial = np.stack([g * rl, gp * rl, g * rl1])
+    angular = np.concatenate([sval[None, :], sval * unit.T, sgrad.T])
+    return radial, angular
+
+
 def eigenstate_eval(state: BoundState, point):
     """Wavefunction value and analytic Cartesian gradient at ``point``.
 

@@ -28,9 +28,14 @@ real product. Nonzero current moments require a complex member (m != 0),
 and the B/C contractions may then come out complex; the real part is
 reported. Pairs are expected to share the same nucleus.
 
-Every pair integral comes from one exact grid (see ``quadrature``) and one
-evaluation of each state's value and gradient on it; the rates and Gamma
-are arithmetic on the resulting ``MultipoleData``.
+Every pair integral comes from one exact product grid (see ``quadrature``)
+of Nr radial nodes and Na unit vectors. Each state is evaluated once on
+those Nr + Na nodes, never on the Nr * Na grid points: psi = u(r) S(n) and
+grad psi = u'(r) S(n) n + v(r) grad S(n) with S = r^l Y_lm (see
+``eigenstate_factors``). Every integral is then a radial sum times an
+angular sum, read off a real radial Gram matrix R_k = (R_a w_r r^k) R_b^T
+(k = 0, 1, 2) and a complex angular one T = (F_a w_n) F_b^H. The rates and
+Gamma are arithmetic on the resulting ``MultipoleData``.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .hydrogenic import BoundState, eigenstate_eval, transition_frequency
+from .hydrogenic import BoundState, eigenstate_eval, eigenstate_factors, transition_frequency
 from .quadrature import QuadratureSpec, grid_for_pair
 
 
@@ -86,22 +91,37 @@ class MultipoleData:
         return (4.0 / (3.0 * np.pi * SPEED_OF_LIGHT**2)) * k_max * mag2
 
 
-def _pair_fields(a: BoundState, b: BoundState, spec: QuadratureSpec | None):
-    """The pair's exact grid and both states' values and gradients on it."""
+def _pair_gram(a: BoundState, b: BoundState, spec: QuadratureSpec | None):
+    """Radial Gram matrices R_k = (R_a w_r r^k) R_b^T, k = 0, 1, 2 (shape
+    (3, 3, 3), real), and the angular Gram matrix T = (F_a w_n) F_b^H (7 x 7,
+    complex), from each state's factors on the pair's exact grid (see
+    ``eigenstate_factors``). Every pair integral is a radial entry times an
+    angular entry: the product-grid sum regrouped.
+
+    Both orders of a pair get the same sums, taken in one fixed order and
+    transposed for the other, so swapping the pair conjugates every moment
+    exactly and Gamma is exactly symmetric.
+    """
     grid = grid_for_pair(a, b, spec)
-    psi_a, grad_a = eigenstate_eval(a, grid.points)
-    psi_b, grad_b = eigenstate_eval(b, grid.points)
-    return grid, psi_a, grad_a, psi_b, grad_b
-
-
-def _jbar(grad_a, psi_b) -> np.ndarray:
-    return np.imag(np.conj(psi_b)[..., None] * grad_a)
+    swap = (b.n, b.l, b.m, b.z_charge) < (a.n, a.l, a.m, a.z_charge)
+    if swap:
+        a, b = b, a
+    r = grid.radial_nodes
+    radial_a, angular_a = eigenstate_factors(a, r, grid.unit_vectors)
+    radial_b, angular_b = eigenstate_factors(b, r, grid.unit_vectors)
+    weighted = radial_a * grid.radial_weights
+    powers = np.stack([weighted, weighted * r, weighted * (r * r)])   # (k, row, Nr)
+    radial = (powers.reshape(9, -1) @ radial_b.T).reshape(3, 3, 3)
+    angular = (angular_a * grid.angular_weights) @ np.conj(angular_b).T
+    if swap:
+        return radial.transpose(0, 2, 1), np.conj(angular).T
+    return radial, angular
 
 
 def overlap(a: BoundState, b: BoundState, spec: QuadratureSpec | None = None) -> complex:
     """<psi_a | psi_b> on the pair grid (orthonormality diagnostic)."""
-    grid, psi_a, _, psi_b, _ = _pair_fields(a, b, spec)
-    return complex(np.dot(grid.weights, np.conj(psi_a) * psi_b))
+    radial, t = _pair_gram(a, b, spec)
+    return complex(radial[0, 0, 0] * np.conj(t[0, 0]))
 
 
 def dipole_moment(a: BoundState, b: BoundState, spec: QuadratureSpec | None = None) -> np.ndarray:
@@ -123,7 +143,7 @@ def current_kernel(a: BoundState, b: BoundState, point) -> np.ndarray:
     """
     _, grad_a = eigenstate_eval(a, point)
     psi_b, _ = eigenstate_eval(b, point)
-    return _jbar(grad_a, psi_b)
+    return np.imag(np.conj(psi_b)[..., None] * grad_a)
 
 
 def current_integrals(a: BoundState, b: BoundState, spec: QuadratureSpec | None = None):
@@ -133,23 +153,18 @@ def current_integrals(a: BoundState, b: BoundState, spec: QuadratureSpec | None 
 
 
 def transition_multipoles(a: BoundState, b: BoundState, spec: QuadratureSpec | None = None) -> MultipoleData:
-    """Evaluate every pair integral from one grid and one evaluation of each state."""
-    grid, psi_a, grad_a, psi_b, grad_b = _pair_fields(a, b, spec)
-    pts, w = grid.points, grid.weights
-    r = np.sqrt(np.sum(pts * pts, axis=-1))
-
-    moment = (w * psi_a * np.conj(psi_b))[:, None] * pts     # (N, 3): integrand of D
-    second = pts.T @ moment                                   # int psi_a x^i x^j conj(psi_b)
+    """Every pair integral from the pair's radial and angular Gram matrices."""
+    (r0, r1, r2), t = _pair_gram(a, b, spec)
+    second = r2[0, 0] * t[1:4, 1:4]                            # int psi_a x^i x^j conj(psi_b)
     second = 0.5 * (second + second.T)
-    current = w[:, None] * _jbar(grad_a, psi_b)               # (N, 3) real
     return MultipoleData(
         omega=transition_frequency(a, b),
-        dipole=moment.sum(axis=0),
+        dipole=r1[0, 0] * t[1:4, 0],
         quadrupole=0.5 * second - (np.trace(second) / 6.0) * np.eye(3),
-        delta_vec=r @ current,
-        delta_tensor=(pts / r[:, None]).T @ current,         # [k, i]
-        grad_ab=(w * np.conj(psi_a)) @ grad_b,
-        grad_ba=(w * np.conj(psi_b)) @ grad_a,
+        delta_vec=r1[1, 0] * t[1:4, 0].imag + r1[2, 0] * t[4:7, 0].imag,
+        delta_tensor=(r0[1, 0] * t[1:4, 1:4].imag + r0[2, 0] * t[4:7, 1:4].imag).T,   # [k, i]
+        grad_ab=r0[0, 1] * np.conj(t[0, 1:4]) + r0[0, 2] * np.conj(t[0, 4:7]),
+        grad_ba=r0[1, 0] * t[1:4, 0] + r0[2, 0] * t[4:7, 0],
     )
 
 

@@ -20,6 +20,11 @@ and an explicit ``QuadratureSpec`` is checked against the same degrees
 before anything is evaluated: a rule that is not exact for the pair, or a
 fixed ``radial_scale`` other than s, raises ``QuadratureError``.
 
+A ``Grid`` hands out its factors, the radial nodes and weights and the unit
+vectors and angular weights, because every pair integral separates into a
+radial sum times an angular sum (see ``multipole``); its flattened
+``points`` and ``weights`` are their outer products.
+
 ``DEFAULT_SPEC`` (200 radial nodes, angular order 35) is the dense
 reference spec, exact for every pair with l_a + l_b <= 33. It is what
 ``QuadratureSpec()`` gives, not what ``spec=None`` builds.
@@ -120,19 +125,35 @@ def _angular_rule(order: int):
 
 @dataclass(frozen=True)
 class Grid:
-    """Flattened 3D product grid: sum(weights * f(points)) == int f d^3x.
+    """Product grid of radial nodes and unit vectors:
+    sum(weights * f(points)) == int f d^3x.
 
-    ``radial_degree`` and ``angular_degree`` are the degrees the grid
-    integrates exactly: exp(-radial_scale r) r^k for k <= radial_degree
+    The factors are what pair integrals use: a point is r_i n_j with weight
+    radial_weights[i] * angular_weights[j] (r^2 measure in the radial
+    weights). ``points`` and ``weights`` flatten that product, radial index
+    slowest. ``radial_degree`` and ``angular_degree`` are the degrees the
+    grid integrates exactly: exp(-radial_scale r) r^k for k <= radial_degree
     (r^2 measure included) and Y_lm for l <= angular_degree.
     """
 
-    points: np.ndarray       # (N, 3)
-    weights: np.ndarray      # (N,)
+    radial_nodes: np.ndarray       # (Nr,)
+    radial_weights: np.ndarray     # (Nr,), r^2 measure included
+    unit_vectors: np.ndarray       # (Na, 3)
+    angular_weights: np.ndarray    # (Na,)
     radial_scale: float
     spec: QuadratureSpec
     radial_degree: int
     angular_degree: int
+
+    @property
+    def points(self) -> np.ndarray:
+        """(Nr * Na, 3) flattened product points."""
+        return (self.radial_nodes[:, None, None] * self.unit_vectors[None, :, :]).reshape(-1, 3)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """(Nr * Na,) flattened product weights."""
+        return (self.radial_weights[:, None] * self.angular_weights[None, :]).ravel()
 
 
 def pair_scale(a: BoundState, b: BoundState) -> float:
@@ -182,11 +203,9 @@ def grid_for_pair(a: BoundState, b: BoundState, spec: QuadratureSpec | None = No
     x, lifted = _radial_rule(spec.radial_node_count)
     r = x / scale
     w_r = lifted / scale * r * r        # includes the r^2 volume measure
-
+    r.setflags(write=False)
+    w_r.setflags(write=False)
     unit, w_ang = _angular_rule(spec.angular_order)
-    points = (r[:, None, None] * unit[None, :, :]).reshape(-1, 3)
-    weights = (w_r[:, None] * w_ang[None, :]).ravel()
-    points.setflags(write=False)
-    weights.setflags(write=False)
-    return Grid(points=points, weights=weights, radial_scale=scale, spec=spec,
+    return Grid(radial_nodes=r, radial_weights=w_r, unit_vectors=unit, angular_weights=w_ang,
+                radial_scale=scale, spec=spec,
                 radial_degree=2 * spec.radial_node_count - 1, angular_degree=spec.angular_order)

@@ -110,9 +110,9 @@ def run_checks(p: TwoLevelParams, t_start: float, t_end: float, step: float,
     if flip_rotation:
         rhs_params = replace(p, omega21=-p.omega21, gamma11=-p.gamma11,
                              gamma22=-p.gamma22, gamma12=-p.gamma12)
-    # the default closed form, which passes through (1, 0, 0) at t0; at
-    # q = 0, which has no t0, the flow from the run's own start
-    start, at = _flow_anchor(p, t_start, initial if q == 0.0 else None)
+    # the flow from the run's own start: by default the closed form through
+    # (1, 0, 0) at t0
+    start, at = _flow_anchor(p, t_start, initial)
     residual = _closed_form_residual(p, rhs_params, start, at, t_start, t_end)
     checks.append(Check("closed_form_residual", residual < _RESIDUAL_TOL,
                         residual, f"< {_RESIDUAL_TOL:g}"))

@@ -85,16 +85,16 @@ class TestCoeffs:
         from quadbloch import multipole
 
         calls = []
-        original = multipole.eigenstate_eval
+        for name in ("eigenstate_factors", "eigenstate_eval"):
+            def counting(*args, _name=name, _original=getattr(multipole, name)):
+                calls.append(_name)
+                return _original(*args)
 
-        def counting(state, point):
-            calls.append(state)
-            return original(state, point)
-
-        monkeypatch.setattr(multipole, "eigenstate_eval", counting)
+            monkeypatch.setattr(multipole, name, counting)
         cfg = write(tmp_path / "pair.cfg", "mode = coeffs\nstate_a = 3d+1\nstate_b = 1s\nk_max = 2.0\n")
         assert main(["coeffs", "--config", cfg]) == 0
-        assert len(calls) == 2
+        # each state once on the grid factors, never pointwise on the product grid
+        assert calls == ["eigenstate_factors"] * 2
 
 
 class TestSimulate:

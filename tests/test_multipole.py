@@ -4,7 +4,8 @@ The oracles below never touch the package's wavefunctions or grids: radial
 integrals go through adaptive Gauss-Kronrod quadrature of textbook radial
 functions, and the 3D current-moment oracle uses its own spherical-harmonic
 wavefunction on a dense Gauss-Legendre tensor grid with finite-difference
-gradients.
+gradients. ``reference_multipoles`` is the pointwise product-grid path the
+package's radial x angular Gram form regroups.
 """
 
 import json
@@ -24,6 +25,8 @@ from quadbloch import (
     dipole_moment,
     eigenstate_eval,
     gamma_estimate,
+    grid_for_pair,
+    overlap,
     quadrupole_moment,
     transition_frequency,
     transition_multipoles,
@@ -96,6 +99,30 @@ def oracle_current_moments(state_a, state_b, rmax=60.0, nr=800, nt=72, nph=144):
     return delta_vec, delta_tensor
 
 
+def reference_multipoles(a, b):
+    """Every pair integral as a sum over the pair's Nr * Na product points,
+    with both states evaluated pointwise: (MultipoleData fields, overlap)."""
+    grid = grid_for_pair(a, b)
+    pts, w = grid.points, grid.weights
+    psi_a, grad_a = eigenstate_eval(a, pts)
+    psi_b, grad_b = eigenstate_eval(b, pts)
+    r = np.sqrt(np.sum(pts * pts, axis=-1))
+
+    moment = (w * psi_a * np.conj(psi_b))[:, None] * pts
+    second = pts.T @ moment
+    second = 0.5 * (second + second.T)
+    current = w[:, None] * np.imag(np.conj(psi_b)[:, None] * grad_a)
+    fields = {
+        "dipole": moment.sum(axis=0),
+        "quadrupole": 0.5 * second - (np.trace(second) / 6.0) * np.eye(3),
+        "delta_vec": r @ current,
+        "delta_tensor": (pts / r[:, None]).T @ current,
+        "grad_ab": (w * np.conj(psi_a)) @ grad_b,
+        "grad_ba": (w * np.conj(psi_b)) @ grad_a,
+    }
+    return fields, complex(np.dot(w, np.conj(psi_a) * psi_b))
+
+
 class TestDipole:
     def test_1s_2p0_against_radial_oracle(self):
         oracle = quad(lambda r: oracle_radial(1, 0, r) * oracle_radial(2, 1, r) * r**3, 0, np.inf)[0] / math.sqrt(3.0)
@@ -158,6 +185,22 @@ class TestExactOracle:
                     err = np.abs(got - exact) / np.where(exact != 0, np.abs(exact), 1.0)
                     worst = max(worst, float(np.max(err)))
         assert worst < 1e-12
+
+
+class TestGramForm:
+    def test_matches_pointwise_product_grid_for_all_pairs_n_le_4(self):
+        # regrouping the product-grid sums changes rounding only
+        states = [BoundState(n, l, m) for n in range(1, 5) for l in range(n) for m in range(-l, l + 1)]
+        for a in states:
+            for b in states:
+                reference, reference_overlap = reference_multipoles(a, b)
+                data = transition_multipoles(a, b)
+                for field, want in reference.items():
+                    got = getattr(data, field)
+                    assert got.shape == want.shape and got.dtype == want.dtype, (a, b, field)
+                    tol = 1e-12 * max(1.0, float(np.max(np.abs(want))))
+                    assert np.max(np.abs(got - want)) <= tol, (a, b, field)
+                assert abs(overlap(a, b) - reference_overlap) <= 1e-12 * max(1.0, abs(reference_overlap)), (a, b)
 
 
 class TestCurrentKernel:

@@ -120,6 +120,19 @@ class TestStateResolution:
         assert np.all(np.isfinite(g.points))
         assert g.radial_scale == pytest.approx(1.0 + 0.25)
 
+    @pytest.mark.parametrize("spec", [None, QuadratureSpec(radial_node_count=20, angular_order=7)])
+    def test_points_and_weights_are_the_product_of_the_factors(self, spec):
+        g = grid_for_pair(BoundState(3, 2, 1), BoundState(2, 1, 0), spec)
+        x, lifted = _radial_rule(g.spec.radial_node_count)
+        unit, w_ang = _angular_rule(g.spec.angular_order)
+        r = g.radial_nodes
+        assert np.array_equal(r, x / g.radial_scale)
+        assert np.array_equal(g.radial_weights, lifted / g.radial_scale * r * r)
+        assert np.array_equal(g.unit_vectors, unit) and np.array_equal(g.angular_weights, w_ang)
+        # radial index slowest
+        assert np.array_equal(g.points, np.array([ri * n for ri in r for n in unit]))
+        assert np.array_equal(g.weights, np.array([wr * wa for wr in g.radial_weights for wa in w_ang]))
+
 
 S3P0 = BoundState(3, 1, 0)
 S2P0 = BoundState(2, 1, 0)

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from quadbloch import BlochVector, TwoLevelParams, integrate, integrator, verification
+from quadbloch import BlochVector, TwoLevelParams, bloch_flow, integrate, integrator, verification
 from quadbloch.integrator import _integrate
 from quadbloch.verification import _shift_phase_mismatch, run_checks
 
@@ -93,6 +93,20 @@ def test_residual_at_q_zero_follows_the_run_start():
     report, _ = run_checks(p, *SPAN, initial=start, flip_rotation=True)
     check = _check(report, "closed_form_residual")
     expected = 2.0 * abs(p.omega21 - p.tau - p.lam * start.pz) * 0.3
+    assert not check.passed and check.measured == pytest.approx(expected, rel=1e-3)
+    report, _ = run_checks(p, *SPAN, initial=start)
+    assert _check(report, "closed_form_residual").measured < 1e-8 and report.passed
+
+
+def test_residual_follows_a_custom_start(canonical_params):
+    # at q != 0 too, flipping the rotation leaves 2 |Omega(t)| |Px - i Py|(t)
+    # along the flow from the run's own start, not along the default closed form
+    p, start = canonical_params, BlochVector(0.3, -0.2, 0.5)
+    flow = bloch_flow(np.linspace(SPAN[0], SPAN[1], 1001), p, start, SPAN[0])
+    omega = p.omega21 - p.tau - p.lam * flow[:, 2]
+    expected = float(np.max(2.0 * np.abs(omega) * np.hypot(flow[:, 0], flow[:, 1])))
+    report, _ = run_checks(p, *SPAN, initial=start, flip_rotation=True)
+    check = _check(report, "closed_form_residual")
     assert not check.passed and check.measured == pytest.approx(expected, rel=1e-3)
     report, _ = run_checks(p, *SPAN, initial=start)
     assert _check(report, "closed_form_residual").measured < 1e-8 and report.passed
