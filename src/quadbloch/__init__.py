@@ -24,7 +24,7 @@ from .multipole import (
     quadrupole_moment,
     transition_multipoles,
 )
-from .quadrature import DEFAULT_SPEC, QuadratureError, QuadratureSpec, grid_for_pair
+from .quadrature import grid_for_pair
 from .twolevel import (
     BlochVector,
     DensityMatrix2,
@@ -44,12 +44,9 @@ __all__ = [
     "BlochVector",
     "BoundState",
     "CouplingRates",
-    "DEFAULT_SPEC",
     "DensityMatrix2",
     "MultipoleData",
     "NLevelSystem",
-    "QuadratureError",
-    "QuadratureSpec",
     "SPEED_OF_LIGHT",
     "StepSizeError",
     "Trajectory",

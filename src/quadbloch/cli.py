@@ -23,7 +23,6 @@ from .hydrogenic import transition_frequency
 from .integrator import StepSizeError, Trajectory, exact_trajectory, time_grid
 from .integrator import integrate  # noqa: F401  # unused; bench/selftest.py checks the tracer rebinds it
 from .multipole import coupling_rates, transition_multipoles
-from .quadrature import QuadratureError
 from .twolevel import BlochVector, TwoLevelParams, additional_shift, frequency_shift
 from .verification import run_checks
 
@@ -233,7 +232,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return run_verify(cfg, flip_rotation=args.debug_flip_rotation)
         return run_shift(cfg)
-    except (ConfigError, QuadratureError, StepSizeError, OSError, ValueError) as exc:
+    except (ConfigError, StepSizeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

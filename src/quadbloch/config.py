@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .hydrogenic import BoundState
+from .hydrogenic import _ORBITAL_LETTERS, BoundState
 from .twolevel import BALL_SLACK
 
 MODES = ("coeffs", "simulate", "verify", "shift")
@@ -25,7 +25,7 @@ _FLOAT_KEYS = _RATE_KEYS + _GAMMA_KEYS + _TIME_KEYS + ("k_max", "px0", "py0", "p
 _KNOWN_KEYS = ("mode", "state_a", "state_b", "output", "units") + _FLOAT_KEYS
 
 _STATE_TOKEN = re.compile(r"^(\d+)([a-z])([+-]?\d+)?$")
-_ORBITAL_OF = {"s": 0, "p": 1, "d": 2, "f": 3, "g": 4, "h": 5}
+_ORBITAL_OF = {letter: l for l, letter in enumerate(_ORBITAL_LETTERS)}
 
 
 class ConfigError(ValueError):

@@ -22,7 +22,8 @@ class BoundState:
     """Hydrogenic level (n, l, m) bound to a pointlike nucleus of charge z.
 
     Quantum numbers are validated at construction: n >= 1, 0 <= l <= n-1,
-    -l <= m <= l. ``z_charge`` may be fractional (screened effective charge).
+    -l <= m <= l. ``z_charge`` may be fractional (screened effective charge);
+    it must be positive and finite.
     """
 
     n: int
@@ -37,8 +38,8 @@ class BoundState:
             raise ValueError(f"orbital quantum number must satisfy 0 <= l <= n-1, got l={self.l} for n={self.n}")
         if not -self.l <= self.m <= self.l:
             raise ValueError(f"magnetic quantum number must satisfy |m| <= l, got m={self.m} for l={self.l}")
-        if self.z_charge <= 0:
-            raise ValueError(f"nuclear charge must be positive, got {self.z_charge}")
+        if not 0 < self.z_charge < math.inf:
+            raise ValueError(f"nuclear charge must be positive and finite, got {self.z_charge}")
 
     @property
     def parity(self) -> int:

@@ -46,7 +46,7 @@ import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 from .hydrogenic import BoundState, eigenstate_eval, eigenstate_factors, transition_frequency
-from .quadrature import QuadratureSpec, grid_for_pair
+from .quadrature import grid_for_pair
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ class MultipoleData:
         return (4.0 / (3.0 * np.pi * SPEED_OF_LIGHT**2)) * k_max * mag2
 
 
-def _pair_gram(a: BoundState, b: BoundState, spec: QuadratureSpec | None):
+def _pair_gram(a: BoundState, b: BoundState):
     """Radial Gram matrices R_k = (R_a w_r r^k) R_b^T, k = 0, 1, 2 (shape
     (3, 3, 3), real), and the angular Gram matrix T = (F_a w_n) F_b^H (7 x 7,
     complex), from each state's factors on the pair's exact grid (see
@@ -102,7 +102,7 @@ def _pair_gram(a: BoundState, b: BoundState, spec: QuadratureSpec | None):
     transposed for the other, so swapping the pair conjugates every moment
     exactly and Gamma is exactly symmetric.
     """
-    grid = grid_for_pair(a, b, spec)
+    grid = grid_for_pair(a, b)
     swap = (b.n, b.l, b.m, b.z_charge) < (a.n, a.l, a.m, a.z_charge)
     if swap:
         a, b = b, a
@@ -118,20 +118,20 @@ def _pair_gram(a: BoundState, b: BoundState, spec: QuadratureSpec | None):
     return radial, angular
 
 
-def overlap(a: BoundState, b: BoundState, spec: QuadratureSpec | None = None) -> complex:
+def overlap(a: BoundState, b: BoundState) -> complex:
     """<psi_a | psi_b> on the pair grid (orthonormality diagnostic)."""
-    radial, t = _pair_gram(a, b, spec)
+    radial, t = _pair_gram(a, b)
     return complex(radial[0, 0, 0] * np.conj(t[0, 0]))
 
 
-def dipole_moment(a: BoundState, b: BoundState, spec: QuadratureSpec | None = None) -> np.ndarray:
+def dipole_moment(a: BoundState, b: BoundState) -> np.ndarray:
     """Dipole vector D_ab; Hermitian in the pair: D_ab = conj(D_ba)."""
-    return transition_multipoles(a, b, spec).dipole
+    return transition_multipoles(a, b).dipole
 
 
-def quadrupole_moment(a: BoundState, b: BoundState, spec: QuadratureSpec | None = None) -> np.ndarray:
+def quadrupole_moment(a: BoundState, b: BoundState) -> np.ndarray:
     """Symmetric traceless quadrupole tensor Q_ab."""
-    return transition_multipoles(a, b, spec).quadrupole
+    return transition_multipoles(a, b).quadrupole
 
 
 def current_kernel(a: BoundState, b: BoundState, point) -> np.ndarray:
@@ -146,15 +146,15 @@ def current_kernel(a: BoundState, b: BoundState, point) -> np.ndarray:
     return np.imag(np.conj(psi_b)[..., None] * grad_a)
 
 
-def current_integrals(a: BoundState, b: BoundState, spec: QuadratureSpec | None = None):
+def current_integrals(a: BoundState, b: BoundState):
     """Current moments (Delta_ab, delta_ab) of the pair."""
-    data = transition_multipoles(a, b, spec)
+    data = transition_multipoles(a, b)
     return data.delta_vec, data.delta_tensor
 
 
-def transition_multipoles(a: BoundState, b: BoundState, spec: QuadratureSpec | None = None) -> MultipoleData:
+def transition_multipoles(a: BoundState, b: BoundState) -> MultipoleData:
     """Every pair integral from the pair's radial and angular Gram matrices."""
-    (r0, r1, r2), t = _pair_gram(a, b, spec)
+    (r0, r1, r2), t = _pair_gram(a, b)
     second = r2[0, 0] * t[1:4, 1:4]                            # int psi_a x^i x^j conj(psi_b)
     second = 0.5 * (second + second.T)
     return MultipoleData(
@@ -168,19 +168,17 @@ def transition_multipoles(a: BoundState, b: BoundState, spec: QuadratureSpec | N
     )
 
 
-def coupling_rates(a: BoundState, b: BoundState, spec: QuadratureSpec | None = None,
-                   k_max: float | None = None) -> CouplingRates:
+def coupling_rates(a: BoundState, b: BoundState, k_max: float | None = None) -> CouplingRates:
     """Radiative rates A_ab, B_ab, C_ab (and the Gamma estimate when asked).
 
     Degenerate pairs return exact zeros: every rate carries the W^3
     prefactor. The B and C contractions are reported as real parts (see the
     module note on complex pairs).
     """
-    return transition_multipoles(a, b, spec).rates(k_max)
+    return transition_multipoles(a, b).rates(k_max)
 
 
-def gamma_estimate(a: BoundState, b: BoundState, k_max: float,
-                   spec: QuadratureSpec | None = None) -> float:
+def gamma_estimate(a: BoundState, b: BoundState, k_max: float) -> float:
     """Rough cutoff-regularized level-shift coefficient Gamma_ab(k_max).
 
     The underlying mode integral grows without bound in the wavenumber, so
@@ -196,4 +194,4 @@ def gamma_estimate(a: BoundState, b: BoundState, k_max: float,
     Treat it as an order-of-magnitude handle; simulations normally take the
     shift coefficients as explicit inputs.
     """
-    return transition_multipoles(a, b, spec).gamma(k_max)
+    return transition_multipoles(a, b).gamma(k_max)

@@ -10,24 +10,18 @@ After the r^2 volume measure its radial degree is at most n_a + n_b + 2
 spherical-harmonic expansion of order at most l_a + l_b + 2. N scaled
 Gauss-Laguerre nodes integrate exp(-s r) r^k exactly for k <= 2N - 1, and
 the angular product integrates Y_lm exactly for l <= angular_order (Golub &
-Welsch, Math. Comp. 23, 1969). So with ``spec=None`` ``grid_for_pair``
-builds the smallest exact grid,
+Welsch, Math. Comp. 23, 1969). So ``grid_for_pair`` builds the smallest
+exact grid,
 
     radial_node_count = max(16, ceil((n_a + n_b + 3) / 2))
     angular_order     = l_a + l_b + 2,
 
-and an explicit ``QuadratureSpec`` is checked against the same degrees
-before anything is evaluated: a rule that is not exact for the pair, or a
-fixed ``radial_scale`` other than s, raises ``QuadratureError``.
+and that rule is the only way a pair grid is sized.
 
 A ``Grid`` hands out its factors, the radial nodes and weights and the unit
 vectors and angular weights, because every pair integral separates into a
 radial sum times an angular sum (see ``multipole``); its flattened
 ``points`` and ``weights`` are their outer products.
-
-``DEFAULT_SPEC`` (200 radial nodes, angular order 35) is the dense
-reference spec, exact for every pair with l_a + l_b <= 33. It is what
-``QuadratureSpec()`` gives, not what ``spec=None`` builds.
 """
 
 from __future__ import annotations
@@ -41,35 +35,7 @@ import numpy as np
 from .hydrogenic import BoundState
 
 
-class QuadratureError(RuntimeError):
-    """Raised when a grid is not exact for the pair it is asked to integrate."""
-
-
 _MIN_RADIAL_NODES = 16
-_SCALE_RTOL = 1e-14        # a fixed radial_scale may differ from the pair's decay by rounding only
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Grid resolution: radial node count, optional fixed radial scale
-    (inverse length; None = the pair's decay, which is the only scale at
-    which the rule is exact), and the spherical-harmonic order the angular
-    grid integrates exactly."""
-
-    radial_node_count: int = 200
-    radial_scale: float | None = None
-    angular_order: int = 35
-
-    def __post_init__(self):
-        if self.radial_node_count < _MIN_RADIAL_NODES:
-            raise ValueError(f"radial_node_count must be >= {_MIN_RADIAL_NODES}, got {self.radial_node_count}")
-        if self.radial_scale is not None and self.radial_scale <= 0:
-            raise ValueError(f"radial_scale must be positive, got {self.radial_scale}")
-        if self.angular_order < 1:
-            raise ValueError(f"angular_order must be >= 1, got {self.angular_order}")
-
-
-DEFAULT_SPEC = QuadratureSpec()
 
 
 @lru_cache(maxsize=None)
@@ -141,7 +107,6 @@ class Grid:
     unit_vectors: np.ndarray       # (Na, 3)
     angular_weights: np.ndarray    # (Na,)
     radial_scale: float
-    spec: QuadratureSpec
     radial_degree: int
     angular_degree: int
 
@@ -156,56 +121,23 @@ class Grid:
         return (self.radial_weights[:, None] * self.angular_weights[None, :]).ravel()
 
 
-def pair_scale(a: BoundState, b: BoundState) -> float:
-    """Combined exponential decay z_a/n_a + z_b/n_b of a product of states."""
-    return a.decay_constant + b.decay_constant
-
-
-def pair_degrees(a: BoundState, b: BoundState) -> tuple[int, int]:
-    """(radial, angular) degree every pair integral of (a, b) stays within."""
-    return a.n + b.n + 2, a.l + b.l + 2
-
-
-def _check_exact(a: BoundState, b: BoundState, spec: QuadratureSpec, scale: float):
-    pair = f"{a.label()}-{b.label()}"
-    if spec.radial_scale is not None and not math.isclose(spec.radial_scale, scale, rel_tol=_SCALE_RTOL):
-        raise QuadratureError(
-            f"radial_scale {spec.radial_scale!r} is not the decay {scale!r} of {pair}: the "
-            f"Gauss-Laguerre rule is exact only at that scale; leave radial_scale unset"
-        )
-    radial_need, angular_need = pair_degrees(a, b)
-    radial_have = 2 * spec.radial_node_count - 1
-    if radial_have < radial_need:
-        raise QuadratureError(
-            f"grid is not exact for {pair}: radial degree {radial_need} needed, {radial_have} "
-            f"supplied by {spec.radial_node_count} nodes; use radial_node_count >= "
-            f"{(radial_need + 2) // 2} or pass spec=None"
-        )
-    if spec.angular_order < angular_need:
-        raise QuadratureError(
-            f"grid is not exact for {pair}: angular degree {angular_need} needed, "
-            f"{spec.angular_order} supplied; use angular_order >= {angular_need} or pass spec=None"
-        )
-
-
-def grid_for_pair(a: BoundState, b: BoundState, spec: QuadratureSpec | None = None) -> Grid:
-    """Product grid exact for every pair integral of (a, b).
-
-    ``spec=None`` builds the smallest exact grid (see the module note); an
-    explicit spec that is not exact for the pair raises ``QuadratureError``.
-    """
-    scale = pair_scale(a, b)
-    if spec is None:
-        radial_need, angular_need = pair_degrees(a, b)
-        spec = QuadratureSpec(radial_node_count=max(_MIN_RADIAL_NODES, (radial_need + 2) // 2),
-                              angular_order=angular_need)
-    _check_exact(a, b, spec, scale)
-    x, lifted = _radial_rule(spec.radial_node_count)
+def _product_grid(scale: float, count: int, order: int) -> Grid:
+    """Product of ``count`` Gauss-Laguerre nodes scaled to the decay ``scale``
+    and the angular rule of order ``order``. The package sizes it only through
+    ``grid_for_pair``; tests build denser and coarser grids with it."""
+    x, lifted = _radial_rule(count)
     r = x / scale
     w_r = lifted / scale * r * r        # includes the r^2 volume measure
     r.setflags(write=False)
     w_r.setflags(write=False)
-    unit, w_ang = _angular_rule(spec.angular_order)
+    unit, w_ang = _angular_rule(order)
     return Grid(radial_nodes=r, radial_weights=w_r, unit_vectors=unit, angular_weights=w_ang,
-                radial_scale=scale, spec=spec,
-                radial_degree=2 * spec.radial_node_count - 1, angular_degree=spec.angular_order)
+                radial_scale=scale, radial_degree=2 * count - 1, angular_degree=order)
+
+
+def grid_for_pair(a: BoundState, b: BoundState) -> Grid:
+    """Smallest product grid exact for every pair integral of (a, b) (see
+    the module note): radial degree n_a + n_b + 2 at the pair's decay, and
+    angular order l_a + l_b + 2."""
+    count = max(_MIN_RADIAL_NODES, (a.n + b.n + 4) // 2)     # 2 count - 1 >= n_a + n_b + 2
+    return _product_grid(a.decay_constant + b.decay_constant, count, a.l + b.l + 2)

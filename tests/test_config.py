@@ -38,6 +38,12 @@ class TestParseState:
             with pytest.raises(ConfigError):
                 parse_state(bad)
 
+    def test_reads_every_label(self):
+        for l in range(8):
+            for m in {-l, 0, l}:
+                s = BoundState(l + 1, l, m)
+                assert parse_state(s.label()) == s, s.label()
+
     def test_unphysical_rejected(self):
         with pytest.raises(ConfigError, match="invalid state"):
             parse_state("1p")

@@ -67,8 +67,9 @@ class TestBoundState:
             BoundState(n, l, m)
 
     def test_invalid_charge_rejected(self):
-        with pytest.raises(ValueError):
-            BoundState(1, 0, 0, z_charge=0.0)
+        for z in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                BoundState(1, 0, 0, z_charge=z)
 
     def test_labels(self):
         assert BoundState(1, 0, 0).label() == "1s"

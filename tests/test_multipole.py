@@ -99,10 +99,12 @@ def oracle_current_moments(state_a, state_b, rmax=60.0, nr=800, nt=72, nph=144):
     return delta_vec, delta_tensor
 
 
-def reference_multipoles(a, b):
-    """Every pair integral as a sum over the pair's Nr * Na product points,
-    with both states evaluated pointwise: (MultipoleData fields, overlap)."""
-    grid = grid_for_pair(a, b)
+def reference_multipoles(a, b, grid=None):
+    """Every pair integral as a sum over the Nr * Na product points of
+    ``grid`` (default: the pair's own grid), with both states evaluated
+    pointwise: (MultipoleData fields, overlap)."""
+    if grid is None:
+        grid = grid_for_pair(a, b)
     pts, w = grid.points, grid.weights
     psi_a, grad_a = eigenstate_eval(a, pts)
     psi_b, grad_b = eigenstate_eval(b, pts)

@@ -3,34 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from quadbloch import (
-    DEFAULT_SPEC,
-    BoundState,
-    QuadratureError,
-    QuadratureSpec,
-    dipole_moment,
-    grid_for_pair,
-    overlap,
-    quadrupole_moment,
-    transition_multipoles,
-)
-from quadbloch.quadrature import _angular_rule, _radial_rule
+from quadbloch import BoundState, grid_for_pair, overlap, quadrupole_moment, transition_multipoles
+from quadbloch.quadrature import _angular_rule, _product_grid, _radial_rule
+from test_multipole import reference_multipoles
 
 
-class TestSpecs:
-    def test_defaults(self):
-        spec = QuadratureSpec()
-        assert spec.radial_node_count == 200
-        assert spec.radial_scale is None
-        assert spec.angular_order == 35
+def pair_grid(a, b, count, order):
+    """A grid at the pair's decay with a chosen node count and angular order."""
+    return _product_grid(a.decay_constant + b.decay_constant, count, order)
 
-    def test_minimum_node_count_enforced(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(radial_node_count=8)
 
-    def test_scale_positivity(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(radial_scale=-1.0)
+def assert_matches_reference(a, b, grid):
+    """The pair's own-grid moments equal the pointwise sums on ``grid``."""
+    reference, reference_overlap = reference_multipoles(a, b, grid)
+    data = transition_multipoles(a, b)
+    for field, want in reference.items():
+        scale = max(float(np.max(np.abs(want))), 1.0)
+        assert np.max(np.abs(getattr(data, field) - want)) / scale < 1e-12, (a, b, field)
+    assert abs(overlap(a, b) - reference_overlap) / max(abs(reference_overlap), 1.0) < 1e-12, (a, b)
 
 
 class TestRadialRule:
@@ -97,22 +87,15 @@ class TestStateResolution:
         assert worst < 1e-8
 
     def test_doubling_nodes_changes_nothing(self):
+        # each pair's 16-node grid against 200 and 400 nodes at angular order 35
         pairs = [
             (BoundState(1, 0, 0), BoundState(2, 1, 0)),
             (BoundState(1, 0, 0), BoundState(3, 2, 0)),
             (BoundState(2, 1, 1), BoundState(4, 3, 2)),
         ]
         for a, b in pairs:
-            d200 = dipole_moment(a, b, QuadratureSpec(radial_node_count=200))
-            d400 = dipole_moment(a, b, QuadratureSpec(radial_node_count=400))
-            scale = max(np.max(np.abs(d200)), 1.0)
-            assert np.max(np.abs(d200 - d400)) / scale < 1e-8
-
-    def test_mismatched_scale_raises_diagnostic(self):
-        a = BoundState(1, 0, 0)
-        b = BoundState(2, 1, 0)
-        with pytest.raises(QuadratureError, match="radial_scale 40.0 is not the decay 1.5"):
-            dipole_moment(a, b, QuadratureSpec(radial_node_count=16, radial_scale=40.0))
+            for count in (200, 400):
+                assert_matches_reference(a, b, pair_grid(a, b, count, 35))
 
     def test_grid_weights_positive_and_finite(self):
         g = grid_for_pair(BoundState(1, 0, 0), BoundState(4, 3, 0))
@@ -120,11 +103,12 @@ class TestStateResolution:
         assert np.all(np.isfinite(g.points))
         assert g.radial_scale == pytest.approx(1.0 + 0.25)
 
-    @pytest.mark.parametrize("spec", [None, QuadratureSpec(radial_node_count=20, angular_order=7)])
-    def test_points_and_weights_are_the_product_of_the_factors(self, spec):
-        g = grid_for_pair(BoundState(3, 2, 1), BoundState(2, 1, 0), spec)
-        x, lifted = _radial_rule(g.spec.radial_node_count)
-        unit, w_ang = _angular_rule(g.spec.angular_order)
+    # None is the 3d+1, 2p0 pair (16 nodes, order 5); the other has 17 nodes, order 3
+    @pytest.mark.parametrize("pair", [None, (BoundState(15, 0, 0), BoundState(15, 1, 0))])
+    def test_points_and_weights_are_the_product_of_the_factors(self, pair):
+        g = grid_for_pair(*(pair or (BoundState(3, 2, 1), BoundState(2, 1, 0))))
+        x, lifted = _radial_rule((g.radial_degree + 1) // 2)
+        unit, w_ang = _angular_rule(g.angular_degree)
         r = g.radial_nodes
         assert np.array_equal(r, x / g.radial_scale)
         assert np.array_equal(g.radial_weights, lifted / g.radial_scale * r * r)
@@ -137,28 +121,42 @@ class TestStateResolution:
 S3P0 = BoundState(3, 1, 0)
 S2P0 = BoundState(2, 1, 0)
 Q_ZZ_3P0_2P0 = -1327104.0 / 390625.0     # exact, from tests/exact_moments.json
+S15P0 = BoundState(15, 1, 0)
+# <r^2> = n^2 (5 n^2 + 1 - 3 l (l + 1)) / 2 = 126000 times <(cos^2 - 1/3) / 2> = 2/15
+Q_ZZ_15P0 = 16800.0
 
 
 class TestExactness:
     def test_default_grid_is_smallest_exact(self):
         g = grid_for_pair(S3P0, S2P0)
-        assert (g.spec.radial_node_count, g.spec.angular_order) == (16, 4)
+        assert (g.radial_nodes.size, g.angular_degree) == (16, 4)
         assert (g.radial_degree, g.angular_degree) == (31, 4)
         assert len(g.weights) == 16 * 3 * 5
 
-    @pytest.mark.parametrize("order", [2, 3])
-    def test_coarse_angular_spec_raises(self, order):
-        # too coarse for the cos^4 term: the sum comes out as 0 instead of -3.397
-        with pytest.raises(QuadratureError, match=f"angular degree 4 needed, {order} supplied"):
-            quadrupole_moment(S3P0, S2P0, QuadratureSpec(angular_order=order))
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_angular_order_rule_is_tight(self, order):
+        # Q_zz carries a cos^4 term: order 4 = l_a + l_b + 2 integrates it,
+        # orders 2 and 3 give 0 instead of -3.397
+        q_zz = reference_multipoles(S3P0, S2P0, pair_grid(S3P0, S2P0, 16, order))[0]["quadrupole"][2, 2]
+        if order < 4:
+            assert abs(q_zz - Q_ZZ_3P0_2P0) > 3.0
+        else:
+            assert q_zz.real == pytest.approx(Q_ZZ_3P0_2P0, rel=1e-12)
 
-    def test_too_few_radial_nodes_for_high_n_raises(self):
-        a, b = BoundState(15, 0, 0), BoundState(15, 1, 0)
-        with pytest.raises(QuadratureError, match="radial degree 32 needed, 31 supplied"):
-            dipole_moment(a, b, QuadratureSpec(radial_node_count=16))
-        g = grid_for_pair(a, b)
-        assert g.spec.radial_node_count == 17 and g.radial_degree == 33
-        grid_for_pair(a, b, QuadratureSpec(radial_node_count=17, angular_order=3))
+    def test_high_n_pair_gets_17_radial_nodes(self):
+        g = grid_for_pair(BoundState(15, 0, 0), BoundState(15, 1, 0))
+        assert g.radial_nodes.size == 17 and g.radial_degree == 33
+
+    @pytest.mark.parametrize("count", [16, 17])
+    def test_radial_node_rule_is_tight(self, count):
+        # the 15p0 Q_zz integrand has radial degree 32: 17 nodes integrate
+        # it, 16 nodes (degree 31) give 15960 instead of 16800
+        assert grid_for_pair(S15P0, S15P0).radial_nodes.size == 17
+        q_zz = reference_multipoles(S15P0, S15P0, pair_grid(S15P0, S15P0, count, 4))[0]["quadrupole"][2, 2]
+        if count < 17:
+            assert abs(q_zz - Q_ZZ_15P0) > 100.0
+        else:
+            assert q_zz.real == pytest.approx(Q_ZZ_15P0, rel=1e-12)
 
     def test_default_path_quadrupole_3p0_2p0(self):
         assert quadrupole_moment(S3P0, S2P0)[2, 2].real == pytest.approx(Q_ZZ_3P0_2P0, rel=1e-12)
@@ -169,9 +167,6 @@ class TestExactness:
         (BoundState(4, 2, 1), BoundState(4, 0, 0)),
     ])
     def test_smallest_grid_matches_dense_spec(self, a, b):
-        small = transition_multipoles(a, b)
-        dense = transition_multipoles(a, b, DEFAULT_SPEC)
-        for field in ("dipole", "quadrupole", "delta_vec", "delta_tensor", "grad_ab", "grad_ba"):
-            x, y = getattr(small, field), getattr(dense, field)
-            scale = max(float(np.max(np.abs(y))), 1.0)
-            assert np.max(np.abs(x - y)) / scale < 1e-12, field
+        # dense: 200 and 400 nodes at angular order 35, summed pointwise
+        for count in (200, 400):
+            assert_matches_reference(a, b, pair_grid(a, b, count, 35))
