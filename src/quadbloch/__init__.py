@@ -12,18 +12,7 @@ from .constants import SPEED_OF_LIGHT
 from .hydrogenic import BoundState, bound_energy, eigenstate_eval, radial_wavefunction, transition_frequency
 from .integrator import StepSizeError, Trajectory, exact_trajectory, integrate
 from .multilevel import NLevelSystem, frequency_shift_general, multilevel_rhs
-from .multipole import (
-    CouplingRates,
-    MultipoleData,
-    coupling_rates,
-    current_integrals,
-    current_kernel,
-    dipole_moment,
-    gamma_estimate,
-    overlap,
-    quadrupole_moment,
-    transition_multipoles,
-)
+from .multipole import CouplingRates, MultipoleData, current_kernel, overlap, transition_multipoles
 from .quadrature import grid_for_pair
 from .twolevel import (
     BlochVector,
@@ -34,7 +23,6 @@ from .twolevel import (
     bloch_flow,
     bloch_rhs,
     bloch_to_density,
-    density_rhs_two_level,
     frequency_shift,
 )
 
@@ -57,21 +45,15 @@ __all__ = [
     "bloch_rhs",
     "bloch_to_density",
     "bound_energy",
-    "coupling_rates",
-    "current_integrals",
     "current_kernel",
-    "density_rhs_two_level",
-    "dipole_moment",
     "eigenstate_eval",
     "exact_trajectory",
     "frequency_shift",
     "frequency_shift_general",
-    "gamma_estimate",
     "grid_for_pair",
     "integrate",
     "multilevel_rhs",
     "overlap",
-    "quadrupole_moment",
     "radial_wavefunction",
     "transition_frequency",
     "transition_multipoles",

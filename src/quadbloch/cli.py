@@ -22,7 +22,7 @@ from .config import ConfigError, RunConfig, parse_config_with_overrides
 from .hydrogenic import transition_frequency
 from .integrator import StepSizeError, Trajectory, exact_trajectory, time_grid
 from .integrator import integrate  # noqa: F401  # unused; bench/selftest.py checks the tracer rebinds it
-from .multipole import coupling_rates, transition_multipoles
+from .multipole import transition_multipoles
 from .twolevel import BlochVector, TwoLevelParams, additional_shift, frequency_shift
 from .verification import run_checks
 
@@ -40,7 +40,7 @@ def _resolve_params(cfg: RunConfig) -> TwoLevelParams:
     The shift coefficients always come from the config (default 0).
     """
     if cfg.has_state_pair:
-        rates = coupling_rates(cfg.state_a, cfg.state_b)
+        rates = transition_multipoles(cfg.state_a, cfg.state_b).rates()
         omega21 = transition_frequency(cfg.state_b, cfg.state_a)
         a12, b12, c12 = rates.a_rate, rates.b_rate, rates.c_rate
     else:
@@ -232,7 +232,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return run_verify(cfg, flip_rotation=args.debug_flip_rotation)
         return run_shift(cfg)
-    except (ConfigError, StepSizeError, OSError, ValueError) as exc:
+    except (ConfigError, StepSizeError, OSError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

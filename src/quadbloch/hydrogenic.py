@@ -51,7 +51,11 @@ class BoundState:
         return self.z_charge / self.n
 
     def label(self) -> str:
-        letter = _ORBITAL_LETTERS[self.l] if self.l < len(_ORBITAL_LETTERS) else f"(l={self.l})"
+        """Spectroscopic label ('2p', '3d-1'); 'n,l,m' past the last orbital
+        letter. Both forms read back through ``config.parse_state`` (at z = 1)."""
+        if self.l >= len(_ORBITAL_LETTERS):
+            return f"{self.n},{self.l},{self.m}"
+        letter = _ORBITAL_LETTERS[self.l]
         if self.m == 0:
             return f"{self.n}{letter}"
         return f"{self.n}{letter}{self.m:+d}"

@@ -17,7 +17,7 @@ and the rates built from them,
 
 with W the transition angular frequency, and the level-shift estimate
 Gamma(k_max) from the gradient matrix elements <a|grad|b> and <b|grad|a>
-(see ``gamma_estimate``). The double contraction in C pairs
+(see ``MultipoleData.gamma``). The double contraction in C pairs
 the two free indices of Q with the symmetrized current moment; that pairing
 is the only one producing a scalar from a symmetric traceless Q and is the
 convention adopted throughout (mirrored in the CLI docs).
@@ -70,7 +70,12 @@ class MultipoleData:
     grad_ba: np.ndarray         # (3,) complex, <b|grad|a>
 
     def rates(self, k_max: float | None = None) -> CouplingRates:
-        """A, B, C (and Gamma(k_max) when asked); exact zeros for a degenerate pair."""
+        """Radiative rates A_ab, B_ab, C_ab (and Gamma(k_max) when asked).
+
+        Degenerate pairs return exact zeros: every rate carries the W^3
+        prefactor. The B and C contractions are reported as real parts (see
+        the module note on complex pairs).
+        """
         gamma = self.gamma(k_max) if k_max is not None else None
         if self.omega == 0.0:
             return CouplingRates(0.0, 0.0, 0.0, gamma)
@@ -84,7 +89,21 @@ class MultipoleData:
         return CouplingRates(a_rate, b_rate, c_rate, gamma)
 
     def gamma(self, k_max: float) -> float:
-        """Gamma_ab(k_max) as defined in ``gamma_estimate``."""
+        """Rough cutoff-regularized level-shift coefficient Gamma_ab(k_max).
+
+        The underlying mode integral grows without bound in the wavenumber,
+        so any finite value is prescription-dependent. This estimator takes
+        the long-wavelength limit of the mode factors (e^{ikx} -> 1),
+        averages the transverse projection over photon directions (factor
+        2/3), and cuts the k integral off at ``k_max``:
+
+            Gamma(k_max) = (4 / (3 pi c^2)) k_max |<a| grad |b>|^2
+
+        It is symmetric in (a, b) by construction (the two directed gradient
+        matrix elements are averaged), monotone in k_max, and zero at
+        k_max = 0. Treat it as an order-of-magnitude handle; simulations
+        normally take the shift coefficients as explicit inputs.
+        """
         if not 0.0 <= k_max < np.inf:
             raise ValueError(f"k_max must be finite and nonnegative, got {k_max}")
         mag2 = 0.5 * (float(np.sum(np.abs(self.grad_ab) ** 2)) + float(np.sum(np.abs(self.grad_ba) ** 2)))
@@ -124,16 +143,6 @@ def overlap(a: BoundState, b: BoundState) -> complex:
     return complex(radial[0, 0, 0] * np.conj(t[0, 0]))
 
 
-def dipole_moment(a: BoundState, b: BoundState) -> np.ndarray:
-    """Dipole vector D_ab; Hermitian in the pair: D_ab = conj(D_ba)."""
-    return transition_multipoles(a, b).dipole
-
-
-def quadrupole_moment(a: BoundState, b: BoundState) -> np.ndarray:
-    """Symmetric traceless quadrupole tensor Q_ab."""
-    return transition_multipoles(a, b).quadrupole
-
-
 def current_kernel(a: BoundState, b: BoundState, point) -> np.ndarray:
     """Transition current density Jbar_ab at ``point``; real 3-vector(s).
 
@@ -146,14 +155,12 @@ def current_kernel(a: BoundState, b: BoundState, point) -> np.ndarray:
     return np.imag(np.conj(psi_b)[..., None] * grad_a)
 
 
-def current_integrals(a: BoundState, b: BoundState):
-    """Current moments (Delta_ab, delta_ab) of the pair."""
-    data = transition_multipoles(a, b)
-    return data.delta_vec, data.delta_tensor
-
-
 def transition_multipoles(a: BoundState, b: BoundState) -> MultipoleData:
-    """Every pair integral from the pair's radial and angular Gram matrices."""
+    """Every pair integral from the pair's radial and angular Gram matrices.
+
+    Swapping a and b conjugates each moment (D_ab = conj(D_ba)); the rates
+    and Gamma are the result's ``rates`` and ``gamma``.
+    """
     (r0, r1, r2), t = _pair_gram(a, b)
     second = r2[0, 0] * t[1:4, 1:4]                            # int psi_a x^i x^j conj(psi_b)
     second = 0.5 * (second + second.T)
@@ -166,32 +173,3 @@ def transition_multipoles(a: BoundState, b: BoundState) -> MultipoleData:
         grad_ab=r0[0, 1] * np.conj(t[0, 1:4]) + r0[0, 2] * np.conj(t[0, 4:7]),
         grad_ba=r0[1, 0] * t[1:4, 0] + r0[2, 0] * t[4:7, 0],
     )
-
-
-def coupling_rates(a: BoundState, b: BoundState, k_max: float | None = None) -> CouplingRates:
-    """Radiative rates A_ab, B_ab, C_ab (and the Gamma estimate when asked).
-
-    Degenerate pairs return exact zeros: every rate carries the W^3
-    prefactor. The B and C contractions are reported as real parts (see the
-    module note on complex pairs).
-    """
-    return transition_multipoles(a, b).rates(k_max)
-
-
-def gamma_estimate(a: BoundState, b: BoundState, k_max: float) -> float:
-    """Rough cutoff-regularized level-shift coefficient Gamma_ab(k_max).
-
-    The underlying mode integral grows without bound in the wavenumber, so
-    any finite value is prescription-dependent. This estimator takes the
-    long-wavelength limit of the mode factors (e^{ikx} -> 1), averages the
-    transverse projection over photon directions (factor 2/3), and cuts the
-    k integral off at ``k_max``:
-
-        Gamma(k_max) = (4 / (3 pi c^2)) k_max |<a| grad |b>|^2
-
-    It is symmetric in (a, b) by construction (the two directed gradient
-    matrix elements are averaged), monotone in k_max, and zero at k_max = 0.
-    Treat it as an order-of-magnitude handle; simulations normally take the
-    shift coefficients as explicit inputs.
-    """
-    return transition_multipoles(a, b).gamma(k_max)

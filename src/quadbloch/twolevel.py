@@ -117,16 +117,6 @@ def _shift(p: TwoLevelParams, pz):
     return -p.tau - p.lam * pz
 
 
-def density_rhs_two_level(rho: DensityMatrix2, p: TwoLevelParams) -> DensityMatrix2:
-    """Time derivative of the density matrix; populations decay as -2q r11 r22."""
-    r11, r22, r12 = rho
-    q = p.q
-    flow = 2.0 * q * r11 * r22
-    bracket = (-p.omega21) + p.gamma11 * r11 - p.gamma22 * r22 - p.gamma12 * (r11 - r22)
-    d12 = (-1j * bracket + q * (r11 - r22)) * r12
-    return DensityMatrix2(-flow, flow, d12)
-
-
 def bloch_to_density(state: BlochVector) -> DensityMatrix2:
     """rho11 = (1 + Pz)/2, rho22 = (1 - Pz)/2, rho12 = (Px - i Py)/2; the
     components may be floats or arrays of equal shape."""

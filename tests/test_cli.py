@@ -345,6 +345,14 @@ class TestExitCodes:
         assert main(["verify", "--config", cfg]) == 1
         assert "does not match" in capsys.readouterr().err
 
+    def test_float_overflow_in_state_evaluation_is_one(self, tmp_path, capsys):
+        # the n = 200 normalization overflows a float; reported, not a traceback
+        cfg = write(tmp_path / "n200.cfg", "mode = coeffs\nstate_a = 200,0,0\nstate_b = 199,1,0\n")
+        assert main(["coeffs", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_overrides_reach_validation(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
         cfg = write(tmp_path / "run.cfg", f"mode = simulate\noutput = {out}\n" + CANONICAL_DYNAMICS)

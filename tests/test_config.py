@@ -39,10 +39,12 @@ class TestParseState:
                 parse_state(bad)
 
     def test_reads_every_label(self):
-        for l in range(8):
-            for m in {-l, 0, l}:
-                s = BoundState(l + 1, l, m)
-                assert parse_state(s.label()) == s, s.label()
+        # every z = 1 state to n = 12, so l >= 8 and its n,l,m label included
+        for n in range(1, 13):
+            for l in range(n):
+                for m in range(-l, l + 1):
+                    s = BoundState(n, l, m)
+                    assert parse_state(s.label()) == s, s.label()
 
     def test_unphysical_rejected(self):
         with pytest.raises(ConfigError, match="invalid state"):

@@ -75,6 +75,8 @@ class TestBoundState:
         assert BoundState(1, 0, 0).label() == "1s"
         assert BoundState(2, 1, 0).label() == "2p"
         assert BoundState(3, 2, -1).label() == "3d-1"
+        assert BoundState(8, 7, -2).label() == "8k-2"
+        assert BoundState(9, 8, 1).label() == "9,8,1"    # past the last letter
 
 
 class TestEnergies:

@@ -12,11 +12,12 @@ from quadbloch import (
     analytic_bloch,
     bloch_rhs,
     bloch_to_density,
-    density_rhs_two_level,
     exact_trajectory,
     integrate,
 )
 from quadbloch.integrator import _pz_recurrence, time_grid
+
+from oracles import density_rhs_two_level
 
 RISING = TwoLevelParams(omega21=-0.7, gamma11=0.03, gamma22=-0.02, gamma12=0.07, a12=-0.3)
 NO_DECAY = TwoLevelParams(omega21=1.0, gamma11=0.1, gamma22=-0.05, gamma12=0.02)

@@ -9,12 +9,13 @@ from quadbloch import (
     TwoLevelParams,
     analytic_bloch,
     bloch_to_density,
-    density_rhs_two_level,
     frequency_shift,
     frequency_shift_general,
     multilevel_rhs,
 )
 from quadbloch.constants import SPEED_OF_LIGHT
+
+from oracles import density_rhs_two_level
 
 
 def random_hermitian_density(rng, n):

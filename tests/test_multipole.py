@@ -19,15 +19,10 @@ from scipy.special import eval_genlaguerre, sph_harm_y
 
 from quadbloch import (
     BoundState,
-    coupling_rates,
-    current_integrals,
     current_kernel,
-    dipole_moment,
     eigenstate_eval,
-    gamma_estimate,
     grid_for_pair,
     overlap,
-    quadrupole_moment,
     transition_frequency,
     transition_multipoles,
 )
@@ -129,32 +124,32 @@ class TestDipole:
     def test_1s_2p0_against_radial_oracle(self):
         oracle = quad(lambda r: oracle_radial(1, 0, r) * oracle_radial(2, 1, r) * r**3, 0, np.inf)[0] / math.sqrt(3.0)
         assert oracle == pytest.approx(DIPOLE_1S_2P0_Z, rel=1e-10)
-        d = dipole_moment(S1S, S2P0)
+        d = transition_multipoles(S1S, S2P0).dipole
         assert abs(d[2].real - oracle) / oracle < 1e-8
         assert np.max(np.abs(d[:2])) < 1e-12
         assert abs(d[2].imag) < 1e-12
 
     def test_parity_forbidden_1s_2s(self):
-        assert np.max(np.abs(dipole_moment(S1S, S2S))) < 1e-10
+        assert np.max(np.abs(transition_multipoles(S1S, S2S).dipole)) < 1e-10
 
     def test_angular_forbidden_1s_3d0(self):
-        assert np.max(np.abs(dipole_moment(S1S, S3D0))) < 1e-10
+        assert np.max(np.abs(transition_multipoles(S1S, S3D0).dipole)) < 1e-10
 
     def test_hermiticity(self):
-        d_ab = dipole_moment(S2P1, S1S)
-        d_ba = dipole_moment(S1S, S2P1)
+        d_ab = transition_multipoles(S2P1, S1S).dipole
+        d_ba = transition_multipoles(S1S, S2P1).dipole
         assert np.max(np.abs(d_ab - np.conj(d_ba))) < 1e-12
 
 
 class TestQuadrupole:
     def test_parity_forbidden_1s_2p0(self):
-        assert np.max(np.abs(quadrupole_moment(S1S, S2P0))) < 1e-10
+        assert np.max(np.abs(transition_multipoles(S1S, S2P0).quadrupole)) < 1e-10
 
     def test_1s_3d0_zz_against_radial_oracle(self):
         # kernel (z^2 - r^2/3)/2 projects onto (r^2/3) P2, angular factor 1/sqrt(5)
         radial = quad(lambda r: oracle_radial(1, 0, r) * oracle_radial(3, 2, r) * r**4, 0, np.inf)[0]
         oracle = radial / (3.0 * math.sqrt(5.0))
-        q = quadrupole_moment(S1S, S3D0)
+        q = transition_multipoles(S1S, S3D0).quadrupole
         assert abs(q[2, 2].real - oracle) / abs(oracle) < 1e-8
         # traceless diagonal structure: xx = yy = -zz/2
         assert q[0, 0].real == pytest.approx(-0.5 * oracle, rel=1e-8)
@@ -162,7 +157,7 @@ class TestQuadrupole:
 
     def test_symmetric_and_traceless(self):
         for a, b in [(S1S, S3D0), (S3D1, S1S), (S2P0, S3D0)]:
-            q = quadrupole_moment(a, b)
+            q = transition_multipoles(a, b).quadrupole
             norm = max(float(np.max(np.abs(q))), 1e-300)
             assert np.max(np.abs(q - q.T)) / norm < 1e-12
             assert abs(np.trace(q)) < 1e-12 * max(norm, 1.0)
@@ -235,26 +230,28 @@ class TestCurrentKernel:
         grid = grid_for_pair(S2P1, S1S)
         kernel = current_kernel(S2P1, S1S, grid.points)
         integral = np.tensordot(grid.weights, kernel, axes=(0, 0))
-        expected = transition_frequency(S2P1, S1S) * np.imag(dipole_moment(S2P1, S1S))
+        expected = transition_frequency(S2P1, S1S) * np.imag(transition_multipoles(S2P1, S1S).dipole)
         assert np.max(np.abs(integral - expected)) / np.max(np.abs(expected)) < 1e-6
 
 
 class TestCurrentIntegrals:
     def test_identical_state_gives_zero(self):
-        dv, dt = current_integrals(S2P0, S2P0)
+        data = transition_multipoles(S2P0, S2P0)
+        dv, dt = data.delta_vec, data.delta_tensor
         assert np.max(np.abs(dv)) == 0.0
         assert np.max(np.abs(dt)) == 0.0
 
     def test_real_pair_2p0_1s_matches_oracle(self):
         # both states real: the kernel vanishes pointwise, and so must the oracle
-        dv, dt = current_integrals(S2P0, S1S)
+        data = transition_multipoles(S2P0, S1S)
+        dv, dt = data.delta_vec, data.delta_tensor
         ov, ot = oracle_current_moments(S2P0, S1S, nr=200, nt=24, nph=48)
         assert np.max(np.abs(dv - ov)) < 1e-6
         assert np.max(np.abs(dt - ot)) < 1e-6
         assert np.max(np.abs(dv)) < 1e-12
 
     def test_complex_pair_2p1_1s_vector_matches_oracle(self):
-        dv, _ = current_integrals(S2P1, S1S)
+        dv = transition_multipoles(S2P1, S1S).delta_vec
         ov, _ = oracle_current_moments(S2P1, S1S)
         assert abs(dv[1] - ov[1]) / abs(ov[1]) < 1e-6
         # frozen value computed from the oracle: -80/243
@@ -262,7 +259,7 @@ class TestCurrentIntegrals:
         assert abs(dv[0]) < 1e-12 and abs(dv[2]) < 1e-12
 
     def test_complex_pair_3d1_1s_tensor_matches_oracle(self):
-        _, dt = current_integrals(S3D1, S1S)
+        dt = transition_multipoles(S3D1, S1S).delta_tensor
         _, ot = oracle_current_moments(S3D1, S1S)
         assert np.max(np.abs(dt - ot)) < 1e-6 * max(np.max(np.abs(ot)), 1.0)
         # frozen value computed from the oracle: the (y,z) channel is -1/40
@@ -275,18 +272,18 @@ class TestParitySelection:
         (S1S, S2S), (S2P0, S2P1), (S2P0, BoundState(3, 1, 0)), (S1S, S3D0),
     ])
     def test_dipole_vanishes_for_even_l_sum(self, a, b):
-        assert np.max(np.abs(dipole_moment(a, b))) < 1e-10
+        assert np.max(np.abs(transition_multipoles(a, b).dipole)) < 1e-10
 
     @pytest.mark.parametrize("a,b", [
         (S1S, S2P0), (S2S, BoundState(3, 1, 0)), (S3D0, S2P1),
     ])
     def test_quadrupole_vanishes_for_odd_l_sum(self, a, b):
-        assert np.max(np.abs(quadrupole_moment(a, b))) < 1e-10
+        assert np.max(np.abs(transition_multipoles(a, b).quadrupole)) < 1e-10
 
 
 class TestCouplingRates:
     def test_einstein_a_2p_1s(self):
-        rates = coupling_rates(S2P0, S1S)
+        rates = transition_multipoles(S2P0, S1S).rates()
         omega = 0.375
         oracle_au = (4.0 / 3.0) * omega**3 * DIPOLE_1S_2P0_Z**2 / 137.035999**3
         assert rates.a_rate == pytest.approx(oracle_au, rel=1e-10)
@@ -294,22 +291,22 @@ class TestCouplingRates:
         assert a_si == pytest.approx(6.268e8, rel=1e-3)
 
     def test_quadrupole_rate_vanishes_by_parity(self):
-        assert coupling_rates(S2P0, S1S).c_rate == pytest.approx(0.0, abs=1e-20)
+        assert transition_multipoles(S2P0, S1S).rates().c_rate == pytest.approx(0.0, abs=1e-20)
 
     def test_dipole_rate_vanishes_by_parity(self):
-        assert coupling_rates(S1S, S2S).a_rate == pytest.approx(0.0, abs=1e-20)
+        assert transition_multipoles(S1S, S2S).rates().a_rate == pytest.approx(0.0, abs=1e-20)
 
     def test_antisymmetry_under_swap(self):
         for a, b in [(S2P0, S1S), (S3D1, S1S), (S2P1, S1S)]:
-            r_ab = coupling_rates(a, b)
-            r_ba = coupling_rates(b, a)
+            r_ab = transition_multipoles(a, b).rates()
+            r_ba = transition_multipoles(b, a).rates()
             scale = max(abs(r_ab.a_rate), 1e-30)
             assert abs(r_ab.a_rate + r_ba.a_rate) / scale < 1e-10
             assert abs(r_ab.b_rate + r_ba.b_rate) < 1e-20
             assert abs(r_ab.c_rate + r_ba.c_rate) < 1e-20
 
     def test_degenerate_pair_exact_zeros(self):
-        rates = coupling_rates(S2P0, BoundState(2, 1, 1))
+        rates = transition_multipoles(S2P0, BoundState(2, 1, 1)).rates()
         assert rates.a_rate == 0.0 and rates.b_rate == 0.0 and rates.c_rate == 0.0
 
     def test_b_and_c_contractions_are_imaginary(self):
@@ -349,24 +346,24 @@ class TestGradientElements:
 
 class TestGammaEstimate:
     def test_zero_cutoff(self):
-        assert gamma_estimate(S2P0, S1S, 0.0) == 0.0
+        assert transition_multipoles(S2P0, S1S).gamma(0.0) == 0.0
 
     def test_negative_cutoff_rejected(self):
         with pytest.raises(ValueError):
-            gamma_estimate(S2P0, S1S, -1.0)
+            transition_multipoles(S2P0, S1S).gamma(-1.0)
 
     @pytest.mark.parametrize("k_max", [-1.0, math.nan, math.inf])
     def test_cutoff_must_be_finite_and_nonnegative(self, k_max):
         with pytest.raises(ValueError, match="k_max must be finite and nonnegative"):
             transition_multipoles(S2P0, S1S).gamma(k_max)
         with pytest.raises(ValueError, match="k_max must be finite and nonnegative"):
-            coupling_rates(S2P0, S1S, k_max=k_max)
+            transition_multipoles(S2P0, S1S).rates(k_max=k_max)
 
     def test_exactly_symmetric(self):
         for k in (1.0, 2.0, 4.0, 8.0):
-            assert gamma_estimate(S2P0, S1S, k) - gamma_estimate(S1S, S2P0, k) == 0.0
+            assert transition_multipoles(S2P0, S1S).gamma(k) - transition_multipoles(S1S, S2P0).gamma(k) == 0.0
 
     def test_monotone_in_cutoff(self):
-        values = [abs(gamma_estimate(S2P0, S1S, k)) for k in (1.0, 2.0, 4.0, 8.0)]
+        values = [abs(transition_multipoles(S2P0, S1S).gamma(k)) for k in (1.0, 2.0, 4.0, 8.0)]
         assert values == sorted(values)
         assert values[0] > 0.0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from quadbloch import BoundState, grid_for_pair, overlap, quadrupole_moment, transition_multipoles
+from quadbloch import BoundState, grid_for_pair, overlap, transition_multipoles
 from quadbloch.quadrature import _angular_rule, _product_grid, _radial_rule
 from test_multipole import reference_multipoles
 
@@ -159,7 +159,7 @@ class TestExactness:
             assert q_zz.real == pytest.approx(Q_ZZ_15P0, rel=1e-12)
 
     def test_default_path_quadrupole_3p0_2p0(self):
-        assert quadrupole_moment(S3P0, S2P0)[2, 2].real == pytest.approx(Q_ZZ_3P0_2P0, rel=1e-12)
+        assert transition_multipoles(S3P0, S2P0).quadrupole[2, 2].real == pytest.approx(Q_ZZ_3P0_2P0, rel=1e-12)
 
     @pytest.mark.parametrize("a,b", [
         (BoundState(4, 3, 3), BoundState(4, 3, 1)),

@@ -13,11 +13,12 @@ from quadbloch import (
     bloch_flow,
     bloch_rhs,
     bloch_to_density,
-    density_rhs_two_level,
     exact_trajectory,
     frequency_shift,
 )
 from quadbloch.twolevel import _log_cosh_ratio
+
+from oracles import density_rhs_two_level
 
 
 def random_params(rng, q_range=(0.01, 1.0), coeff_range=(0.0, 10.0)):
