@@ -19,6 +19,7 @@ import numpy as np
 
 from . import constants
 from .config import ConfigError, RunConfig, parse_config_with_overrides
+from .csvformat import format_rows
 from .hydrogenic import transition_frequency
 from .integrator import StepSizeError, Trajectory, exact_trajectory, time_grid
 from .integrator import integrate  # noqa: F401  # unused; bench/selftest.py checks the tracer rebinds it
@@ -27,8 +28,7 @@ from .twolevel import BlochVector, TwoLevelParams, additional_shift, frequency_s
 from .verification import run_checks
 
 _COEFF_FMT = ".11e"        # 12 significant digits
-_CSV_FMT = ".16e"          # 17 significant digits
-_CSV_ROWS_PER_WRITE = 1024
+_CSV_ROWS_PER_WRITE = 512
 _AXES = "xyz"
 
 
@@ -127,17 +127,17 @@ def _metadata_lines(cfg: RunConfig, p: TwoLevelParams, traj: Trajectory) -> list
 
 
 def _write_csv_rows(fh, columns) -> None:
-    """Write equal-length columns as rows of ``_CSV_FMT`` numbers joined by commas.
+    """Write equal-length columns as rows of ``%.16e`` numbers joined by commas.
 
-    One ``%`` template formats a row (the same text as ``format(x, _CSV_FMT)``
-    per cell), and rows go out a block at a time, so the whole file is never
-    held as one string.
+    Every cell is the same text as ``format(x, ".16e")``: ``csvformat``
+    formats a block of rows at once and writes a cell itself only where its
+    error bound proves the digits, handing every other cell to ``format``.
+    Rows go out a block at a time, so the whole file is never held as one
+    string.
     """
-    template = ",".join(["%" + _CSV_FMT] * len(columns)) + "\n"
     for first in range(0, len(columns[0]), _CSV_ROWS_PER_WRITE):
         block = slice(first, first + _CSV_ROWS_PER_WRITE)
-        rows = zip(*(col[block].tolist() for col in columns))
-        fh.write("".join([template % row for row in rows]))
+        fh.write(format_rows(np.column_stack([col[block] for col in columns])))
 
 
 def run_simulate(cfg: RunConfig, out=None) -> int:

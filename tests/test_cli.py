@@ -285,6 +285,20 @@ class TestVerify:
         agree_line = next(l for l in out.splitlines() if l.startswith("analytic_agreement"))
         assert float(agree_line.split()[1]) > 1e-8
 
+    @pytest.mark.parametrize("step", ["0.05", "0.02", "0.005"])
+    def test_order_measured_clear_of_rounding(self, tmp_path, capsys, step):
+        # at 0.02 and 0.005 the order step span/2000 = 0.02 leaves the half-step
+        # estimate at 5e-14, where the ratio read 1.81; it is doubled twice, to 0.08
+        cfg = write(tmp_path / "v.cfg",
+                    "mode = verify\nstate_a = 3d+1\nstate_b = 2p0\ngamma11 = 0.01\ngamma22 = 0.005\n"
+                    f"t_start = -10\nt_end = 30\nstep = {step}\n")
+        assert main(["verify", "--config", cfg]) == 0
+        conv_line = next(l for l in capsys.readouterr().out.splitlines()
+                         if l.startswith("convergence_order"))
+        measured, status = conv_line.split()[1], conv_line.split()[-1]
+        assert status == "pass"
+        assert measured == {"0.05": "1.581720e+01"}.get(step, "1.604033e+01")
+
 
 class TestShift:
     def test_identity_residual_and_t0_row(self, tmp_path, capsys):

@@ -147,3 +147,13 @@ def test_convergence_order_equals_separate_integrations(span, canonical_params):
     coarse = integrate(None, canonical_params, t_start, t_end, conv_step)
     half = integrate(None, canonical_params, t_start, t_end, conv_step / 2.0)
     assert _check(report, "convergence_order").measured == coarse.error_estimate / half.error_estimate
+
+
+def test_order_skipped_when_no_step_clears_rounding():
+    # a rotation of 1e-4 rad per unit time leaves every Richardson estimate at
+    # rounding level, where the ratio read 0.094 and failed
+    p = TwoLevelParams(omega21=1e-4, gamma11=0.0, gamma22=0.0, gamma12=0.0)
+    report, _ = run_checks(p, -10.0, 10.0, 0.01)
+    check = _check(report, "convergence_order")
+    assert check.skipped and check.tolerance == "at rounding level"
+    assert report.passed
