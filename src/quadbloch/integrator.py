@@ -79,9 +79,15 @@ def _pz_recurrence(pz: float, q: float, h: float, n_steps: int) -> list[float]:
 
     The float operations are those of the third component of an RK4 step on
     ``bloch_rhs``, in the same order. Stops after the first value that is
-    not within the ball's slack (nan included).
+    not within the ball's slack (nan included). A fixed point of the step
+    skips the loop.
     """
     half, c = 0.5 * h, h / 6.0
+    k1 = q * (pz * pz - 1.0)
+    if k1 == 0.0 and abs(pz) <= _NORM_ABORT:
+        # q = 0, Pz = +-1 or an underflow: every stage is k1, so every step
+        # returns Pz (pz + c * k1 settles only the sign of a zero Pz)
+        return [pz] + [pz + c * k1] * n_steps
     out = [pz]
     append = out.append
     for _ in range(n_steps):

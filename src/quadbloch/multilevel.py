@@ -4,13 +4,30 @@ The equation of motion combines four pieces: free rotation at the level
 splittings, a population-weighted frequency shift from the Gamma matrix,
 nonlinear relaxation from the antisymmetric rate matrices, and coupling of
 the coherences to an externally applied vector field through the dipole
-matrix. Antisymmetry of the rates makes the trace exactly conserved, and
-Hermiticity of rho is preserved to first order.
+matrix. Antisymmetry of the rates makes the trace exactly conserved.
 
 With populations p, u = Gamma p and w = (A/2 - B + C) p, the shift and
-relaxation of rho_ab are -i (u_a - u_b) - (w_a + w_b). ``NLevelSystem``
-stores the complex rate matrix (A/2 - B + C) + i Gamma, so one product gives
-y = w + i u and both terms are -(y_a + conj y_b).
+relaxation of rho_ab are -i (u_a - u_b) - (w_a + w_b), and the drive adds
+-[V, rho] with V(t) = sum_i A0_i(t) Omega D_i / c (entrywise in a, b), which
+is anti-Hermitian. ``NLevelSystem`` stores the complex rate matrix
+(A/2 - B + C) + i Gamma, so one product gives y = w + i u, and
+``multilevel_rhs`` evaluates the generator form
+
+    X = y_a rho_ab + (V rho)_ab,    d rho/dt = -i Omega_ab rho_ab - (X + X^H)_ab.
+
+For Hermitian rho this is the sum above, because (V rho)^H = -rho V, and it
+takes one complex matrix product. X + X^H is Hermitian by construction, so
+the derivative at an exactly Hermitian rho is exactly Hermitian, and RK4
+with real coefficients keeps such a rho exactly Hermitian.
+
+A rho that is Hermitian only to delta = max |rho - rho^H| (at most 1e-9 is
+accepted) has the populations of its Hermitian part H = (rho + rho^H) / 2.
+Every entry of the result lies within
+
+    delta (max |Omega| / 2 + max |y| + ||V||)
+
+of the exact derivative at H, plus rounding, where ||V|| is the largest sum
+of |V_ab| over a row.
 
 ``multilevel_rhs`` checks its input on every call: shape, finiteness,
 Hermiticity and unit trace of rho, and the shape of the drive's field.
@@ -80,8 +97,9 @@ class NLevelSystem:
         object.__setattr__(self, "_free", -1j * omega)
         relax = 0.5 * self.a_rates - self.b_rates + self.c_rates
         object.__setattr__(self, "_rates", relax + 1j * self.gamma)
-        # Omega_ab D_ab / c, so the drive coupling is one product with A0(t)
-        object.__setattr__(self, "_drive_dipoles", omega[:, :, None] * dip / SPEED_OF_LIGHT)
+        # Omega_ab D_ab / c as rows of (N^2, 3), so V(t) is one product with A0(t)
+        object.__setattr__(self, "_drive_dipoles",
+                           (omega[:, :, None] * dip / SPEED_OF_LIGHT).reshape(n * n, 3))
 
     @property
     def level_count(self) -> int:
@@ -96,32 +114,30 @@ def multilevel_rhs(rho: np.ndarray, system: NLevelSystem, t: float = 0.0) -> np.
     """Time derivative of an N x N density matrix.
 
     Rejects inputs that are not finite, Hermitian and of unit trace
-    (tolerance 1e-9); the returned derivative is traceless and Hermitian
-    to rounding.
+    (tolerance 1e-9); the returned derivative is traceless to rounding and
+    exactly Hermitian when rho is.
     """
     rho = np.asarray(rho, dtype=complex)
     n = system.level_count
     if rho.shape != (n, n):
         raise ValueError(f"rho must have shape ({n}, {n})")
     # finite first, so that inf - inf in the difference cannot warn; "not <=" so nan fails
-    if not (np.isfinite(rho).all() and np.abs(rho - rho.conj().T).max() <= _INPUT_TOL):
+    if not (np.logical_and.reduce(np.isfinite(rho), axis=None)
+            and np.maximum.reduce(np.abs(rho - rho.conj().T), axis=None) <= _INPUT_TOL):
         raise ValueError("rho must be Hermitian (tolerance 1e-9)")
-    trace = rho.trace()
+    diag = rho.diagonal()
+    trace = diag.sum()
     if not (abs(trace.real - 1.0) <= _INPUT_TOL and abs(trace.imag) <= _INPUT_TOL):
         raise ValueError("rho must have unit trace (tolerance 1e-9)")
 
-    # y_a = w_a + i u_a, so -(y_a + conj y_b) = -(w_a + w_b) - i (u_a - u_b)
-    y = system._rates @ rho.diagonal().real
-    ddt = (system._free - y[:, None] - y.conj()) * rho
-
+    # ndarray.dot, not @: at a few levels the matmul ufunc's dispatch costs more
+    x = system._rates.dot(diag.real)[:, None] * rho
     if system.drive is not None:
         a0 = np.asarray(system.drive(t), dtype=float)
         if a0.shape != (3,):
             raise ValueError("drive must return a 3-vector")
-        coupling = system._drive_dipoles @ a0
-        ddt -= coupling @ rho - rho @ coupling
-
-    return ddt
+        x += system._drive_dipoles.dot(a0).reshape(n, n).dot(rho)
+    return system._free * rho - (x + x.conj().T)
 
 
 def frequency_shift_general(populations: np.ndarray, gamma_matrix: np.ndarray) -> np.ndarray:

@@ -240,4 +240,5 @@ def additional_shift(t, p: TwoLevelParams):
         # saturated tanh at extreme arguments; fall back to the identical difference form
         difference = frequency_shift(t, p) - frequency_shift(t, p.dipole_only())
         value = np.where(saturated, difference, value)
-    return _scalar_or_array(value)
+    # tanh(-0.0) where c12 = b12 and t < t0; + 0.0 writes that zero as 0.0
+    return _scalar_or_array(value + 0.0)

@@ -324,6 +324,17 @@ class TestShift:
         assert np.max(np.abs(rows[:, 3])) == 0.0
 
 
+    def test_no_negative_zero_cell(self, tmp_path, capsys):
+        # README's run.cfg has b12 = c12 = 0, where additional_shift is zero on both sides of t0
+        cfg = write(tmp_path / "run.cfg",
+                    "mode = shift\nomega21 = 1.0\na12 = 0.2\ngamma11 = 0.02\ngamma12 = -0.04\n"
+                    "t_start = -20\nt_end = 20\nstep = 0.001\n")
+        assert main(["shift", "--config", cfg]) == 0
+        cells = [cell for line in capsys.readouterr().out.splitlines()[1:] for cell in line.split(",")]
+        assert len(cells) == 5 * 40_001
+        assert "-0.0000000000000000e+00" not in cells
+
+
 class TestParserReuse:
     def test_each_call_sees_only_its_own_overrides(self, tmp_path, capsys):
         from quadbloch.cli import _build_parser

@@ -221,6 +221,35 @@ class TestAgainstLoopOracle:
             assert _pz_recurrence(pz, p.q, h, 1) == [pz, expected]
 
 
+def _pz_loop(pz, q, h, n_steps):
+    """The Pz recurrence run step by step, with no shortcut."""
+    half, c = 0.5 * h, h / 6.0
+    out = [pz]
+    for _ in range(n_steps):
+        k1 = q * (pz * pz - 1.0)
+        k2 = q * ((pz + half * k1) ** 2 - 1.0)
+        k3 = q * ((pz + half * k2) ** 2 - 1.0)
+        k4 = q * ((pz + h * k3) ** 2 - 1.0)
+        pz = pz + c * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(pz)
+        if not abs(pz) <= 1.0 + 1e-6:
+            break
+    return out
+
+
+class TestPzFixedPoint:
+    @pytest.mark.parametrize("q, pz", [
+        (0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (0.0, 0.3), (-0.0, -0.8),
+        (0.0, 1.0), (0.0, -1.0), (0.7, 1.0), (0.7, -1.0), (-0.7, 1.0), (-0.7, -1.0),
+        (0.0, 1.5),                     # outside the ball: the loop stops after one step
+        (0.1, 0.3), (-0.2, -0.6),       # controls that move
+    ])
+    def test_matches_loop_to_the_bit(self, q, pz):
+        got, expected = _pz_recurrence(pz, q, 0.02, 500), _pz_loop(pz, q, 0.02, 500)
+        # tobytes tells -0.0 from 0.0, which == does not
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+
 class TestStepAbort:
     def test_oversized_step_aborts_with_diagnostic(self):
         p = TwoLevelParams(omega21=5.0, a12=0.2)

@@ -135,9 +135,9 @@ class TestMultilevelRhs:
 
     @pytest.mark.parametrize("driven", [False, True])
     def test_matches_reference(self, rng, driven):
-        # one complex rate product in place of two real ones: equal to rounding
+        # the generator form in place of the commutator written out: equal to rounding
         drive = (lambda t: np.array([0.4 * np.cos(2.0 * t), 0.1, -0.3 * np.sin(t)])) if driven else None
-        for n in (2, 3, 4, 5, 6):
+        for n in (2, 3, 4, 5, 6, 10, 30):
             sysm = random_system(rng, n, drive=drive)
             for t in rng.uniform(-3.0, 3.0, size=10):
                 rho = random_hermitian_density(rng, n)
@@ -164,6 +164,45 @@ class TestMultilevelRhs:
             sysm = random_system(rng, n, drive=drive)
             d = multilevel_rhs(random_hermitian_density(rng, n), sysm, t=1.2)
             assert np.max(np.abs(d - d.conj().T)) < 1e-12
+
+    def test_exactly_hermitian_over_long_driven_integration(self, rng):
+        # X + X^H is Hermitian entry for entry, and RK4's coefficients are real
+        drive = lambda t: np.array([0.4 * np.cos(2.0 * t), 0.1, -0.3 * np.sin(t)])
+        sysm = random_system(rng, 5, drive=drive)
+        rho = random_hermitian_density(rng, 5)
+        rho = 0.5 * (rho + rho.conj().T)
+        assert np.array_equal(rho, rho.conj().T)
+        h = 1e-3
+        for step in range(20_000):
+            t = step * h
+            k1 = multilevel_rhs(rho, sysm, t)
+            k2 = multilevel_rhs(rho + 0.5 * h * k1, sysm, t + 0.5 * h)
+            k3 = multilevel_rhs(rho + 0.5 * h * k2, sysm, t + 0.5 * h)
+            k4 = multilevel_rhs(rho + h * k3, sysm, t + h)
+            rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.array_equal(rho, rho.conj().T)
+
+    def test_nearly_hermitian_input_within_stated_bound(self, rng):
+        # delta (max|Omega|/2 + max|y| + ||V||) from the Hermitian part, as the module states
+        a0 = np.array([0.4, -0.9, 0.25])
+        for n in (3, 6, 10):
+            sysm = random_system(rng, n, drive=lambda t: a0)
+            herm = random_hermitian_density(rng, n)
+            skew = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            skew = skew - skew.conj().T
+            np.fill_diagonal(skew, 0.0)
+            rho = herm + 0.25e-9 / np.max(np.abs(skew)) * skew
+            delta = np.max(np.abs(rho - rho.conj().T))
+            assert delta == pytest.approx(0.5e-9, rel=1e-6)
+            part = 0.5 * (rho + rho.conj().T)
+            pops = np.real(np.diag(rho))
+            y = (0.5 * sysm.a_rates - sysm.b_rates + sysm.c_rates + 1j * sysm.gamma) @ pops
+            omega = sysm.omega_matrix()
+            v = (omega[:, :, None] * sysm.dipoles / SPEED_OF_LIGHT) @ a0
+            bound = delta * (0.5 * np.max(np.abs(omega)) + np.max(np.abs(y))
+                             + np.max(np.sum(np.abs(v), axis=1)))
+            ref = reference_rhs(part, sysm)
+            assert np.max(np.abs(multilevel_rhs(rho, sysm) - ref)) <= bound + 1e-14 * np.max(np.abs(ref))
 
     def test_drive_moves_populations(self):
         # a resonant-ish drive must couple populations through the dipole term
