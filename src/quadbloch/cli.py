@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .hydrogenic import transition_frequency
 from .integrator import StepSizeError, Trajectory, exact_trajectory, time_grid
 from .integrator import integrate  # noqa: F401  # unused; bench/selftest.py checks the tracer rebinds it
 from .multipole import transition_multipoles
-from .twolevel import BlochVector, TwoLevelParams, additional_shift, frequency_shift
+from .twolevel import TwoLevelParams, additional_shift, frequency_shift
 from .verification import run_checks
 
 _COEFF_FMT = ".11e"        # 12 significant digits
@@ -36,23 +37,15 @@ def _resolve_params(cfg: RunConfig) -> TwoLevelParams:
     """Two-level parameters from explicit rates or from a level pair.
 
     With a state pair, state_a plays the role of level 1 (the level that
-    decays when the resulting q is positive) and state_b the role of level 2.
-    The shift coefficients always come from the config (default 0).
+    decays when the resulting q is positive) and state_b the role of level 2;
+    omega21 and the rates come from the pair. The shift coefficients and t0
+    always come from the config (default 0).
     """
-    if cfg.has_state_pair:
-        rates = transition_multipoles(cfg.state_a, cfg.state_b).rates()
-        omega21 = transition_frequency(cfg.state_b, cfg.state_a)
-        a12, b12, c12 = rates.a_rate, rates.b_rate, rates.c_rate
-    else:
-        omega21 = cfg.omega21
-        a12 = cfg.a12 if cfg.a12 is not None else 0.0
-        b12 = cfg.b12 if cfg.b12 is not None else 0.0
-        c12 = cfg.c12 if cfg.c12 is not None else 0.0
-    return TwoLevelParams(
-        omega21=omega21,
-        gamma11=cfg.gamma11, gamma22=cfg.gamma22, gamma12=cfg.gamma12,
-        a12=a12, b12=b12, c12=c12, t0=cfg.t0,
-    )
+    if not cfg.has_state_pair:
+        return cfg.params
+    rates = transition_multipoles(cfg.state_a, cfg.state_b).rates()
+    return replace(cfg.params, omega21=transition_frequency(cfg.state_b, cfg.state_a),
+                   a12=rates.a_rate, b12=rates.b_rate, c12=rates.c_rate)
 
 
 def _fmt(value: float) -> str:
@@ -74,7 +67,7 @@ def run_coeffs(cfg: RunConfig, out=None) -> int:
     out = out or sys.stdout
     si = cfg.units == "si"
     data = transition_multipoles(cfg.state_a, cfg.state_b)
-    rates = data.rates(cfg.k_max)
+    rates = data.rates()
 
     freq_c = constants.PER_ATOMIC_TIME_S if si else 1.0
     dip_c = constants.DIPOLE_CM if si else 1.0
@@ -99,8 +92,8 @@ def run_coeffs(cfg: RunConfig, out=None) -> int:
     print(f"{'A':16s} {_fmt(rates.a_rate * freq_c)}", file=out)
     print(f"{'B':16s} {_fmt(rates.b_rate * freq_c)}", file=out)
     print(f"{'C':16s} {_fmt(rates.c_rate * freq_c)}", file=out)
-    if rates.gamma is not None:
-        print(f"{f'Gamma(k_max={cfg.k_max:g})':16s} {_fmt(rates.gamma * freq_c)}", file=out)
+    if cfg.k_max is not None:
+        print(f"{f'Gamma(k_max={cfg.k_max:g})':16s} {_fmt(data.gamma(cfg.k_max) * freq_c)}", file=out)
     return 0
 
 
@@ -143,8 +136,7 @@ def _write_csv_rows(fh, columns) -> None:
 def run_simulate(cfg: RunConfig, out=None) -> int:
     """Write the exact flow sampled every ~``step`` (no numeric integration)."""
     p = _resolve_params(cfg)
-    initial = BlochVector(*cfg.initial) if cfg.initial is not None else None
-    traj = exact_trajectory(initial, p, cfg.t_start, cfg.t_end, cfg.step)
+    traj = exact_trajectory(cfg.initial, p, cfg.t_start, cfg.t_end, cfg.step)
 
     si = cfg.units == "si"
     t_c = constants.ATOMIC_TIME_S if si else 1.0
@@ -168,10 +160,8 @@ def run_simulate(cfg: RunConfig, out=None) -> int:
 
 def run_verify(cfg: RunConfig, out=None, flip_rotation: bool = False) -> int:
     out = out or sys.stdout
-    p = _resolve_params(cfg)
-    initial = BlochVector(*cfg.initial) if cfg.initial is not None else None
-    report, _ = run_checks(p, cfg.t_start, cfg.t_end, cfg.step,
-                           initial=initial, flip_rotation=flip_rotation)
+    report, _ = run_checks(_resolve_params(cfg), cfg.t_start, cfg.t_end, cfg.step,
+                           initial=cfg.initial, flip_rotation=flip_rotation)
     print(report.format(), file=out)
     return 0 if report.passed else 2
 

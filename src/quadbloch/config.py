@@ -10,18 +10,18 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .hydrogenic import _ORBITAL_LETTERS, BoundState
-from .twolevel import BALL_SLACK
+from .twolevel import BALL_SLACK, BlochVector, TwoLevelParams
 
 MODES = ("coeffs", "simulate", "verify", "shift")
-DYNAMIC_MODES = ("simulate", "verify", "shift")
 
 _RATE_KEYS = ("omega21", "a12", "b12", "c12")
 _GAMMA_KEYS = ("gamma11", "gamma22", "gamma12")
 _TIME_KEYS = ("t_start", "t_end", "step", "t0")
 _FLOAT_KEYS = _RATE_KEYS + _GAMMA_KEYS + _TIME_KEYS + ("k_max", "px0", "py0", "pz0")
+_PARAM_KEYS = tuple(f.name for f in fields(TwoLevelParams))
 _KNOWN_KEYS = ("mode", "state_a", "state_b", "output", "units") + _FLOAT_KEYS
 
 _STATE_TOKEN = re.compile(r"^(\d+)([a-z])([+-]?\d+)?$")
@@ -59,35 +59,40 @@ def parse_state(token: str) -> BoundState:
 @dataclass(frozen=True)
 class RunConfig:
     mode: str
+    params: TwoLevelParams
     state_a: BoundState | None = None
     state_b: BoundState | None = None
-    omega21: float | None = None
-    gamma11: float = 0.0
-    gamma22: float = 0.0
-    gamma12: float = 0.0
-    a12: float | None = None
-    b12: float | None = None
-    c12: float | None = None
-    t0: float = 0.0
     t_start: float | None = None
     t_end: float | None = None
     step: float | None = None
     k_max: float | None = None
     output: str | None = None
     units: str = "atomic"
-    initial: tuple[float, float, float] | None = None
+    initial: BlochVector | None = None
 
     @property
     def has_state_pair(self) -> bool:
         return self.state_a is not None and self.state_b is not None
 
-    @property
-    def has_explicit_rates(self) -> bool:
-        return any(v is not None for v in (self.omega21, self.a12, self.b12, self.c12))
+
+def _add_entry(raw: dict[str, tuple[str, str]], entry: str, where: str, replace: bool):
+    """Record one ``key = value`` entry in ``raw`` as key -> (value, where).
+
+    The one check of a key and its value for file lines and override tokens
+    alike; an override (``replace``) may set a key again, a line may not.
+    """
+    key, value = (part.strip() for part in entry.split("=", 1))
+    if key not in _KNOWN_KEYS:
+        raise ConfigError(f"{where}: unknown key '{key}'")
+    if key in raw and not replace:
+        raise ConfigError(f"{where}: duplicate key '{key}'")
+    if not value:
+        raise ConfigError(f"{where}: key '{key}' has no value")
+    raw[key] = (value, where)
 
 
 def _parse_lines(text: str) -> dict[str, tuple[str, str]]:
-    """Raw key -> (value, location) mapping with duplicate/unknown detection."""
+    """Raw key -> (value, location) mapping of a document's lines."""
     raw: dict[str, tuple[str, str]] = {}
     for idx, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -95,14 +100,7 @@ def _parse_lines(text: str) -> dict[str, tuple[str, str]]:
             continue
         if "=" not in stripped:
             raise ConfigError(f"line {idx}: expected 'key = value', got {line.strip()!r}")
-        key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _KNOWN_KEYS:
-            raise ConfigError(f"line {idx}: unknown key '{key}'")
-        if key in raw:
-            raise ConfigError(f"line {idx}: duplicate key '{key}'")
-        if not value:
-            raise ConfigError(f"line {idx}: key '{key}' has no value")
-        raw[key] = (value, f"line {idx}")
+        _add_entry(raw, stripped, f"line {idx}", replace=False)
     return raw
 
 
@@ -140,20 +138,14 @@ def _build(raw: dict[str, tuple[str, str]], default_mode: str | None) -> RunConf
     initial_keys = [k for k in ("px0", "py0", "pz0") if floats[k] is not None]
     if initial_keys and len(initial_keys) != 3:
         raise ConfigError("px0, py0, pz0 must be given together")
-    initial = (floats["px0"], floats["py0"], floats["pz0"]) if len(initial_keys) == 3 else None
+    initial = BlochVector(floats["px0"], floats["py0"], floats["pz0"]) if len(initial_keys) == 3 else None
 
     cfg = RunConfig(
         mode=mode,
+        # unset keys keep their defaults; a state pair's run replaces omega21 and the rates
+        params=TwoLevelParams(**{"omega21": 0.0, **{k: floats[k] for k in _PARAM_KEYS if k in raw}}),
         state_a=state_a,
         state_b=state_b,
-        omega21=floats["omega21"],
-        gamma11=floats["gamma11"] if floats["gamma11"] is not None else 0.0,
-        gamma22=floats["gamma22"] if floats["gamma22"] is not None else 0.0,
-        gamma12=floats["gamma12"] if floats["gamma12"] is not None else 0.0,
-        a12=floats["a12"],
-        b12=floats["b12"],
-        c12=floats["c12"],
-        t0=floats["t0"] if floats["t0"] is not None else 0.0,
         t_start=floats["t_start"],
         t_end=floats["t_end"],
         step=floats["step"],
@@ -162,22 +154,23 @@ def _build(raw: dict[str, tuple[str, str]], default_mode: str | None) -> RunConf
         units=units,
         initial=initial,
     )
-    _validate(cfg)
+    _validate(cfg, raw)
     return cfg
 
 
-def _validate(cfg: RunConfig):
+def _validate(cfg: RunConfig, raw: dict[str, tuple[str, str]]):
+    explicit_rates = any(key in raw for key in _RATE_KEYS)
     if cfg.mode == "coeffs":
         if not cfg.has_state_pair:
             raise ConfigError("coeffs mode requires state_a and state_b")
-        if cfg.has_explicit_rates:
+        if explicit_rates:
             raise ConfigError("coeffs mode takes a state pair, not explicit rates")
     else:
-        if cfg.has_state_pair and cfg.has_explicit_rates:
+        if cfg.has_state_pair and explicit_rates:
             raise ConfigError("give either a state pair or explicit rates, not both")
-        if not cfg.has_state_pair and not cfg.has_explicit_rates:
+        if not cfg.has_state_pair and not explicit_rates:
             raise ConfigError(f"{cfg.mode} mode needs a state pair or explicit rates")
-        if cfg.has_explicit_rates and cfg.omega21 is None:
+        if explicit_rates and "omega21" not in raw:
             raise ConfigError("explicit-rate configs must set omega21")
         for key in ("t_start", "t_end", "step"):
             if getattr(cfg, key) is None:
@@ -209,10 +202,5 @@ def parse_config_with_overrides(text: str, overrides: list[str],
     for token in overrides:
         if "=" not in token:
             raise ConfigError(f"override '{token}': expected key=value")
-        key, value = (part.strip() for part in token.split("=", 1))
-        if key not in _KNOWN_KEYS:
-            raise ConfigError(f"override '{token}': unknown key '{key}'")
-        if not value:
-            raise ConfigError(f"override '{token}': key '{key}' has no value")
-        raw[key] = (value, f"override '{token}'")
+        _add_entry(raw, token, f"override '{token}'", replace=True)
     return _build(raw, default_mode)

@@ -23,4 +23,3 @@ PER_ATOMIC_TIME_S = 1.0 / ATOMIC_TIME_S                    # rates and angular f
 # weighted moment e*a0/t_au.
 DELTA_VEC_SI = ELEMENTARY_CHARGE_C * BOHR_RADIUS_M**2 / ATOMIC_TIME_S
 DELTA_TENSOR_SI = ELEMENTARY_CHARGE_C * BOHR_RADIUS_M / ATOMIC_TIME_S
-WAVENUMBER_PER_M = 1.0 / BOHR_RADIUS_M                     # a0^-1 -> m^-1

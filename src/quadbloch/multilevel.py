@@ -85,7 +85,9 @@ class NLevelSystem:
         _require(dip.shape == (n, n, 3), f"dipoles must have shape ({n}, {n}, 3)")
         object.__setattr__(self, "dipoles", dip)
 
-        _require(np.all(np.isfinite(energies)), "energies must be finite")
+        # finite first, so that inf - inf in the symmetry checks cannot warn
+        for name in ("energies", "gamma", "a_rates", "b_rates", "c_rates", "dipoles"):
+            _require(np.all(np.isfinite(getattr(self, name))), f"{name} must be finite")
         _require(np.max(np.abs(self.gamma - self.gamma.T)) <= _STRUCT_TOL, "gamma must be symmetric")
         for name in ("a_rates", "b_rates", "c_rates"):
             mat = getattr(self, name)
@@ -147,6 +149,8 @@ def frequency_shift_general(populations: np.ndarray, gamma_matrix: np.ndarray) -
     n = pops.shape[0]
     if gamma.shape != (n, n):
         raise ValueError(f"gamma_matrix must have shape ({n}, {n})")
+    if not np.isfinite(gamma).all():
+        raise ValueError("gamma_matrix must be finite")
     # finite first, so that inf - inf in the sum cannot warn; "not <=" so nan fails
     if not (np.isfinite(pops).all() and abs(pops.sum() - 1.0) <= _INPUT_TOL):
         raise ValueError("populations must sum to 1 (tolerance 1e-9)")

@@ -54,7 +54,6 @@ class CouplingRates:
     a_rate: float
     b_rate: float
     c_rate: float
-    gamma: float | None = None
 
 
 @dataclass(frozen=True)
@@ -69,16 +68,15 @@ class MultipoleData:
     grad_ab: np.ndarray         # (3,) complex, <a|grad|b> = int conj(psi_a) grad psi_b
     grad_ba: np.ndarray         # (3,) complex, <b|grad|a>
 
-    def rates(self, k_max: float | None = None) -> CouplingRates:
-        """Radiative rates A_ab, B_ab, C_ab (and Gamma(k_max) when asked).
+    def rates(self) -> CouplingRates:
+        """Radiative rates A_ab, B_ab, C_ab; Gamma is ``gamma(k_max)``.
 
         Degenerate pairs return exact zeros: every rate carries the W^3
         prefactor. The B and C contractions are reported as real parts (see
         the module note on complex pairs).
         """
-        gamma = self.gamma(k_max) if k_max is not None else None
         if self.omega == 0.0:
-            return CouplingRates(0.0, 0.0, 0.0, gamma)
+            return CouplingRates(0.0, 0.0, 0.0)
         w3 = self.omega**3
         c = SPEED_OF_LIGHT
         d_dot = float(np.real(np.dot(self.dipole, np.conj(self.dipole))))
@@ -86,7 +84,7 @@ class MultipoleData:
         b_rate = float(np.real(np.dot(self.dipole, self.delta_vec))) * w3 / c**4
         sym_delta = 0.5 * (self.delta_tensor + self.delta_tensor.T)
         c_rate = float(np.real(np.sum(self.quadrupole * sym_delta))) * w3 / c**4
-        return CouplingRates(a_rate, b_rate, c_rate, gamma)
+        return CouplingRates(a_rate, b_rate, c_rate)
 
     def gamma(self, k_max: float) -> float:
         """Rough cutoff-regularized level-shift coefficient Gamma_ab(k_max).

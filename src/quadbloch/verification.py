@@ -34,6 +34,7 @@ _ORDER_WINDOW = (12.0, 20.0)
 _ORDER_FLOOR = 10.0
 _ORDER_DOUBLINGS = 4
 _FD_STEP = 1e-6
+_CHECK_TIMES = 1001          # samples of the closed-form and decomposition residuals
 _PHASE_MIN_AMPLITUDE = 1e-3
 
 
@@ -69,10 +70,10 @@ class Report:
 
 
 def _closed_form_residual(p: TwoLevelParams, rhs_params: TwoLevelParams, start, at: float,
-                          t_start: float, t_end: float, n_times: int = 1001) -> float:
+                          t_start: float, t_end: float) -> float:
     """Max |bloch_rhs(x(t), rhs_params) - dx/dt| along the flow x(t) of ``p``
     through ``start`` at time ``at``."""
-    times = np.linspace(t_start, t_end, n_times)
+    times = np.linspace(t_start, t_end, _CHECK_TIMES)
 
     def flow(t):
         return bloch_flow(t, p, start, at)
@@ -82,9 +83,8 @@ def _closed_form_residual(p: TwoLevelParams, rhs_params: TwoLevelParams, start, 
     return float(np.max(np.abs(rhs - fd)))
 
 
-def _shift_decomposition_residual(p: TwoLevelParams, t_start: float, t_end: float,
-                                  n_times: int = 1001) -> float:
-    times = np.linspace(t_start, t_end, n_times)
+def _shift_decomposition_residual(p: TwoLevelParams, t_start: float, t_end: float) -> float:
+    times = np.linspace(t_start, t_end, _CHECK_TIMES)
     full = frequency_shift(times, p)
     base = frequency_shift(times, p.dipole_only())
     return float(np.max(np.abs(full - base - additional_shift(times, p))))

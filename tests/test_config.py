@@ -1,7 +1,12 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from quadbloch import BoundState
-from quadbloch.config import ConfigError, parse_config, parse_config_with_overrides, parse_state
+from quadbloch.config import _KNOWN_KEYS, ConfigError, parse_config, parse_config_with_overrides, parse_state
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 MINIMAL_SIMULATE = """
 mode = simulate
@@ -12,6 +17,20 @@ t_end = 10
 step = 0.01
 output = run.csv
 """
+
+# valid documents that set every key between them
+FULL_SIMULATE = MINIMAL_SIMULATE + """units = si
+b12 = 0.05
+c12 = 0.01
+gamma11 = 0.02
+gamma22 = -0.03
+gamma12 = 0.04
+t0 = 1.5
+px0 = 0.6
+py0 = 0
+pz0 = 0.8
+"""
+FULL_COEFFS = "mode = coeffs\nstate_a = 2p0\nstate_b = 1s\nk_max = 2\n"
 
 # valid documents that take each key
 VALID_WITH = {
@@ -56,10 +75,10 @@ class TestParseConfig:
         cfg = parse_config(MINIMAL_SIMULATE)
         assert cfg.mode == "simulate"
         assert cfg.units == "atomic"
-        assert cfg.t0 == 0.0
-        assert cfg.gamma11 == 0.0 and cfg.gamma12 == 0.0
-        assert cfg.omega21 == 1.0 and cfg.a12 == 0.2
-        assert cfg.b12 is None and cfg.c12 is None
+        assert cfg.params.t0 == 0.0
+        assert cfg.params.gamma11 == 0.0 and cfg.params.gamma12 == 0.0
+        assert cfg.params.omega21 == 1.0 and cfg.params.a12 == 0.2
+        assert cfg.params.b12 == 0.0 and cfg.params.c12 == 0.0
         assert cfg.output == "run.csv"
 
     def test_comments_and_blank_lines_ignored(self):
@@ -120,7 +139,7 @@ class TestParseConfig:
     def test_state_pair_allows_gammas(self):
         text = "mode = verify\nstate_a = 2p0\nstate_b = 1s\ngamma11 = 0.1\nt_start = 0\nt_end = 1\nstep = 0.1\n"
         cfg = parse_config(text)
-        assert cfg.has_state_pair and cfg.gamma11 == 0.1
+        assert cfg.has_state_pair and cfg.params.gamma11 == 0.1
 
     def test_lone_state_rejected(self):
         with pytest.raises(ConfigError, match="together"):
@@ -178,3 +197,37 @@ class TestOverrides:
         text = "\n".join(line for line in MINIMAL_SIMULATE.splitlines() if not line.startswith("mode"))
         cfg = parse_config_with_overrides(text, [], default_mode="simulate")
         assert cfg.mode == "simulate"
+
+
+class TestSharedEntryCheck:
+    """File lines and ``--set`` tokens pass through one check of key and value."""
+
+    @pytest.mark.parametrize("key, value", [("bogus", "1"), ("t0", "")])
+    def test_line_and_override_fail_with_one_message(self, key, value):
+        token = f"{key}={value}"
+        text = MINIMAL_SIMULATE + f"{key} = {value}\n"
+        with pytest.raises(ConfigError) as from_line:
+            parse_config(text)
+        with pytest.raises(ConfigError) as from_override:
+            parse_config_with_overrides(MINIMAL_SIMULATE, [token])
+        line_prefix = f"line {len(text.splitlines())}: "
+        override_prefix = f"override '{token}': "
+        assert str(from_line.value).startswith(line_prefix)
+        assert str(from_override.value).startswith(override_prefix)
+        assert str(from_line.value).removeprefix(line_prefix) == \
+            str(from_override.value).removeprefix(override_prefix)
+
+    @pytest.mark.parametrize("key", _KNOWN_KEYS)
+    def test_override_builds_the_same_config_as_a_line(self, key):
+        text = FULL_COEFFS if key in ("state_a", "state_b", "k_max") else FULL_SIMULATE
+        (line,) = [line for line in text.splitlines() if line.split("=")[0].strip() == key]
+        without = "\n".join(other for other in text.splitlines() if other != line)
+        value = line.split("=", 1)[1].strip()
+        assert parse_config_with_overrides(without, [f"{key}={value}"]) == parse_config(text)
+
+
+def test_readme_names_exactly_the_known_keys():
+    match = re.search(r"Recognized\s+keys:\s+`([^`]*)`,\s+plus\s+`([^`]*)`", README.read_text())
+    assert match is not None
+    named = [key.strip() for key in match.group(1).split(",")] + match.group(2).split("/")
+    assert sorted(named) == sorted(_KNOWN_KEYS)

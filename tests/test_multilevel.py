@@ -94,6 +94,21 @@ class TestSystemValidation:
                          np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)), dip)
 
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["energies", "gamma", "a_rates", "b_rates", "c_rates", "dipoles"])
+    def test_non_finite_input_rejected(self, bad, name):
+        # a diagonal entry: inf - inf there would warn in the symmetry checks,
+        # and a nan would fail them with the wrong message
+        inputs = {"energies": np.zeros(3), "gamma": np.zeros((3, 3)), "a_rates": np.zeros((3, 3)),
+                  "b_rates": np.zeros((3, 3)), "c_rates": np.zeros((3, 3)),
+                  "dipoles": np.zeros((3, 3, 3), dtype=complex)}
+        inputs[name][(1,) * inputs[name].ndim] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                NLevelSystem(**inputs)
+
+
 class TestMultilevelRhs:
     def test_invalid_density_rejected(self, rng):
         sysm = random_system(rng, 3)
@@ -307,6 +322,15 @@ class TestFrequencyShiftGeneral:
     def test_population_sum_validated(self):
         with pytest.raises(ValueError, match="sum to 1"):
             frequency_shift_general(np.array([0.6, 0.6]), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gamma_rejected(self, bad):
+        gamma = np.eye(2)
+        gamma[0, 1] = gamma[1, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^gamma_matrix must be finite$"):
+                frequency_shift_general(np.array([0.5, 0.5]), gamma)
 
     @pytest.mark.parametrize("pops", [[np.nan, 0.5], [1.0, np.nan], [np.inf, 0.0], [np.inf, -np.inf]])
     def test_non_finite_populations_rejected(self, pops):

@@ -356,8 +356,6 @@ class TestGammaEstimate:
     def test_cutoff_must_be_finite_and_nonnegative(self, k_max):
         with pytest.raises(ValueError, match="k_max must be finite and nonnegative"):
             transition_multipoles(S2P0, S1S).gamma(k_max)
-        with pytest.raises(ValueError, match="k_max must be finite and nonnegative"):
-            transition_multipoles(S2P0, S1S).rates(k_max=k_max)
 
     def test_exactly_symmetric(self):
         for k in (1.0, 2.0, 4.0, 8.0):
