@@ -25,7 +25,7 @@ from .hydrogenic import transition_frequency
 from .integrator import StepSizeError, Trajectory, exact_trajectory, time_grid
 from .integrator import integrate  # noqa: F401  # unused; bench/selftest.py checks the tracer rebinds it
 from .multipole import transition_multipoles
-from .twolevel import TwoLevelParams, additional_shift, frequency_shift
+from .twolevel import TwoLevelParams, _flow_anchor, additional_shift, frequency_shift
 from .verification import run_checks
 
 _COEFF_FMT = ".11e"        # 12 significant digits
@@ -98,6 +98,7 @@ def run_coeffs(cfg: RunConfig, out=None) -> int:
 
 
 def _metadata_lines(cfg: RunConfig, p: TwoLevelParams, traj: Trajectory) -> list[str]:
+    start, at = _flow_anchor(p, cfg.t_start, cfg.initial)
     pairs = [
         ("units", cfg.units),
         ("omega21", f"{p.omega21:.17g}"),
@@ -113,6 +114,8 @@ def _metadata_lines(cfg: RunConfig, p: TwoLevelParams, traj: Trajectory) -> list
         ("t0", f"{p.t0:.17g}"),
         ("t_start", f"{cfg.t_start:.17g}"),
         ("t_end", f"{cfg.t_end:.17g}"),
+        ("start", ", ".join(f"{v:.17g}" for v in start)),
+        ("start_time", f"{at:.17g}"),
         ("step", f"{traj.step:.17g}"),
         ("method", "exact_flow"),
     ]
@@ -122,15 +125,16 @@ def _metadata_lines(cfg: RunConfig, p: TwoLevelParams, traj: Trajectory) -> list
 def _write_csv_rows(fh, columns) -> None:
     """Write equal-length columns as rows of ``%.16e`` numbers joined by commas.
 
-    Every cell is the same text as ``format(x, ".16e")``: ``csvformat``
-    formats a block of rows at once and writes a cell itself only where its
-    error bound proves the digits, handing every other cell to ``format``.
-    Rows go out a block at a time, so the whole file is never held as one
-    string.
+    Every cell is the same text as ``format(x, ".16e")`` with zeros unsigned:
+    ``csvformat`` formats a block of rows at once and writes a cell itself
+    only where its error bound proves the digits, handing every other cell to
+    ``format``. Rows go out a block at a time, so the whole file is never held
+    as one string.
     """
     for first in range(0, len(columns[0]), _CSV_ROWS_PER_WRITE):
         block = slice(first, first + _CSV_ROWS_PER_WRITE)
-        fh.write(format_rows(np.column_stack([col[block] for col in columns])))
+        # -0.0 + 0.0 is 0.0: the sign of a zero is not written
+        fh.write(format_rows(np.column_stack([col[block] for col in columns]) + 0.0))
 
 
 def run_simulate(cfg: RunConfig, out=None) -> int:
@@ -173,10 +177,11 @@ def run_shift(cfg: RunConfig, out=None) -> int:
     freq_c = constants.PER_ATOMIC_TIME_S if cfg.units == "si" else 1.0
     t_c = constants.ATOMIC_TIME_S if cfg.units == "si" else 1.0
 
+    start = (cfg.initial, cfg.t_start)
     times, _ = time_grid(cfg.t_start, cfg.t_end, cfg.step)
-    full = frequency_shift(times, p)
-    base = frequency_shift(times, dipole_only)
-    extra = additional_shift(times, p)
+    full = frequency_shift(times, p, *start)
+    base = frequency_shift(times, dipole_only, *start)
+    extra = additional_shift(times, p, *start)
     print("t,shift_full,shift_dipole_only,additional_shift,identity_residual", file=out)
     _write_csv_rows(out, (times * t_c, full * freq_c, base * freq_c, extra * freq_c,
                           (full - base - extra) * freq_c))
@@ -194,8 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("coeffs", "print transition moments and coupling rates for a level pair"),
         ("simulate", "write the exact Bloch trajectory as CSV"),
         ("verify", "run the invariant checks at the configured parameters"),
-        ("shift", "tabulate the frequency-shift decomposition along the default closed form "
-                   "(px0/py0/pz0 are not read)"),
+        ("shift", "tabulate the frequency-shift decomposition along the run's own trajectory"),
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to a key=value config file")

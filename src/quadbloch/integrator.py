@@ -30,6 +30,9 @@ from .twolevel import (BALL_SLACK, BlochVector, TwoLevelParams, _flow_anchor, _s
                        bloch_rhs, bloch_to_density)
 
 _NORM_ABORT = 1.0 + BALL_SLACK
+# Most steps a time grid may have: simulate's 11 float64 columns of 10^7
+# samples take about 0.9 GB before any CSV text.
+_MAX_STEPS = 10**7
 
 
 class StepSizeError(RuntimeError):
@@ -64,12 +67,18 @@ def time_grid(t_start: float, t_end: float, step: float) -> tuple[np.ndarray, fl
     """Sample times and width of round(span/step) equal steps (at least one).
 
     The last sample lands exactly on t_end up to rounding of t_start + n h.
+    A step that gives more than ``_MAX_STEPS`` steps is refused before
+    anything is allocated.
     """
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     if not t_end > t_start:
         raise ValueError(f"t_end must exceed t_start, got [{t_start}, {t_end}]")
-    n_steps = max(1, int(round((t_end - t_start) / step)))
+    steps = (t_end - t_start) / step
+    if not steps <= _MAX_STEPS:
+        raise ValueError(f"step {step:g} cuts [{t_start:g}, {t_end:g}] into {steps:.3g} steps; "
+                         f"the limit is {_MAX_STEPS:.0e}")
+    n_steps = max(1, int(round(steps)))
     h = (t_end - t_start) / n_steps
     return t_start + h * np.arange(n_steps + 1), h
 

@@ -143,10 +143,12 @@ def _log_cosh_ratio(u, pz0: float):
     return np.where(au < 1.0, small, large)[()]
 
 
-def _sech(x):
-    """Overflow-safe 1/cosh (float or array): exp(-|x|) underflows to 0 gracefully."""
-    e = np.exp(-np.abs(x))
-    return 2.0 * e / (1.0 + e * e)
+def _inversion(t: np.ndarray, q: float, pz0: float, at: float) -> np.ndarray:
+    """Pz at times ``t`` from Pz0 at ``at``: -tanh q(t - t1) with t1 = at + atanh(Pz0)/q,
+    or Pz0 at q = 0 and at a fixed point (|Pz0| >= 1; above 1 treated as one)."""
+    if q != 0.0 and abs(pz0) < 1.0:
+        return -np.tanh(q * (t - (at + math.atanh(pz0) / q)))
+    return np.full(t.shape, pz0)
 
 
 def _scalar_or_array(x):
@@ -158,9 +160,7 @@ def bloch_flow(t, p: TwoLevelParams, start, t_start: float) -> np.ndarray:
     """Exact Bloch vectors at times ``t`` on the trajectory through ``start``
     at ``t_start``; shape ``np.shape(t) + (3,)``.
 
-    For |Pz0| < 1 and q != 0, Pz = -tanh q(t - t1) with
-    t1 = t_start + atanh(Pz0)/q. At Pz0 = +-1 (a fixed point; |Pz0| > 1 is
-    treated as one) or q = 0, Pz stays Pz0. In every case
+    Pz is ``_inversion``'s -tanh q(t - t1), or Pz0 held constant, and
 
         Px - i Py = (Px0 - i Py0) exp(-L + i[(omega21 - tau)(t - t_start) + (lam/q) L])
 
@@ -172,14 +172,12 @@ def bloch_flow(t, p: TwoLevelParams, start, t_start: float) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     dt = t - t_start
     q = p.q
+    pz = _inversion(t, q, pz0, t_start)
     if q != 0.0 and abs(pz0) < 1.0:
-        t1 = t_start + math.atanh(pz0) / q
-        pz = -np.tanh(q * (t - t1))
         # the difference of the two ln cosh terms, formed without cancellation
         big_l = _log_cosh_ratio(q * dt, pz0)
         turn = (p.lam / q) * big_l
     else:
-        pz = np.full(t.shape, pz0)
         big_l = -q * pz0 * dt
         turn = -p.lam * pz0 * dt
     phase = (p.omega21 - p.tau) * dt + turn
@@ -210,35 +208,36 @@ def analytic_bloch(t: float, p: TwoLevelParams) -> BlochVector:
     return BlochVector(*bloch_flow(t, p, _EQUATOR, p.t0).tolist())
 
 
-def frequency_shift(t, p: TwoLevelParams):
-    """Instantaneous shift of the transition frequency along the closed form:
-    -tau - lam Pz with Pz = -tanh q(t - t0). ``t`` is a float or an array;
-    a float gives a float."""
-    return _scalar_or_array(_shift(p, -np.tanh(p.q * (np.asarray(t, dtype=float) - p.t0))))
+def _shift_anchor(p: TwoLevelParams, initial, t_start) -> tuple[float, float]:
+    """(Pz0, at) of the run from ``initial`` at ``t_start`` (``_flow_anchor``), a
+    default start at t0 for every q: Pz = 0 there, on the dipole-only run too."""
+    if initial is not None and t_start is None:
+        raise ValueError("a start needs its time: pass t_start with initial")
+    start, at = _flow_anchor(p, p.t0 if initial is None else t_start, initial)
+    return float(start[2]), at
 
 
-def additional_shift(t, p: TwoLevelParams):
-    """Contribution of the current-moment rates to the frequency shift:
+def frequency_shift(t, p: TwoLevelParams, initial=None, t_start=None):
+    """Frequency shift -tau - lam Pz along ``bloch_flow`` from ``initial`` at
+    ``t_start``, by default Pz = -tanh q(t - t0). A float ``t`` gives a float."""
+    pz0, at = _shift_anchor(p, initial, t_start)
+    return _scalar_or_array(_shift(p, _inversion(np.asarray(t, dtype=float), p.q, pz0, at)))
 
-        lam tanh[(c12-b12) dt] sech^2[a12 dt / 2]
-        -----------------------------------------
-        1 + tanh[a12 dt / 2] tanh[(c12-b12) dt]
 
-    By the tanh addition formula this equals frequency_shift with the full q
-    minus frequency_shift with the dipole-only q = a12/2, exactly. ``t`` is a
-    float or an array; a float gives a float.
-    """
-    t = np.asarray(t, dtype=float)
-    dt = t - p.t0
-    x = 0.5 * p.a12 * dt
+def additional_shift(t, p: TwoLevelParams, initial=None, t_start=None):
+    """``frequency_shift`` less its value at the dipole-only q = a12/2, from
+    the same start. With dt = t - at, x = (a12/2) dt - atanh(Pz0) and
+    y = (c12 - b12) dt it is lam [tanh(x + y) - tanh x] = lam sinh(y) sech(x)
+    sech(x + y), formed from exponentials of non-positive arguments, so it
+    cannot cancel or overflow; 0 at c12 = b12, at ``at`` and where |Pz0| >= 1.
+    A float ``t`` gives a float."""
+    pz0, at = _shift_anchor(p, initial, t_start)
+    dt = np.asarray(t, dtype=float) - at
+    if abs(pz0) >= 1.0:
+        return _scalar_or_array(np.zeros(dt.shape))
+    x = 0.5 * p.a12 * dt - math.atanh(pz0)
     y = (p.c12 - p.b12) * dt
-    sech_x = _sech(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value = p.lam * np.tanh(y) * sech_x * sech_x / (1.0 + np.tanh(x) * np.tanh(y))
-    saturated = ~np.isfinite(value)
-    if saturated.any():
-        # saturated tanh at extreme arguments; fall back to the identical difference form
-        difference = frequency_shift(t, p) - frequency_shift(t, p.dipole_only())
-        value = np.where(saturated, difference, value)
-    # tanh(-0.0) where c12 = b12 and t < t0; + 0.0 writes that zero as 0.0
-    return _scalar_or_array(value + 0.0)
+    ax, ay, axy = np.abs(x), np.abs(y), np.abs(x + y)
+    value = (2.0 * p.lam * np.sign(y) * -np.expm1(-2.0 * ay) * np.exp(ay - ax - axy)
+             / ((1.0 + np.exp(-2.0 * ax)) * (1.0 + np.exp(-2.0 * axy))))
+    return _scalar_or_array(value)

@@ -83,11 +83,11 @@ def _closed_form_residual(p: TwoLevelParams, rhs_params: TwoLevelParams, start, 
     return float(np.max(np.abs(rhs - fd)))
 
 
-def _shift_decomposition_residual(p: TwoLevelParams, t_start: float, t_end: float) -> float:
+def _shift_decomposition_residual(p: TwoLevelParams, t_start: float, t_end: float, initial) -> float:
     times = np.linspace(t_start, t_end, _CHECK_TIMES)
-    full = frequency_shift(times, p)
-    base = frequency_shift(times, p.dipole_only())
-    return float(np.max(np.abs(full - base - additional_shift(times, p))))
+    full = frequency_shift(times, p, initial, t_start)
+    base = frequency_shift(times, p.dipole_only(), initial, t_start)
+    return float(np.max(np.abs(full - base - additional_shift(times, p, initial, t_start))))
 
 
 def _shift_phase_mismatch(traj: Trajectory, shift: np.ndarray) -> float | None:
@@ -178,7 +178,7 @@ def run_checks(p: TwoLevelParams, t_start: float, t_end: float, step: float,
         checks.append(Check("shift_matches_trajectory_phase", mismatch < tol,
                             mismatch, f"< {tol:.3g}"))
 
-    shift_residual = _shift_decomposition_residual(p, t_start, t_end)
+    shift_residual = _shift_decomposition_residual(p, t_start, t_end, initial)
     checks.append(Check("shift_decomposition", shift_residual < _SHIFT_TOL,
                         shift_residual, f"< {_SHIFT_TOL:g}"))
 

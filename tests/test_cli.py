@@ -130,17 +130,21 @@ class TestSimulate:
         assert abs(rows[-1, 3] + 1.0) < 1e-4
 
     def test_header_and_metadata(self, tmp_path):
-        out = tmp_path / "run.csv"
-        cfg = write(tmp_path / "run.cfg", f"mode = simulate\noutput = {out}\n" + CANONICAL_DYNAMICS)
-        main(["simulate", "--config", cfg])
-        text = out.read_text()
-        lines = text.splitlines()
-        assert lines[0] == "# quadbloch simulate"
-        header_idx = next(i for i, l in enumerate(lines) if not l.startswith("#"))
-        assert lines[header_idx] == "t,Px,Py,Pz,rho11,rho22,re_rho12,im_rho12,energy,dipole,shift"
-        assert "# method = exact_flow" in lines[:header_idx]
-        assert not any(l.startswith("# richardson_error") for l in lines[:header_idx])
-        assert "\r" not in text
+        for start, expected in (("", ["# start = 1, 0, 0", "# start_time = 0"]),
+                                ("px0 = 0.3\npy0 = -0.2\npz0 = 0.5\n",
+                                 [f"# start = {0.3:.17g}, {-0.2:.17g}, 0.5", "# start_time = -20"])):
+            out = tmp_path / "run.csv"
+            cfg = write(tmp_path / "run.cfg", f"mode = simulate\noutput = {out}\n" + start + CANONICAL_DYNAMICS)
+            main(["simulate", "--config", cfg])
+            text = out.read_text()
+            lines = text.splitlines()
+            assert lines[0] == "# quadbloch simulate"
+            header_idx = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+            assert lines[header_idx] == "t,Px,Py,Pz,rho11,rho22,re_rho12,im_rho12,energy,dipole,shift"
+            assert "# method = exact_flow" in lines[:header_idx]
+            assert not any(l.startswith("# richardson_error") for l in lines[:header_idx])
+            assert [l for l in lines[:header_idx] if l.startswith("# start")] == expected
+            assert "\r" not in text
 
     def test_byte_identical_reruns(self, tmp_path):
         out_a = tmp_path / "a.csv"
@@ -232,9 +236,11 @@ class TestCsvWriter:
                    np.arange(n, dtype=float) * 1e-3]
         buffer = io.StringIO()
         _write_csv_rows(buffer, columns)
-        expected = "".join(",".join(format(float(col[k]), ".16e") for col in columns) + "\n"
+        # the contract: format(x, ".16e") with zeros unsigned
+        expected = "".join(",".join(format(float(col[k]) + 0.0, ".16e") for col in columns) + "\n"
                            for k in range(n))
         assert buffer.getvalue() == expected
+        assert "-0.0000000000000000e+00" not in buffer.getvalue()
 
 
 class TestVerify:
@@ -252,6 +258,16 @@ class TestVerify:
         assert main(["verify", "--config", cfg, "--debug-flip-rotation"]) == 2
         out = capsys.readouterr().out
         assert "closed_form_residual" in out and "FAIL" in out
+
+    def test_long_span_at_q_zero_passes(self, tmp_path, capsys):
+        # the dipole-only run saturates while the full one stands still; the
+        # tanh-addition quotient lost all accuracy here (2.9e-02)
+        cfg = write(tmp_path / "v.cfg",
+                    "mode = verify\nomega21 = 1.0\na12 = 0.25\nb12 = 0.125\ngamma11 = 0.02\n"
+                    "gamma12 = -0.04\nt_start = -150\nt_end = 150\nstep = 0.01\n")
+        assert main(["verify", "--config", cfg]) == 0
+        line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("shift_decomposition"))
+        assert float(line.split()[1]) < 1e-15 and line.split()[-1] == "pass"
 
     def test_q_zero_runs_every_check(self, tmp_path, capsys):
         cfg = write(tmp_path / "v.cfg",
@@ -325,14 +341,65 @@ class TestShift:
 
 
     def test_no_negative_zero_cell(self, tmp_path, capsys):
-        # README's run.cfg has b12 = c12 = 0, where additional_shift is zero on both sides of t0
-        cfg = write(tmp_path / "run.cfg",
-                    "mode = shift\nomega21 = 1.0\na12 = 0.2\ngamma11 = 0.02\ngamma12 = -0.04\n"
-                    "t_start = -20\nt_end = 20\nstep = 0.001\n")
+        # README's run.cfg has b12 = c12 = 0, where additional_shift is zero on
+        # both sides of t0, and Pz = -tanh(0) at t0; without gammas every
+        # shift is a zero, of either sign
+        out = tmp_path / "run.csv"
+        for command in ("shift", "simulate"):
+            for gammas in ("gamma11 = 0.02\ngamma12 = -0.04\n", ""):
+                cfg = write(tmp_path / "run.cfg",
+                            f"mode = {command}\noutput = {out}\nomega21 = 1.0\na12 = 0.2\n" + gammas
+                            + "t_start = -20\nt_end = 20\nstep = 0.001\n")
+                assert main([command, "--config", cfg]) == 0
+                text = capsys.readouterr().out if command == "shift" else out.read_text()
+                rows = [line for line in text.splitlines() if not line.startswith(("#", "t,"))]
+                cells = [cell for line in rows for cell in line.split(",")]
+                assert len(cells) == (5 if command == "shift" else 11) * 40_001
+                assert "-0.0000000000000000e+00" not in cells
+
+
+def _cells(lines):
+    """CSV rows after the header as lists of cell strings."""
+    return [line.split(",") for line in lines if not line.startswith(("#", "t,"))]
+
+
+_RATES = "omega21 = 1.0\ngamma11 = 0.02\ngamma22 = 0.005\ngamma12 = -0.04\n"
+_STARTS = {"default": "", "custom": "px0 = 0.3\npy0 = -0.2\npz0 = 0.5\n",
+           "north": "px0 = 0\npy0 = 0\npz0 = 1\n", "inside": "px0 = -0.1\npy0 = 0.4\npz0 = -0.8\n"}
+
+
+class TestShiftFollowsTheRun:
+    """``shift`` is a view of the run ``simulate`` writes for the same config."""
+
+    @pytest.mark.parametrize("start", sorted(_STARTS))
+    @pytest.mark.parametrize("rates", [
+        "a12 = 0.2\nb12 = 0.02\nc12 = 0.05\n",                # q > 0
+        "a12 = 0.1\nb12 = 0.2\n",                              # q < 0
+        "a12 = 0.25\nb12 = 0.125\nt0 = 2.5\n",                 # q = 0, dipole-only q > 0
+        "b12 = 0.03\nc12 = 0.08\n",                            # dipole-only q = 0
+        "a12 = 0.2\nc12 = 0.05\nt0 = -3\nunits = si\n",       # t0 != 0 in SI units
+    ])
+    def test_columns_are_simulate_shift_columns(self, tmp_path, capsys, rates, start):
+        cfg = write(tmp_path / "s.cfg", "mode = shift\n" + _RATES + rates + _STARTS[start]
+                    + "t_start = -10\nt_end = 10\nstep = 0.05\n")
         assert main(["shift", "--config", cfg]) == 0
-        cells = [cell for line in capsys.readouterr().out.splitlines()[1:] for cell in line.split(",")]
-        assert len(cells) == 5 * 40_001
-        assert "-0.0000000000000000e+00" not in cells
+        table = _cells(capsys.readouterr().out.splitlines())
+
+        def simulate(*overrides):
+            out = tmp_path / "run.csv"
+            argv = ["simulate", "--config", cfg, "--set", "mode=simulate", "--set", f"output={out}"]
+            for token in overrides:
+                argv += ["--set", token]
+            assert main(argv) == 0
+            return _cells(out.read_text().splitlines())
+
+        full, dipole_only = simulate(), simulate("b12=0", "c12=0")
+        assert len(table) == len(full) == 401
+        assert [row[0] for row in table] == [row[0] for row in full]
+        assert [row[1] for row in table] == [row[10] for row in full]
+        assert [row[2] for row in table] == [row[10] for row in dipole_only]
+        freq_c = constants.PER_ATOMIC_TIME_S if "units = si" in rates else 1.0
+        assert max(abs(float(row[4])) for row in table) < 1e-12 * freq_c
 
 
 class TestParserReuse:
@@ -377,6 +444,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("t_end", ["1", "1e10"])
+    def test_grid_too_large_is_one(self, tmp_path, capsys, t_end):
+        # span/step is 1e300 or inf; refused before any allocation
+        cfg = write(tmp_path / "g.cfg",
+                    f"mode = verify\nomega21 = 1\nt_start = 0\nt_end = {t_end}\nstep = 1e-300\n")
+        assert main(["verify", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: step 1e-300 cuts") and "the limit is 1e+07" in err
 
     def test_overrides_reach_validation(self, tmp_path, capsys):
         out = tmp_path / "o.csv"

@@ -77,6 +77,12 @@ class TestBasics:
         with pytest.raises(ValueError):
             integrate(None, canonical_params, 1.0, 0.0, 0.1)
 
+    @pytest.mark.parametrize("t_end", [1.0, 1e10])
+    def test_oversized_grid_refused(self, t_end):
+        # 1e300 and inf steps: named and refused before int() or np.arange
+        with pytest.raises(ValueError, match=r"step 1e-300 cuts .* steps; the limit is 1e\+07"):
+            time_grid(0.0, t_end, 1e-300)
+
     def test_fixed_point_is_constant(self, canonical_params):
         traj = integrate(BlochVector(0.0, 0.0, -1.0), canonical_params, 0.0, 50.0, 0.01)
         assert np.all(traj.bloch[:, 2] == -1.0)

@@ -1,6 +1,7 @@
 import math
 from dataclasses import FrozenInstanceError, replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -373,17 +374,71 @@ class TestAdditionalShift:
     def test_zero_at_t0(self, canonical_params):
         assert additional_shift(canonical_params.t0, canonical_params) == 0.0
 
+    @staticmethod
+    def _reference(t, p, initial=None, t_start=None):
+        """lam [tanh(x + y) - tanh x] at 60 digits from the float inputs."""
+        with mpmath.workdps(60):
+            pz0, at = (0, p.t0) if initial is None else (initial[2], t_start)
+            dt = mpmath.mpf(t) - mpmath.mpf(at)
+            x = mpmath.mpf(p.a12) / 2 * dt - mpmath.atanh(mpmath.mpf(pz0))
+            y = (mpmath.mpf(p.c12) - mpmath.mpf(p.b12)) * dt
+            lam = (mpmath.mpf(p.gamma11) + mpmath.mpf(p.gamma22)) / 2 - mpmath.mpf(p.gamma12)
+            return float(lam * (mpmath.tanh(x + y) - mpmath.tanh(x)))
+
     def test_tanh_addition_identity(self, rng):
-        worst = 0.0
-        for _ in range(2000):
+        # the first draws stay in |t| <= 10; the rest start inside the ball
+        # and reach |t| = 400, half of them at q ~ 0 (b12 = c12 + a12/2), where
+        # the quotient lam tanh y sech^2 x / (1 + tanh x tanh y) cancels
+        worst_identity = worst_reference = 0.0
+        for draw in range(2000):
             a12, b12, c12 = rng.uniform(-0.5, 0.5, size=3)
             g11, g22, g12 = rng.uniform(-1.0, 1.0, size=3)
+            initial = t_start = None
+            t = rng.uniform(-10.0, 10.0)
+            if draw >= 1000:
+                if draw % 2:
+                    b12 = c12 + 0.5 * a12 + rng.choice((0.0, rng.normal(scale=1e-9)))
+                v = rng.normal(size=3)
+                initial = tuple(rng.uniform(0.0, 1.0) * v / np.linalg.norm(v))
+                t_start, t = rng.uniform(-400.0, 400.0, size=2)
             p = TwoLevelParams(omega21=1.0, gamma11=g11, gamma22=g22, gamma12=g12,
                                a12=a12, b12=b12, c12=c12, t0=rng.uniform(-5.0, 5.0))
-            t = rng.uniform(-10.0, 10.0)
-            direct = frequency_shift(t, p) - frequency_shift(t, p.dipole_only())
-            worst = max(worst, abs(direct - additional_shift(t, p)))
-        assert worst < 1e-12
+            value = additional_shift(t, p, initial, t_start)
+            direct = frequency_shift(t, p, initial, t_start) - frequency_shift(t, p.dipole_only(), initial, t_start)
+            worst_identity = max(worst_identity, abs(direct - value))
+            worst_reference = max(worst_reference, abs(value - self._reference(t, p, initial, t_start)))
+        assert worst_identity < 1e-12
+        assert worst_reference < 1e-12
+
+    def test_long_span_at_q_zero(self):
+        # q = 0 with a12/2 = b12: the full run stands still at Pz = 0, the
+        # dipole-only one decays through t0; additional_shift is lam tanh(-x)
+        p = TwoLevelParams(omega21=1.0, gamma11=0.02, gamma12=-0.04, a12=0.25, b12=0.125)
+        assert p.q == 0.0
+        assert additional_shift(-147.9, p) == pytest.approx(0.05, abs=1e-15)
+        times = np.linspace(-150.0, 150.0, 3001)
+        expected = [self._reference(t, p) for t in times.tolist()]
+        assert np.max(np.abs(additional_shift(times, p) - expected)) < 1e-15
+
+    def test_start_needs_its_time(self, canonical_params):
+        for shift in (frequency_shift, additional_shift):
+            with pytest.raises(ValueError, match="t_start"):
+                shift(0.0, canonical_params, (0.3, -0.2, 0.5))
+
+    def test_fixed_point_start_is_zero(self):
+        p = TwoLevelParams(omega21=1.0, gamma11=0.02, gamma12=-0.04, a12=0.2, b12=0.02, c12=0.05)
+        times = np.linspace(-20.0, 20.0, 41)
+        for pz0 in (1.0, -1.0, 1.0 + 1e-7):
+            assert np.all(additional_shift(times, p, (0.0, 0.0, pz0), -20.0) == 0.0)
+            assert np.all(frequency_shift(times, p, (0.0, 0.0, pz0), -20.0) == -p.tau - p.lam * pz0)
+
+    def test_default_start_ignores_t_start(self, rng):
+        # every default run has Pz = 0 at t0, q = 0 included
+        for p in (TwoLevelParams(omega21=1.0, gamma11=0.02, gamma12=-0.04, a12=0.2, b12=0.02, c12=0.05, t0=1.5),
+                  TwoLevelParams(omega21=1.0, gamma11=0.02, gamma12=-0.04, a12=0.25, b12=0.125, t0=1.5)):
+            times = rng.uniform(-30.0, 30.0, 50)
+            for shift in (frequency_shift, additional_shift):
+                assert shift(times, p, None, -7.0).tolist() == shift(times, p).tolist()
 
     def test_saturated_arguments_stay_finite(self):
         p = TwoLevelParams(omega21=1.0, gamma11=0.2, gamma22=0.0, gamma12=-0.2, a12=0.5, c12=0.2)
@@ -393,7 +448,7 @@ class TestAdditionalShift:
         assert val == pytest.approx(direct, abs=1e-12)
 
     def test_array_fallback_is_element_by_element(self):
-        # tanh(x) tanh(y) = -1 at both ends (0/0 in the formula); finite in between
+        # tanh(x) tanh(y) = -1 at both ends, 0/0 in the quotient form above
         p = TwoLevelParams(omega21=1.0, gamma11=0.2, gamma12=-0.2, a12=0.5, b12=0.2)
         times = np.concatenate(([-1e5], np.linspace(-20.0, 20.0, 41), [1e5]))
         values = additional_shift(times, p)
