@@ -5,7 +5,8 @@ import pytest
 
 from quadbloch import BlochVector, TwoLevelParams, bloch_flow, integrate, integrator, verification
 from quadbloch.integrator import _integrate
-from quadbloch.verification import _shift_phase_mismatch, run_checks
+from quadbloch.twolevel import _flow_anchor
+from quadbloch.verification import _closed_form_residual, _shift_phase_mismatch, run_checks
 
 SPAN = (-10.0, 10.0, 2e-3)
 
@@ -110,6 +111,39 @@ def test_residual_follows_a_custom_start(canonical_params):
     assert not check.passed and check.measured == pytest.approx(expected, rel=1e-3)
     report, _ = run_checks(p, *SPAN, initial=start)
     assert _check(report, "closed_form_residual").measured < 1e-8 and report.passed
+
+
+def _residual_check(p, t_start, t_end, initial=None, flip=False):
+    """(passed, measured, tolerance) of the closed-form residual alone, as
+    ``run_checks`` judges it, with no RK4 run."""
+    rhs_params = p
+    if flip:
+        rhs_params = replace(p, omega21=-p.omega21, gamma11=-p.gamma11, gamma22=-p.gamma22,
+                             gamma12=-p.gamma12)
+    start, at = _flow_anchor(p, t_start, initial)
+    measured, bound = _closed_form_residual(p, rhs_params, start, at, t_start, t_end)
+    tolerance = max(verification._RESIDUAL_TOL, bound)
+    return measured < tolerance, measured, tolerance
+
+
+@pytest.mark.parametrize("omega21", [200.0, 400.0, 1000.0])
+@pytest.mark.parametrize("initial", [None, BlochVector(0.3, -0.2, 0.5)], ids=["default", "custom"])
+@pytest.mark.parametrize("span", [(-1.0, 1.0), (-20.0, 20.0)])
+def test_residual_passes_fast_flows(omega21, initial, span):
+    # the fixed step 1e-6 FAILed these correct flows: 1.34e-6, 1.07e-5 and
+    # 1.67e-4 on [-1, 1]; a flipped rotation, off by 2 omega21, still fails
+    p = TwoLevelParams(omega21=omega21, a12=0.2)
+    passed, measured, tolerance = _residual_check(p, *span, initial)
+    assert passed, (measured, tolerance)
+    assert tolerance < 1e-5 * omega21
+    flipped, measured, tolerance = _residual_check(p, *span, initial, flip=True)
+    assert not flipped and measured > 1e4 * tolerance
+
+
+def test_readme_residual_is_checked_at_1e_6(canonical_params):
+    for initial in (None, BlochVector(0.3, -0.2, 0.5)):
+        passed, measured, tolerance = _residual_check(canonical_params, -20.0, 20.0, initial)
+        assert passed and tolerance == 1e-6 and measured < 1e-8
 
 
 def _count_rk4_steps(monkeypatch):
