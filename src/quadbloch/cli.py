@@ -25,7 +25,7 @@ from .hydrogenic import transition_frequency
 from .integrator import StepSizeError, Trajectory, exact_trajectory, time_grid
 from .integrator import integrate  # noqa: F401  # unused; bench/selftest.py checks the tracer rebinds it
 from .multipole import transition_multipoles
-from .twolevel import TwoLevelParams, _flow_anchor, additional_shift, frequency_shift
+from .twolevel import TwoLevelParams, _flow_anchor, _shift, additional_shift, bloch_to_density, frequency_shift
 from .verification import run_checks
 
 _COEFF_FMT = ".11e"        # 12 significant digits
@@ -137,28 +137,32 @@ def _write_csv_rows(fh, columns) -> None:
         fh.write(format_rows(np.column_stack([col[block] for col in columns]) + 0.0))
 
 
+def _csv_columns(traj: Trajectory, si: bool = False) -> dict[str, np.ndarray]:
+    """The CSV's columns by header name, derived from the Bloch samples.
+
+    The energy zero lies midway between the levels (E2 = -E1 = omega21/2),
+    and the dipole is Px, the projection on a unit transition dipole.
+    """
+    t_c, e_c, d_c, f_c = ((constants.ATOMIC_TIME_S, constants.HARTREE_J, constants.DIPOLE_CM,
+                           constants.PER_ATOMIC_TIME_S) if si else (1.0, 1.0, 1.0, 1.0))
+    p, (px, py, pz) = traj.params, traj.bloch.T
+    rho11, rho22, rho12 = bloch_to_density(traj.bloch.T)
+    return {"t": traj.t * t_c, "Px": px, "Py": py, "Pz": pz, "rho11": rho11, "rho22": rho22,
+            "re_rho12": rho12.real, "im_rho12": rho12.imag, "energy": (-0.5 * p.omega21 * pz) * e_c,
+            "dipole": px * d_c, "shift": _shift(p, pz) * f_c}
+
+
 def run_simulate(cfg: RunConfig, out=None) -> int:
     """Write the exact flow sampled every ~``step`` (no numeric integration)."""
     p = _resolve_params(cfg)
     traj = exact_trajectory(cfg.initial, p, cfg.t_start, cfg.t_end, cfg.step)
-
-    si = cfg.units == "si"
-    t_c = constants.ATOMIC_TIME_S if si else 1.0
-    e_c = constants.HARTREE_J if si else 1.0
-    d_c = constants.DIPOLE_CM if si else 1.0
-    f_c = constants.PER_ATOMIC_TIME_S if si else 1.0
-
-    columns = (
-        traj.t * t_c, traj.bloch[:, 0], traj.bloch[:, 1], traj.bloch[:, 2],
-        traj.rho11, traj.rho22, np.real(traj.rho12), np.imag(traj.rho12),
-        traj.energy * e_c, traj.dipole * d_c, traj.shift * f_c,
-    )
+    columns = _csv_columns(traj, cfg.units == "si")
     with open(cfg.output, "w", newline="") as fh:
         fh.write("# quadbloch simulate\n")
         for line in _metadata_lines(cfg, p, traj):
             fh.write(line + "\n")
-        fh.write("t,Px,Py,Pz,rho11,rho22,re_rho12,im_rho12,energy,dipole,shift\n")
-        _write_csv_rows(fh, columns)
+        fh.write(",".join(columns) + "\n")
+        _write_csv_rows(fh, list(columns.values()))
     return 0
 
 

@@ -3,8 +3,10 @@
 ``exact_trajectory`` samples the closed-form flow (``twolevel.bloch_flow``);
 it is what ``simulate`` writes. ``integrate`` runs classical Runge-Kutta on
 the same grid and stays as the independent cross-check inside ``verify``.
-Both start where ``twolevel._flow_anchor`` says and take every other column
-from their Bloch samples.
+Both start where ``twolevel._flow_anchor`` says. A ``Trajectory`` is the
+sample times, the Bloch samples, the step, the parameters and the error
+estimate; every observable (density matrix, energy, dipole, shift) is a
+fixed map of the samples and is derived where it is used.
 Deliberately fixed-step: at the intended parameter scales (|q| << |omega21|)
 the dynamics are smooth and non-stiff, and a fixed grid makes trajectories
 byte-for-byte reproducible. A companion pass at half the step provides a
@@ -26,12 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .twolevel import (BALL_SLACK, BlochVector, TwoLevelParams, _flow_anchor, _shift, bloch_flow,
-                       bloch_rhs, bloch_to_density)
+from .twolevel import BALL_SLACK, BlochVector, TwoLevelParams, _flow_anchor, bloch_flow, bloch_rhs
 
 _NORM_ABORT = 1.0 + BALL_SLACK
-# Most steps a time grid may have: simulate's 11 float64 columns of 10^7
-# samples take about 0.9 GB before any CSV text.
+# Most steps a time grid may have: the 11 float64 columns simulate derives
+# from 10^7 samples take about 0.9 GB before any CSV text. verify's RK4 needs
+# about four times simulate's memory per step and has its own, lower limit.
 _MAX_STEPS = 10**7
 
 
@@ -41,7 +43,7 @@ class StepSizeError(RuntimeError):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-ordered samples with the derived observables of each sample.
+    """Time-ordered Bloch samples on a grid of equal steps.
 
     ``error_estimate`` is the Richardson estimate of the global error of the
     Bloch components (max norm over the run); 0 for exact samples.
@@ -49,12 +51,6 @@ class Trajectory:
 
     t: np.ndarray
     bloch: np.ndarray          # (N, 3)
-    rho11: np.ndarray
-    rho22: np.ndarray
-    rho12: np.ndarray          # complex
-    energy: np.ndarray
-    dipole: np.ndarray
-    shift: np.ndarray
     error_estimate: float
     step: float
     params: TwoLevelParams
@@ -67,9 +63,15 @@ def time_grid(t_start: float, t_end: float, step: float) -> tuple[np.ndarray, fl
     """Sample times and width of round(span/step) equal steps (at least one).
 
     The last sample lands exactly on t_end up to rounding of t_start + n h.
-    A step that gives more than ``_MAX_STEPS`` steps is refused before
-    anything is allocated.
     """
+    n_steps = _step_count(t_start, t_end, step)
+    h = (t_end - t_start) / n_steps
+    return t_start + h * np.arange(n_steps + 1), h
+
+
+def _step_count(t_start: float, t_end: float, step: float) -> int:
+    """round(span/step), at least one. A step that gives more than
+    ``_MAX_STEPS`` steps is refused before anything is allocated."""
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     if not t_end > t_start:
@@ -78,9 +80,7 @@ def time_grid(t_start: float, t_end: float, step: float) -> tuple[np.ndarray, fl
     if not steps <= _MAX_STEPS:
         raise ValueError(f"step {step:g} cuts [{t_start:g}, {t_end:g}] into {steps:.3g} steps; "
                          f"the limit is {_MAX_STEPS:.0e}")
-    n_steps = max(1, int(round(steps)))
-    h = (t_end - t_start) / n_steps
-    return t_start + h * np.arange(n_steps + 1), h
+    return max(1, int(round(steps)))
 
 
 def _pz_recurrence(pz: float, q: float, h: float, n_steps: int) -> list[float]:
@@ -188,7 +188,7 @@ def _integrate(initial: BlochVector | None, p: TwoLevelParams, t_start: float, t
     samples = passes[n_steps]
     # Richardson companion at half the step, compared at the shared times
     deviation = float(np.max(np.abs(samples - passes[2 * n_steps][::2])))
-    return _trajectory(t, samples, p, h, deviation * 16.0 / 15.0)
+    return Trajectory(t=t, bloch=samples, error_estimate=deviation * 16.0 / 15.0, step=h, params=p)
 
 
 def exact_trajectory(initial: BlochVector | None, p: TwoLevelParams, t_start: float,
@@ -200,19 +200,5 @@ def exact_trajectory(initial: BlochVector | None, p: TwoLevelParams, t_start: fl
     (1, 0, 0) at t_start.
     """
     t, h = time_grid(t_start, t_end, step)
-    return _trajectory(t, bloch_flow(t, p, *_flow_anchor(p, t_start, initial)), p, h, 0.0)
-
-
-def _trajectory(t: np.ndarray, samples: np.ndarray, p: TwoLevelParams, h: float,
-                error_estimate: float) -> Trajectory:
-    """Bundle Bloch samples (N, 3) with the observables derived from them."""
-    px, pz = samples[:, 0], samples[:, 2]
-    rho11, rho22, rho12 = bloch_to_density(samples.T)
-    return Trajectory(
-        t=t, bloch=samples, rho11=rho11, rho22=rho22, rho12=rho12,
-        # energy zero midway between the levels (E2 = -E1 = omega21/2)
-        energy=-0.5 * p.omega21 * pz,
-        dipole=px.copy(),                  # unit transition-dipole magnitude
-        shift=_shift(p, pz),
-        error_estimate=error_estimate, step=h, params=p,
-    )
+    samples = bloch_flow(t, p, *_flow_anchor(p, t_start, initial))
+    return Trajectory(t=t, bloch=samples, error_estimate=0.0, step=h, params=p)

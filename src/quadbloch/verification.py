@@ -14,14 +14,21 @@ flow passes at any rate while a wrong rotation, off by twice the turn
 rate, fails.
 
 The order is the ratio of two Richardson estimates, at a step and at half
-of it, and means something only while both stand clear of rounding. It is
-measured at a step no finer than span/2000, doubled (at most
+of it, and means something only while both stand clear of rounding and
+inside RK4's asymptotic range. It is measured at a step no finer than the
+run's own, starting from span/2000, or from ``_ORDER_SCALE`` / R where that
+is finer (R bounds the flow's rates; at h R = 1 the ratio read 1.26 on a
+correct run, at h R = 0.1 it reads 16.0). The step is doubled (at most
 ``_ORDER_DOUBLINGS`` times) while either estimate is below ``_ORDER_FLOOR``
 times eps sqrt(N), the rounding that N unit-size RK4 steps accumulate as a
 random walk, with N the step count of the finest pass behind the estimates.
 At ten such levels each estimate is within 10% of its truncation error, so
 a fourth-order ratio reads in [13.1, 19.6], inside ``_ORDER_WINDOW``. The
 check is skipped when no step qualifies.
+
+RK4 holds about 480 bytes per step (both passes and their temporaries),
+four times what ``simulate`` needs, so ``run_checks`` refuses more than
+``_MAX_RK4_STEPS`` steps before it allocates anything.
 """
 
 from __future__ import annotations
@@ -30,9 +37,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .integrator import Trajectory, _integrate, exact_trajectory
+from .integrator import Trajectory, _integrate, _step_count
 from .integrator import integrate  # noqa: F401  # unused; bench/selftest.py checks the tracer rebinds it
-from .twolevel import TwoLevelParams, _flow_anchor, additional_shift, bloch_flow, bloch_rhs, frequency_shift
+from .twolevel import (TwoLevelParams, _flow_anchor, _shift, additional_shift, bloch_flow, bloch_rhs,
+                       bloch_to_density, frequency_shift)
 
 _RESIDUAL_TOL = 1e-6
 _TRACE_TOL = 1e-10
@@ -40,10 +48,12 @@ _SHIFT_TOL = 1e-12
 _ORDER_WINDOW = (12.0, 20.0)
 _ORDER_FLOOR = 10.0
 _ORDER_DOUBLINGS = 4
+_ORDER_SCALE = 0.1           # the order check's finest step times the flow's fastest rate
 _FD_SCALE = 1e-4             # the residual's difference step times the flow's fastest rate
 _FD_ROUNDING = 8.0           # eps per unit of (1 + phase) in one flow sample
 _CHECK_TIMES = 1001          # samples of the closed-form and decomposition residuals
 _PHASE_MIN_AMPLITUDE = 1e-3
+_MAX_RK4_STEPS = 2 * 10**6   # about 1 GB at RK4's 480 bytes per step
 
 
 @dataclass(frozen=True)
@@ -77,15 +87,19 @@ class Report:
         return "\n".join(lines)
 
 
+def _rate_bound(p: TwoLevelParams) -> float:
+    """R = max(1, |omega21 - tau| + |lam| + |q|), a bound on every rate of
+    the flow: the turn rate omega21 - tau - lam Pz and q, with |Pz| <= 1."""
+    return max(1.0, abs(p.omega21 - p.tau) + abs(p.lam) + abs(p.q))
+
+
 def _closed_form_residual(p: TwoLevelParams, rhs_params: TwoLevelParams, start, at: float,
                           t_start: float, t_end: float) -> tuple[float, float]:
     """(max |bloch_rhs(x(t), rhs_params) - dx/dt|, the error bound of dx/dt)
     along the flow x(t) of ``p`` through ``start`` at time ``at``.
 
-    dx/dt is a central difference at step h = _FD_SCALE / R, where
-    R = max(1, |omega21 - tau| + |lam| + |q|) bounds every rate of the flow:
-    the turn rate omega21 - tau - lam Pz and q, with |Pz| <= 1. Its error
-    bound has two terms:
+    dx/dt is a central difference at step h = _FD_SCALE / R, with R from
+    ``_rate_bound``. Its error bound has two terms:
 
     * truncation, h^2 |x'''| / 6 <= h^2 R^3. With a = q Pz + i (omega21 -
       tau - lam Pz), Px - i Py has third derivative (a'' + 3 a a' + a^3)
@@ -96,7 +110,7 @@ def _closed_form_residual(p: TwoLevelParams, rhs_params: TwoLevelParams, start, 
       to R |t - at|, and t +- h is rounded at |t|, so T = max |t| + max |t - at|.
     """
     times = np.linspace(t_start, t_end, _CHECK_TIMES)
-    rate = max(1.0, abs(p.omega21 - p.tau) + abs(p.lam) + abs(p.q))
+    rate = _rate_bound(p)
     h = _FD_SCALE / rate
     span = max(abs(t_start), abs(t_end)) + max(abs(t_start - at), abs(t_end - at))
     bound = h * h * rate**3 + _FD_ROUNDING * np.finfo(float).eps * (1.0 + rate * span) / h
@@ -131,8 +145,13 @@ def _shift_phase_mismatch(traj: Trajectory, shift: np.ndarray) -> float | None:
 def _convergence_order(initial, p: TwoLevelParams, t_start: float, t_end: float, step: float,
                        passes: dict[int, np.ndarray]) -> Check:
     """Ratio of the Richardson estimates at a step and at half of it, at the
-    finest step from max(step, span/2000) up whose estimates clear rounding."""
-    conv_step = max(step, (t_end - t_start) / 2000.0)
+    finest step from max(step, min(span/2000, _ORDER_SCALE / R)) up whose
+    estimates clear rounding. Skipped where its run at half that step would
+    itself exceed ``_MAX_RK4_STEPS``, which only a run of more than 10^6
+    steps at h R > 0.05 reaches."""
+    conv_step = max(step, min((t_end - t_start) / 2000.0, _ORDER_SCALE / _rate_bound(p)))
+    if _step_count(t_start, t_end, conv_step / 2.0) > _MAX_RK4_STEPS:
+        return Check("convergence_order", True, None, "over the RK4 limit", skipped=True)
     for _ in range(_ORDER_DOUBLINGS + 1):
         coarse = _integrate(initial, p, t_start, t_end, conv_step, passes)
         half = _integrate(initial, p, t_start, t_end, conv_step / 2.0, passes)
@@ -154,8 +173,13 @@ def run_checks(p: TwoLevelParams, t_start: float, t_end: float, step: float,
     ``flip_rotation`` negates the transverse rotation rate of the right-hand
     side inside the residual check (omega21 and the gammas change sign, q is
     kept); it exists as a negative control (the residual must then fail for
-    any parameters with a nonzero rotation rate).
+    any parameters with a nonzero rotation rate). More than
+    ``_MAX_RK4_STEPS`` steps are refused with a ValueError.
     """
+    steps = _step_count(t_start, t_end, step)
+    if steps > _MAX_RK4_STEPS:
+        raise ValueError(f"verify runs RK4 on {steps} steps; RK4 needs about 480 bytes per step, "
+                         f"and verify's limit is {_MAX_RK4_STEPS:.0e} steps")
     q = p.q
     checks: list[Check] = []
 
@@ -178,25 +202,26 @@ def run_checks(p: TwoLevelParams, t_start: float, t_end: float, step: float,
 
     # RK4 against the exact flow from the same start, within its own
     # estimated error once that exceeds the nominal floor
-    exact = exact_trajectory(initial, p, t_start, t_end, step)
+    exact = bloch_flow(traj.t, p, start, at)
     agree_tol = max(1e-8, 50.0 * traj.error_estimate)
 
     # |P| is conserved only on the unit sphere, so the norm is compared with
     # the flow's: d|P|^2/dt = 2 q Pz (|P|^2 - 1)
     norm_drift = float(np.max(np.abs(np.linalg.norm(traj.bloch, axis=1)
-                                     - np.linalg.norm(exact.bloch, axis=1))))
+                                     - np.linalg.norm(exact, axis=1))))
     checks.append(Check("bloch_norm_preservation", norm_drift < agree_tol,
                         norm_drift, f"< {agree_tol:.3g}"))
 
-    trace_drift = float(np.max(np.abs(traj.rho11 + traj.rho22 - 1.0)))
+    rho11, rho22, _ = bloch_to_density(traj.bloch.T)
+    trace_drift = float(np.max(np.abs(rho11 + rho22 - 1.0)))
     checks.append(Check("trace_conservation", trace_drift < _TRACE_TOL,
                         trace_drift, f"< {_TRACE_TOL:g}"))
 
-    deviation = float(np.max(np.abs(traj.bloch - exact.bloch)))
+    deviation = float(np.max(np.abs(traj.bloch - exact)))
     checks.append(Check("analytic_agreement", deviation < agree_tol,
                         deviation, f"< {agree_tol:.3g}"))
 
-    mismatch = _shift_phase_mismatch(traj, traj.shift)
+    mismatch = _shift_phase_mismatch(traj, _shift(p, traj.bloch[:, 2]))
     if mismatch is None:
         checks.append(Check("shift_matches_trajectory_phase", True, None,
                             "no usable samples", skipped=True))

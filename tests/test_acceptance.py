@@ -93,7 +93,8 @@ def test_criterion_4_analytic_numeric_agreement(canonical_params):
     reference = np.array([analytic_bloch(t, p) for t in traj.t])
     deviation = float(np.max(np.abs(traj.bloch - reference)))
     norm_drift = float(np.max(np.abs(np.sqrt(np.sum(traj.bloch**2, axis=1)) - 1.0)))
-    trace_drift = float(np.max(np.abs(traj.rho11 + traj.rho22 - 1.0)))
+    rho11, rho22, _ = bloch_to_density(traj.bloch.T)
+    trace_drift = float(np.max(np.abs(rho11 + rho22 - 1.0)))
     elapsed = time.perf_counter() - start
     ok = deviation < 1e-8 and norm_drift < 1e-8 and trace_drift < 1e-10 and elapsed < 30.0
     report(4, "numeric trajectory matches closed form at step 1e-3", ok,

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -453,6 +454,20 @@ class TestExitCodes:
         assert main(["verify", "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: step 1e-300 cuts") and "the limit is 1e+07" in err
+
+    def test_verify_above_rk4_limit_is_one(self, tmp_path, capsys):
+        # 2e6 + 1 steps: within time_grid's 1e7, above verify's RK4 limit,
+        # refused before the 16 MB time grid or any RK4 pass is allocated
+        cfg = write(tmp_path / "v.cfg", "mode = verify\nomega21 = 1\nt_start = 0\nt_end = 2.000001\nstep = 1e-6\n")
+        tracemalloc.start()
+        try:
+            assert main(["verify", "--config", cfg]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert err.startswith("error: verify runs RK4 on 2000001 steps") and "limit is 2e+06 steps" in err
+        assert peak < 1_000_000
 
     def test_overrides_reach_validation(self, tmp_path, capsys):
         out = tmp_path / "o.csv"

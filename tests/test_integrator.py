@@ -15,6 +15,7 @@ from quadbloch import (
     exact_trajectory,
     integrate,
 )
+from quadbloch.cli import _csv_columns
 from quadbloch.integrator import _pz_recurrence, time_grid
 
 from oracles import density_rhs_two_level
@@ -87,7 +88,8 @@ class TestBasics:
         traj = integrate(BlochVector(0.0, 0.0, -1.0), canonical_params, 0.0, 50.0, 0.01)
         assert np.all(traj.bloch[:, 2] == -1.0)
         assert np.all(traj.bloch[:, :2] == 0.0)
-        assert np.all(traj.energy == traj.energy[0])
+        energy = _csv_columns(traj)["energy"]
+        assert np.all(energy == energy[0])
         assert traj.error_estimate == 0.0
 
     def test_north_pole_held_to_machine_precision(self, canonical_params):
@@ -127,7 +129,8 @@ class TestAccuracy:
 
     def test_trace_exact_along_trajectory(self, canonical_params):
         traj = integrate(None, canonical_params, -20.0, 20.0, 1e-2)
-        assert np.max(np.abs(traj.rho11 + traj.rho22 - 1.0)) < 1e-12
+        rho11, rho22, _ = bloch_to_density(traj.bloch.T)
+        assert np.max(np.abs(rho11 + rho22 - 1.0)) < 1e-12
 
     def test_monotone_population_decay(self, canonical_params):
         traj = integrate(None, canonical_params, -20.0, 20.0, 1e-2)
@@ -141,11 +144,14 @@ class TestAccuracy:
         assert np.max(np.abs(traj.bloch[:, 2])) < 1e-12
 
     def test_derived_columns_consistent(self, canonical_params):
+        # the CSV's columns, derived from RK4 samples as from exact ones
         traj = integrate(None, canonical_params, -5.0, 5.0, 1e-2)
-        assert np.allclose(traj.energy, -0.5 * canonical_params.omega21 * traj.bloch[:, 2], atol=1e-15)
-        assert np.allclose(traj.dipole, traj.bloch[:, 0], atol=0.0)
-        assert np.allclose(traj.shift, -canonical_params.tau - canonical_params.lam * traj.bloch[:, 2], atol=1e-15)
-        assert np.allclose(traj.rho12, 0.5 * (traj.bloch[:, 0] - 1j * traj.bloch[:, 1]), atol=0.0)
+        cols = _csv_columns(traj)
+        rho12 = cols["re_rho12"] + 1j * cols["im_rho12"]
+        assert np.allclose(cols["energy"], -0.5 * canonical_params.omega21 * traj.bloch[:, 2], atol=1e-15)
+        assert np.allclose(cols["dipole"], traj.bloch[:, 0], atol=0.0)
+        assert np.allclose(cols["shift"], -canonical_params.tau - canonical_params.lam * traj.bloch[:, 2], atol=1e-15)
+        assert np.allclose(rho12, 0.5 * (traj.bloch[:, 0] - 1j * traj.bloch[:, 1]), atol=0.0)
 
 
 class TestRichardson:
@@ -187,11 +193,13 @@ class TestExactFlowCrossCheck:
     def test_same_observables_as_integrate(self, canonical_params):
         exact = exact_trajectory(BlochVector(0.3, -0.2, 0.5), canonical_params, -5.0, 5.0, 0.01)
         pz = exact.bloch[:, 2]
+        cols = _csv_columns(exact)
         assert exact.error_estimate == 0.0 and exact.step == 0.01
-        assert np.array_equal(exact.rho11, 0.5 * (1.0 + pz))
-        assert np.array_equal(exact.energy, -0.5 * canonical_params.omega21 * pz)
-        assert np.array_equal(exact.shift, -canonical_params.tau - canonical_params.lam * pz)
-        assert np.array_equal(exact.rho12, 0.5 * (exact.bloch[:, 0] - 1j * exact.bloch[:, 1]))
+        assert np.array_equal(cols["rho11"], 0.5 * (1.0 + pz))
+        assert np.array_equal(cols["energy"], -0.5 * canonical_params.omega21 * pz)
+        assert np.array_equal(cols["shift"], -canonical_params.tau - canonical_params.lam * pz)
+        assert np.array_equal(cols["re_rho12"] + 1j * cols["im_rho12"],
+                              0.5 * (exact.bloch[:, 0] - 1j * exact.bloch[:, 1]))
 
     def test_default_start_at_q_zero(self):
         exact = exact_trajectory(None, NO_DECAY, -5.0, 5.0, 0.5)
@@ -288,6 +296,7 @@ class TestRepresentationEquivariance:
         p = canonical_params
         h = 1e-3
         traj = integrate(BlochVector(0.6, 0.2, 0.5), p, 0.0, 5.0, h)
+        rho11, rho22, rho12 = bloch_to_density(traj.bloch.T)
         rho = bloch_to_density(BlochVector(0.6, 0.2, 0.5))
         r = np.array([rho.rho11, rho.rho22], dtype=float)
         c = rho.rho12
@@ -305,9 +314,9 @@ class TestRepresentationEquivariance:
             r = r + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             c = c + (h / 6.0) * (c1 + 2 * c2 + 2 * c3 + c4)
             worst = max(worst,
-                        abs(r[0] - traj.rho11[k + 1]),
-                        abs(r[1] - traj.rho22[k + 1]),
-                        abs(c - traj.rho12[k + 1]))
+                        abs(r[0] - rho11[k + 1]),
+                        abs(r[1] - rho22[k + 1]),
+                        abs(c - rho12[k + 1]))
         assert worst < 1e-10
 
 

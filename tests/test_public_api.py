@@ -3,6 +3,7 @@ importable, README's Library example runs against them, and the Gamma
 prescription is stated where Gamma is computed."""
 
 import contextlib
+import dataclasses
 import io
 import re
 from pathlib import Path
@@ -62,6 +63,12 @@ def test_all_is_the_pinned_public_api():
         "transition_frequency",
         "transition_multipoles",
     ]
+
+
+def test_trajectory_is_its_bloch_samples():
+    # every observable is derived from the samples where it is used
+    fields = [f.name for f in dataclasses.fields(quadbloch.Trajectory)]
+    assert fields == ["t", "bloch", "error_estimate", "step", "params"]
 
 
 def test_gamma_docstring_states_the_prescription():

@@ -17,6 +17,7 @@ from quadbloch import (
     exact_trajectory,
     frequency_shift,
 )
+from quadbloch.cli import _csv_columns
 from quadbloch.twolevel import _log_cosh_ratio
 
 from oracles import density_rhs_two_level
@@ -271,43 +272,53 @@ class TestAnalyticDensity:
             assert rho.rho22 == pytest.approx(1.0 / (math.exp(-2 * q * t) + 1.0), rel=1e-12)
 
     def test_consistent_with_bloch_map(self, canonical_params):
-        # the trajectory's density columns are the map of its closed-form samples
+        # the CSV's density columns are the map of the closed-form samples
         traj = exact_trajectory(None, canonical_params, -40.0, 40.0, 0.8)
+        cols = _csv_columns(traj)
+        rho12 = cols["re_rho12"] + 1j * cols["im_rho12"]
         for k, t in enumerate(traj.t.tolist()):
             rho = closed_form_density(t, canonical_params)
-            assert abs(rho.rho11 - traj.rho11[k]) < 1e-15
-            assert abs(rho.rho22 - traj.rho22[k]) < 1e-15
-            assert abs(rho.rho12 - traj.rho12[k]) < 1e-15
+            assert abs(rho.rho11 - cols["rho11"][k]) < 1e-15
+            assert abs(rho.rho22 - cols["rho22"][k]) < 1e-15
+            assert abs(rho.rho12 - rho12[k]) < 1e-15
+
+
+def _energy(traj):
+    return _csv_columns(traj)["energy"]
+
+
+def _dipole(traj):
+    return _csv_columns(traj)["dipole"]
 
 
 class TestEnergyExpectation:
-    # the trajectory's energy column, with the zero midway between the levels
+    # the CSV's energy column, with the zero midway between the levels
     def test_balanced_mixture_is_zero(self, canonical_params):
         traj = exact_trajectory(BlochVector(0.0, 0.0, 0.0), canonical_params, 0.0, 1.0, 0.5)
-        assert traj.energy[0] == 0.0
+        assert _energy(traj)[0] == 0.0
 
     def test_pure_level_one(self, canonical_params):
         traj = exact_trajectory(BlochVector(0.0, 0.0, 1.0), canonical_params, 0.0, 1.0, 0.5)
-        assert np.all(traj.energy == -0.5 * canonical_params.omega21)
+        assert np.all(_energy(traj) == -0.5 * canonical_params.omega21)
 
     def test_tanh_law_along_closed_form(self, canonical_params):
         q = canonical_params.q
         traj = exact_trajectory(None, canonical_params, -9.0, 14.0, 0.5)
         expected = 0.5 * canonical_params.omega21 * np.tanh(q * traj.t)
-        assert np.max(np.abs(traj.energy - expected)) < 1e-15
+        assert np.max(np.abs(_energy(traj) - expected)) < 1e-15
 
 
 class TestDipoleExpectation:
-    # the trajectory's dipole column: Px, the dipole projection for a unit d21
+    # the CSV's dipole column: Px, the dipole projection for a unit d21
     def test_envelope_at_t0(self):
         p = TwoLevelParams(omega21=1.0, gamma11=0.02, gamma22=0.0, gamma12=-0.04, a12=0.2, t0=3.0)
         traj = exact_trajectory(None, p, 1.0, 5.0, 0.5)
-        assert traj.t[4] == p.t0 and traj.dipole[4] == 1.0
+        assert traj.t[4] == p.t0 and _dipole(traj)[4] == 1.0
 
     def test_bounded_by_envelope(self, canonical_params):
         q = canonical_params.q
         traj = exact_trajectory(None, canonical_params, -30.0, 30.0, 0.05)
-        assert np.all(np.abs(traj.dipole) <= 1.0 / np.cosh(q * traj.t) + 1e-15)
+        assert np.all(np.abs(_dipole(traj)) <= 1.0 / np.cosh(q * traj.t) + 1e-15)
 
     def test_pure_carrier_when_no_shifts(self):
         # tau = lam = 0 leaves the unshifted carrier omega21 (t - t0) under the envelope
@@ -315,7 +326,7 @@ class TestDipoleExpectation:
         traj = exact_trajectory(None, p, -4.0, 6.0, 0.01)
         dt = traj.t - p.t0
         expected = np.cos(p.omega21 * dt) / np.cosh(p.q * dt)
-        assert np.max(np.abs(traj.dipole - expected)) < 1e-13
+        assert np.max(np.abs(_dipole(traj) - expected)) < 1e-13
 
     def test_matches_transverse_component(self, canonical_params):
         lam_zero = TwoLevelParams(omega21=1.0, gamma11=0.02, gamma22=0.0, gamma12=0.01, a12=0.2)
@@ -323,13 +334,13 @@ class TestDipoleExpectation:
         for p in (lam_zero, canonical_params):
             traj = exact_trajectory(None, p, -8.0, 8.0, 0.16)
             expected = [analytic_bloch(t, p).px for t in traj.t.tolist()]
-            assert np.max(np.abs(traj.dipole - expected)) < 1e-15
+            assert np.max(np.abs(_dipole(traj) - expected)) < 1e-15
 
     def test_defined_at_q_zero(self):
         # a plain rotation at omega21 - tau - lam Pz0 from (1, 0, 0) at t_start
         p = TwoLevelParams(omega21=1.0, gamma11=0.1, gamma22=0.04, gamma12=0.01)
         traj = exact_trajectory(None, p, -2.0, 8.0, 0.01)
-        assert np.max(np.abs(traj.dipole - np.cos((p.omega21 - p.tau) * (traj.t + 2.0)))) < 1e-13
+        assert np.max(np.abs(_dipole(traj) - np.cos((p.omega21 - p.tau) * (traj.t + 2.0)))) < 1e-13
 
 
 class TestFrequencyShift:

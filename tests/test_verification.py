@@ -5,7 +5,7 @@ import pytest
 
 from quadbloch import BlochVector, TwoLevelParams, bloch_flow, integrate, integrator, verification
 from quadbloch.integrator import _integrate
-from quadbloch.twolevel import _flow_anchor
+from quadbloch.twolevel import _flow_anchor, _shift
 from quadbloch.verification import _closed_form_residual, _shift_phase_mismatch, run_checks
 
 SPAN = (-10.0, 10.0, 2e-3)
@@ -38,7 +38,7 @@ def test_old_shift_sign_fails(case, canonical_params):
         initial = BlochVector(0.3, -0.4, np.sqrt(0.75))
     traj = integrate(initial, p, *SPAN)
     old_sign = -p.tau + p.lam * traj.bloch[:, 2]
-    assert _shift_phase_mismatch(traj, traj.shift) < 1e-6
+    assert _shift_phase_mismatch(traj, _shift(p, traj.bloch[:, 2])) < 1e-6
     assert _shift_phase_mismatch(traj, old_sign) > 0.05
 
 
@@ -181,6 +181,36 @@ def test_convergence_order_equals_separate_integrations(span, canonical_params):
     coarse = integrate(None, canonical_params, t_start, t_end, conv_step)
     half = integrate(None, canonical_params, t_start, t_end, conv_step / 2.0)
     assert _check(report, "convergence_order").measured == coarse.error_estimate / half.error_estimate
+
+
+@pytest.mark.parametrize("omega21", [200.0, 400.0, 1000.0])
+@pytest.mark.parametrize("initial, span", [(None, (-1.0, 1.0)), (BlochVector(0.3, -0.2, 0.5), (-1.0, 1.0)),
+                                           (None, (-20.0, 20.0))], ids=["default", "custom", "long"])
+def test_order_passes_fast_flows(omega21, initial, span):
+    # started at span/2000 alone, h R reached 1 at omega21 = 1000 on [-1, 1],
+    # outside RK4's asymptotic range, and a correct run read 1.26
+    p = TwoLevelParams(omega21=omega21, a12=0.2)
+    check = verification._convergence_order(initial, p, *span, 1e-5, {})
+    assert not check.skipped and check.passed
+    assert 15.9 < check.measured < 16.1
+
+
+def test_fast_flow_verifies_end_to_end():
+    report, _ = run_checks(TwoLevelParams(omega21=1000.0, a12=0.2), -1.0, 1.0, 1e-5)
+    assert report.passed and not any(c.skipped for c in report.checks)
+    assert 12.0 <= _check(report, "convergence_order").measured <= 20.0
+
+
+def test_order_skipped_when_its_half_step_run_exceeds_the_limit(monkeypatch):
+    # at h R = 0.1 the order is checked at the run's own step, which adds a
+    # pass of 4n steps; where the run at h/2 is over the limit it is skipped
+    p = TwoLevelParams(omega21=1000.0, a12=0.2)
+    monkeypatch.setattr(verification, "_MAX_RK4_STEPS", 30_000)
+    report, _ = run_checks(p, -1.0, 1.0, 1e-4)
+    check = _check(report, "convergence_order")
+    assert check.skipped and check.tolerance == "over the RK4 limit"
+    monkeypatch.setattr(verification, "_MAX_RK4_STEPS", 40_000)
+    assert not _check(run_checks(p, -1.0, 1.0, 1e-4)[0], "convergence_order").skipped
 
 
 def test_order_skipped_when_no_step_clears_rounding():
