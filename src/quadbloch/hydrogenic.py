@@ -153,7 +153,10 @@ def _radial_envelope(state: BoundState, r):
     """
     n, l, z = state.n, state.l, state.z_charge
     a = 2.0 * z / n
-    norm = math.sqrt(a**3 * math.factorial(n - l - 1) / (2 * n * math.factorial(n + l)))
+    try:
+        norm = math.sqrt(a**3 * math.factorial(n - l - 1) / (2 * n * math.factorial(n + l)))
+    except OverflowError:
+        raise ValueError(f"state {state.label()}: its normalization's (n + l)! = {n + l}! overflows a float") from None
     u = a * r
     lag = _laguerre(n - l - 1, 2 * l + 1, u)
     if n - l - 2 >= 0:
@@ -185,14 +188,18 @@ def eigenstate_factors(state: BoundState, r, unit):
     u' = g' r^l and v = g r^(l-1) (g from ``_radial_envelope``). Returns the
     real radial rows (u, u', v), shape (3, Nr), and the complex angular rows
     (S, S n_x, S n_y, S n_z, dS/dx, dS/dy, dS/dz), shape (7, Na). Radial
-    nodes must be positive.
+    nodes must be positive. Rows that are not finite (from l = 77 on the pair
+    grids, r^l overflows where g underflows) are refused with a ValueError.
     """
     l = state.l
-    g, gp = _radial_envelope(state, r)
-    rl1 = r ** (l - 1)
-    rl = rl1 * r
+    with np.errstate(over="ignore", invalid="ignore"):
+        g, gp = _radial_envelope(state, r)
+        rl1 = r ** (l - 1)
+        rl = rl1 * r
+        radial = np.stack([g * rl, gp * rl, g * rl1])
+    if not np.isfinite(radial).all():
+        raise ValueError(f"state {state.label()}: r^{l} overflows a float on its grid, r <= {np.max(r):.4g}")
     sval, sgrad = solid_harmonic(l, state.m, unit)
-    radial = np.stack([g * rl, gp * rl, g * rl1])
     angular = np.concatenate([sval[None, :], sval * unit.T, sgrad.T])
     return radial, angular
 

@@ -10,7 +10,8 @@ fixed map of the samples and is derived where it is used.
 Deliberately fixed-step: at the intended parameter scales (|q| << |omega21|)
 the dynamics are smooth and non-stiff, and a fixed grid makes trajectories
 byte-for-byte reproducible. A companion pass at half the step provides a
-Richardson estimate of the global error, stored on the trajectory.
+Richardson estimate of the global error, stored on the trajectory; ``verify``
+measures RK4's order against the exact flow, one ``_rk4_pass`` at a time.
 
 RK4 is run in two parts, following the structure of the equations. dPz/dt
 = q (Pz^2 - 1) does not involve Px or Py, so Python runs the RK4 recurrence
@@ -114,11 +115,15 @@ def _pz_recurrence(pz: float, q: float, h: float, n_steps: int) -> list[float]:
     return out
 
 
-def _rk4_pass(start: tuple[float, float, float], p: TwoLevelParams, t_start: float,
+def _rk4_pass(initial: BlochVector | None, p: TwoLevelParams, t_start: float,
               h: float, n_steps: int) -> np.ndarray:
-    """RK4 samples (n_steps + 1, 3) from ``start``; StepSizeError at the first
-    sample whose norm leaves the ball's slack."""
-    px0, py0, pz0 = start
+    """RK4 samples (n_steps + 1, 3) from ``initial`` at t_start, by default the
+    flow there; StepSizeError at the first sample whose norm leaves the ball's
+    slack, saying the state overflowed where that norm is not finite."""
+    # a given start enters RK4 as given, not re-evaluated through the flow
+    if initial is None:
+        initial = bloch_flow(t_start, p, *_flow_anchor(p, t_start))
+    px0, py0, pz0 = (float(v) for v in initial)
     pz = np.array(_pz_recurrence(pz0, p.q, h, n_steps))
 
     def rates(z):
@@ -146,6 +151,9 @@ def _rk4_pass(start: tuple[float, float, float], p: TwoLevelParams, t_start: flo
     escaped = np.flatnonzero(~(norm <= _NORM_ABORT))
     if escaped.size:
         k = int(escaped[0])
+        if not np.isfinite(norm[k]):
+            raise StepSizeError(f"|P| = {norm[k]} at t = {t_start + k * h:g}; "
+                                "the state overflowed at these rates")
         raise StepSizeError(
             f"|P| = {norm[k]:.9f} left the unit ball at t = {t_start + k * h:g}; "
             f"step {h:g} is too large for these parameters, retry with a smaller step"
@@ -163,31 +171,11 @@ def integrate(initial: BlochVector | None, p: TwoLevelParams, t_start: float,
     leaves the closed unit ball by more than 1e-6, which on this flow can
     only be a discretization artifact.
     """
-    return _integrate(initial, p, t_start, t_end, step, {})
-
-
-def _integrate(initial: BlochVector | None, p: TwoLevelParams, t_start: float, t_end: float,
-               step: float, passes: dict[int, np.ndarray]) -> Trajectory:
-    """``integrate``, taking its RK4 passes from ``passes`` (keyed by step
-    count) where present and adding the ones it runs.
-
-    A dict shared between calls with the same ``initial``, ``p`` and span
-    runs each pass once: n steps over the span always have the width
-    span / n, because halving a float is exact.
-    """
     t, h = time_grid(t_start, t_end, step)
-    # a given start enters RK4 as given, not re-evaluated through the flow
-    if initial is None:
-        initial = bloch_flow(t_start, p, *_flow_anchor(p, t_start))
-    start = tuple(float(v) for v in initial)
     n_steps = len(t) - 1
-    for n, width in ((n_steps, h), (2 * n_steps, 0.5 * h)):
-        if n not in passes:
-            passes[n] = _rk4_pass(start, p, t_start, width, n)
-
-    samples = passes[n_steps]
+    samples = _rk4_pass(initial, p, t_start, h, n_steps)
     # Richardson companion at half the step, compared at the shared times
-    deviation = float(np.max(np.abs(samples - passes[2 * n_steps][::2])))
+    deviation = float(np.max(np.abs(samples - _rk4_pass(initial, p, t_start, 0.5 * h, 2 * n_steps)[::2])))
     return Trajectory(t=t, bloch=samples, error_estimate=deviation * 16.0 / 15.0, step=h, params=p)
 
 

@@ -13,22 +13,22 @@ plus the flow's rounding over the step) where that is larger, so a correct
 flow passes at any rate while a wrong rotation, off by twice the turn
 rate, fails.
 
-The order is the ratio of two Richardson estimates, at a step and at half
-of it, and means something only while both stand clear of rounding and
-inside RK4's asymptotic range. It is measured at a step no finer than the
-run's own, starting from span/2000, or from ``_ORDER_SCALE`` / R where that
-is finer (R bounds the flow's rates; at h R = 1 the ratio read 1.26 on a
-correct run, at h R = 0.1 it reads 16.0). The step is doubled (at most
-``_ORDER_DOUBLINGS`` times) while either estimate is below ``_ORDER_FLOOR``
-times eps sqrt(N), the rounding that N unit-size RK4 steps accumulate as a
-random walk, with N the step count of the finest pass behind the estimates.
-At ten such levels each estimate is within 10% of its truncation error, so
-a fourth-order ratio reads in [13.1, 19.6], inside ``_ORDER_WINDOW``. The
-check is skipped when no step qualifies.
+The order is err(h) / err(h/2), err the largest deviation of one RK4 pass
+from the exact flow, at a step no finer than the run's own: from span/2000,
+or ``_ORDER_SCALE`` / R where finer (R bounds the flow's rates; at h R = 1 a
+correct run read 1.26, at 0.1 it reads 16.0), doubled at most
+``_ORDER_DOUBLINGS`` times while either error is below ``_ORDER_FLOOR`` eps
+(n + ``_FD_ROUNDING`` (1 + R T)), n the half-step pass's step count. n eps
+bounds RK4's rounding where it adds up coherently (at q = 0 every step
+multiplies by the same float); the rest is the flow's (``_flow_rounding``).
+Each error is then within 10% of its truncation error, so a fourth-order
+ratio reads in [16 * 0.9 / 1.1, 16 * 1.1 / 0.9] = [13.1, 19.6], inside
+``_ORDER_WINDOW``; with no such step the check is skipped. Each pass is
+dropped once its error is taken; none runs over 2m + 1 steps for a run of m.
 
-RK4 holds about 480 bytes per step (both passes and their temporaries),
-four times what ``simulate`` needs, so ``run_checks`` refuses more than
-``_MAX_RK4_STEPS`` steps before it allocates anything.
+RK4 holds about 480 bytes per step (the run's two passes and their
+temporaries), four times what ``simulate`` needs, so ``run_checks`` refuses
+more than ``_MAX_RK4_STEPS`` steps before it allocates anything.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .integrator import Trajectory, _integrate, _step_count
-from .integrator import integrate  # noqa: F401  # unused; bench/selftest.py checks the tracer rebinds it
+from .integrator import Trajectory, _rk4_pass, _step_count, integrate, time_grid
 from .twolevel import (TwoLevelParams, _flow_anchor, _shift, additional_shift, bloch_flow, bloch_rhs,
                        bloch_to_density, frequency_shift)
 
@@ -93,6 +92,13 @@ def _rate_bound(p: TwoLevelParams) -> float:
     return max(1.0, abs(p.omega21 - p.tau) + abs(p.lam) + abs(p.q))
 
 
+def _flow_rounding(p: TwoLevelParams, at: float, t_start: float, t_end: float) -> float:
+    """_FD_ROUNDING eps (1 + R T), the rounding of a flow sample on [t_start, t_end]: the phase is
+    a product of size up to R |t - at|, and t is rounded at |t|, so T = max |t| + max |t - at|."""
+    span = max(abs(t_start), abs(t_end)) + max(abs(t_start - at), abs(t_end - at))
+    return _FD_ROUNDING * np.finfo(float).eps * (1.0 + _rate_bound(p) * span)
+
+
 def _closed_form_residual(p: TwoLevelParams, rhs_params: TwoLevelParams, start, at: float,
                           t_start: float, t_end: float) -> tuple[float, float]:
     """(max |bloch_rhs(x(t), rhs_params) - dx/dt|, the error bound of dx/dt)
@@ -105,15 +111,12 @@ def _closed_form_residual(p: TwoLevelParams, rhs_params: TwoLevelParams, start, 
       tau - lam Pz), Px - i Py has third derivative (a'' + 3 a a' + a^3)
       (Px - i Py), where |a| <= R, |a'| <= R^2 and |a''| <= 2 R^3; Pz is a
       tanh, whose third derivative is at most 2 q^3.
-    * rounding, delta / h, where each flow sample is off by at most
-      delta = _FD_ROUNDING eps (1 + R T). The phase is a product of size up
-      to R |t - at|, and t +- h is rounded at |t|, so T = max |t| + max |t - at|.
+    * rounding, delta / h, with delta from ``_flow_rounding`` for each sample.
     """
     times = np.linspace(t_start, t_end, _CHECK_TIMES)
     rate = _rate_bound(p)
     h = _FD_SCALE / rate
-    span = max(abs(t_start), abs(t_end)) + max(abs(t_start - at), abs(t_end - at))
-    bound = h * h * rate**3 + _FD_ROUNDING * np.finfo(float).eps * (1.0 + rate * span) / h
+    bound = h * h * rate**3 + _flow_rounding(p, at, t_start, t_end) / h
 
     def flow(t):
         return bloch_flow(t, p, start, at)
@@ -142,26 +145,30 @@ def _shift_phase_mismatch(traj: Trajectory, shift: np.ndarray) -> float | None:
     return float(np.max(np.abs(shift[keep] - rate[keep])))
 
 
-def _convergence_order(initial, p: TwoLevelParams, t_start: float, t_end: float, step: float,
-                       passes: dict[int, np.ndarray]) -> Check:
-    """Ratio of the Richardson estimates at a step and at half of it, at the
-    finest step from max(step, min(span/2000, _ORDER_SCALE / R)) up whose
-    estimates clear rounding. Skipped where its run at half that step would
-    itself exceed ``_MAX_RK4_STEPS``, which only a run of more than 10^6
-    steps at h R > 0.05 reaches."""
+def _convergence_order(initial, p: TwoLevelParams, start, at: float, t_start: float, t_end: float,
+                       step: float) -> Check:
+    """err(h) / err(h/2), err the largest deviation of RK4 from ``initial``
+    from the flow through ``start`` at time ``at``, at the finest h from
+    max(step, min(span/2000, _ORDER_SCALE / R)) up whose errors clear rounding."""
     conv_step = max(step, min((t_end - t_start) / 2000.0, _ORDER_SCALE / _rate_bound(p)))
-    if _step_count(t_start, t_end, conv_step / 2.0) > _MAX_RK4_STEPS:
-        return Check("convergence_order", True, None, "over the RK4 limit", skipped=True)
+
+    def error(width: float) -> float:
+        t, h = time_grid(t_start, t_end, width)
+        samples = _rk4_pass(initial, p, t_start, h, len(t) - 1)
+        return float(np.max(np.abs(samples - bloch_flow(t, p, start, at))))
+
+    half = error(conv_step / 2.0)
     for _ in range(_ORDER_DOUBLINGS + 1):
-        coarse = _integrate(initial, p, t_start, t_end, conv_step, passes)
-        half = _integrate(initial, p, t_start, t_end, conv_step / 2.0, passes)
-        if half.error_estimate == 0.0 and coarse.error_estimate == 0.0:
+        coarse = error(conv_step)
+        if half == 0.0 and coarse == 0.0:
             return Check("convergence_order", True, None, "exact (fixed point)", skipped=True)
-        rounding = np.finfo(float).eps * np.sqrt(4 * (len(coarse) - 1))
-        if min(coarse.error_estimate, half.error_estimate) >= _ORDER_FLOOR * rounding:
-            ratio = coarse.error_estimate / half.error_estimate
+        rounding = (np.finfo(float).eps * _step_count(t_start, t_end, conv_step / 2.0)
+                    + _flow_rounding(p, at, t_start, t_end))
+        if min(coarse, half) >= _ORDER_FLOOR * rounding:
+            ratio = coarse / half
             return Check("convergence_order", _ORDER_WINDOW[0] <= ratio <= _ORDER_WINDOW[1],
                          ratio, f"in [{_ORDER_WINDOW[0]:g}, {_ORDER_WINDOW[1]:g}]")
+        half = coarse       # the doubled step's half is this step, exactly
         conv_step *= 2.0
     return Check("convergence_order", True, None, "at rounding level", skipped=True)
 
@@ -182,10 +189,7 @@ def run_checks(p: TwoLevelParams, t_start: float, t_end: float, step: float,
                          f"and verify's limit is {_MAX_RK4_STEPS:.0e} steps")
     q = p.q
     checks: list[Check] = []
-
-    # RK4 passes by step count, so the order check below runs none twice
-    passes: dict[int, np.ndarray] = {}
-    traj = _integrate(initial, p, t_start, t_end, step, passes)
+    traj = integrate(initial, p, t_start, t_end, step)
 
     rhs_params = p
     if flip_rotation:
@@ -235,6 +239,6 @@ def run_checks(p: TwoLevelParams, t_start: float, t_end: float, step: float,
     checks.append(Check("shift_decomposition", shift_residual < _SHIFT_TOL,
                         shift_residual, f"< {_SHIFT_TOL:g}"))
 
-    checks.append(_convergence_order(initial, p, t_start, t_end, step, passes))
+    checks.append(_convergence_order(initial, p, start, at, t_start, t_end, step))
 
     return Report(tuple(checks)), traj

@@ -1,6 +1,7 @@
 import io
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,67 @@ gamma12 = -0.04
 t_start = -20
 t_end = 20
 step = 0.01
+"""
+
+
+# README's pair.cfg, and the highest-l pair whose radial factors stay finite
+README_PAIR_TABLE = """\
+# pair: 2p -> 1s   units: atomic
+omega            3.75000000000e-01
+D_x              3.85339538329e-18
+D_y              1.01379088741e-17
+D_z              7.44935539028e-01
+Q_xx             4.36091231658e-18
+Q_xy             2.86323558201e-33
+Q_xz             -2.11951918285e-17
+Q_yy             4.36091231658e-18
+Q_yz             3.19255806102e-17
+Q_zz             -8.72182463317e-18
+Delta_x          0.00000000000e+00
+Delta_y          0.00000000000e+00
+Delta_z          0.00000000000e+00
+delta_xx         0.00000000000e+00
+delta_xy         0.00000000000e+00
+delta_xz         0.00000000000e+00
+delta_yx         0.00000000000e+00
+delta_yy         0.00000000000e+00
+delta_yz         0.00000000000e+00
+delta_zx         0.00000000000e+00
+delta_zy         0.00000000000e+00
+delta_zz         0.00000000000e+00
+A                1.51623290378e-08
+B                0.00000000000e+00
+C                0.00000000000e+00
+Gamma(k_max=1)   1.76367860592e-06
+"""
+HIGH_L_PAIR_TABLE = """\
+# pair: 77,76,0 -> 76,75,0   units: atomic
+omega            2.23384379049e-06
+D_x              3.89220429196e-14
+D_y              7.21284120132e-14
+D_z              2.90690761430e+03
+Q_xx             9.95233268865e-10
+Q_xy             1.50132788452e-12
+Q_xz             2.64016005546e-10
+Q_yy             6.94952923797e-10
+Q_yz             -1.00705424362e-09
+Q_zz             -1.69018619266e-09
+Delta_x          0.00000000000e+00
+Delta_y          0.00000000000e+00
+Delta_z          0.00000000000e+00
+delta_xx         0.00000000000e+00
+delta_xy         0.00000000000e+00
+delta_xz         0.00000000000e+00
+delta_yx         0.00000000000e+00
+delta_yy         0.00000000000e+00
+delta_yz         0.00000000000e+00
+delta_zx         0.00000000000e+00
+delta_zy         0.00000000000e+00
+delta_zz         0.00000000000e+00
+A                4.88040188061e-17
+B                0.00000000000e+00
+C                0.00000000000e+00
+Gamma(k_max=1)   9.52988331318e-10
 """
 
 
@@ -96,6 +158,32 @@ class TestCoeffs:
         assert main(["coeffs", "--config", cfg]) == 0
         # each state once on the grid factors, never pointwise on the product grid
         assert calls == ["eigenstate_factors"] * 2
+
+
+    @pytest.mark.parametrize("state_a, state_b, expected", [("2p0", "1s", README_PAIR_TABLE),
+                                                            ("77,76,0", "76,75,0", HIGH_L_PAIR_TABLE)])
+    def test_table_bytes(self, tmp_path, capsys, state_a, state_b, expected):
+        cfg = write(tmp_path / "pair.cfg", f"mode = coeffs\nstate_a = {state_a}\nstate_b = {state_b}\nk_max = 1.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["coeffs", "--config", cfg]) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("state_a, state_b, refused, cause", [
+        ("78,77,0", "77,76,0", "78,77,0", "r^77 overflows a float on its grid"),
+        ("85,84,0", "84,83,0", "84,83,0", "r^83 overflows a float on its grid"),
+        ("86,84,0", "1s", "86,84,0", "(n + l)! = 170! overflows a float"),
+    ])
+    def test_state_past_float_range_is_refused(self, tmp_path, capsys, state_a, state_b, refused, cause):
+        # these printed nan on every moment and rate line with exit 0, or
+        # "int too large to convert to float" without naming the state
+        cfg = write(tmp_path / "pair.cfg", f"mode = coeffs\nstate_a = {state_a}\nstate_b = {state_b}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["coeffs", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: state {refused}: ") and cause in captured.err
 
 
 class TestSimulate:
@@ -186,6 +274,15 @@ class TestSimulate:
                     "px0 = 1\npy0 = 0\npz0 = 0\nt_start = 0\nt_end = 100\nstep = 1.0\n")
         assert main(["verify", "--config", cfg]) == 1
         assert "smaller step" in capsys.readouterr().err
+
+    def test_overflowing_state_is_not_blamed_on_the_step(self, tmp_path, capsys):
+        # README's rates with gamma12 = 1e307: the norm is nan, and no step can help
+        cfg = write(tmp_path / "run.cfg",
+                    "mode = verify\nomega21 = 1.0\na12 = 0.2\ngamma11 = 0.02\ngamma12 = 1e307\n"
+                    "t_start = -20\nt_end = 20\nstep = 0.02\n")
+        assert main(["verify", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: |P| = nan at t = -19.98; the state overflowed at these rates\n"
 
     def test_coarse_step_is_sample_spacing_only(self, tmp_path):
         # the step that aborts RK4 above only spaces the exact samples here
@@ -304,8 +401,9 @@ class TestVerify:
 
     @pytest.mark.parametrize("step", ["0.05", "0.02", "0.005"])
     def test_order_measured_clear_of_rounding(self, tmp_path, capsys, step):
-        # at 0.02 and 0.005 the order step span/2000 = 0.02 leaves the half-step
-        # estimate at 5e-14, where the ratio read 1.81; it is doubled twice, to 0.08
+        # a slow rotation (omega21 = 0.069): the order step span/2000 = 0.02 at
+        # step 0.02 and 0.005, or the run's 0.05, leaves the errors within ten
+        # times their rounding bound; it is doubled to 0.16, or to 0.1
         cfg = write(tmp_path / "v.cfg",
                     "mode = verify\nstate_a = 3d+1\nstate_b = 2p0\ngamma11 = 0.01\ngamma22 = 0.005\n"
                     f"t_start = -10\nt_end = 30\nstep = {step}\n")
@@ -314,7 +412,18 @@ class TestVerify:
                          if l.startswith("convergence_order"))
         measured, status = conv_line.split()[1], conv_line.split()[-1]
         assert status == "pass"
-        assert measured == {"0.05": "1.581720e+01"}.get(step, "1.604033e+01")
+        assert measured == {"0.05": "1.601799e+01"}.get(step, "1.602823e+01")
+
+    @pytest.mark.parametrize("t_end", ["1", "2", "4"])
+    @pytest.mark.parametrize("step", ["1e-3", "1e-4"])
+    def test_order_passes_short_q_zero_runs(self, tmp_path, capsys, t_end, step):
+        # every q = 0 step multiplies by the same float, so RK4's rounding adds
+        # up coherently, about n eps; under a random-walk floor the ratio read
+        # 1.80 on [0, 2] and 1.75 on [0, 4] and FAILed
+        cfg = write(tmp_path / "v.cfg", f"mode = verify\nomega21 = 1\nt_start = 0\nt_end = {t_end}\nstep = {step}\n")
+        assert main(["verify", "--config", cfg]) == 0
+        conv_line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("convergence_order"))
+        assert conv_line.split()[-1] == "pass" and 15.5 < float(conv_line.split()[1]) < 16.5
 
 
 class TestShift:

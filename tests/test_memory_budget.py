@@ -6,6 +6,10 @@ container, Python 3.11, numpy 2.4):
 
 * ``run_checks`` peaks at 480 B/step from 2.5x10^4 to 2x10^5 steps. The
   peak is the RK4 half-step pass's temporaries, with the main pass held.
+  At ``omega21 = 1000`` over [-1, 1] (4x10^4 steps), where the order check
+  runs passes of its own at 0.1 / R, it also peaks at 480 B/step: each
+  order pass is dropped once its error is taken and is no longer than the
+  half-step pass.
 * ``simulate`` peaks at 112 B/step from 10^5 steps up: the exact samples
   and the eleven columns derived from them. At 2.5x10^4 steps the CSV
   writer's per-block buffers, about 0.8 MB, lift it to 144 B/step.
@@ -15,6 +19,8 @@ Python Pz loop about 5x, so the runs are kept at 2.5x10^4 steps.
 """
 
 import tracemalloc
+
+import pytest
 
 from quadbloch import TwoLevelParams
 from quadbloch.cli import main
@@ -27,17 +33,22 @@ RUN_CHECKS_BUDGET = 530      # B/step
 SIMULATE_BUDGET = 160        # B/step at STEPS steps
 
 
-def _peak_per_step(call):
+def _peak_per_step(call, steps=STEPS):
     tracemalloc.start()
     try:
         call()
-        return tracemalloc.get_traced_memory()[1] / STEPS
+        return tracemalloc.get_traced_memory()[1] / steps
     finally:
         tracemalloc.stop()
 
 
-def test_run_checks_peak_per_step():
-    peak = _peak_per_step(lambda: run_checks(README_RATES, *SPAN))
+@pytest.mark.parametrize("p, span, steps", [
+    (README_RATES, SPAN, STEPS),
+    # the order check's own passes held in a memo read 632 B/step here
+    (TwoLevelParams(omega21=1000.0, a12=0.2), (-1.0, 1.0, 5e-5), 40_000),
+], ids=["readme", "fast-flow"])
+def test_run_checks_peak_per_step(p, span, steps):
+    peak = _peak_per_step(lambda: run_checks(p, *span), steps)
     assert peak <= RUN_CHECKS_BUDGET, peak
 
 

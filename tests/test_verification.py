@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from quadbloch import BlochVector, TwoLevelParams, bloch_flow, integrate, integrator, verification
-from quadbloch.integrator import _integrate
 from quadbloch.twolevel import _flow_anchor, _shift
 from quadbloch.verification import _closed_form_residual, _shift_phase_mismatch, run_checks
 
@@ -75,11 +74,11 @@ def test_coarse_canonical_norm_within_error_estimate(canonical_params):
 @pytest.mark.parametrize("start", [None, BlochVector(0.5, 0.0, 0.0)])
 def test_perturbed_norm_fails(start, canonical_params, monkeypatch):
     # negative control: a main pass whose |P| is off by 1e-6 fails the norm check
-    def perturbed(initial, p, t_start, t_end, step, passes):
-        traj = _integrate(initial, p, t_start, t_end, step, passes)
+    def perturbed(initial, p, t_start, t_end, step):
+        traj = integrate(initial, p, t_start, t_end, step)
         return replace(traj, bloch=traj.bloch * (1.0 + 1e-6))
 
-    monkeypatch.setattr(verification, "_integrate", perturbed)
+    monkeypatch.setattr(verification, "integrate", perturbed)
     report, _ = run_checks(canonical_params, *SPAN, initial=start)
     check = _check(report, "bloch_norm_preservation")
     assert not check.passed and check.measured > 1e-7
@@ -147,40 +146,59 @@ def test_readme_residual_is_checked_at_1e_6(canonical_params):
 
 
 def _count_rk4_steps(monkeypatch):
+    """Step counts of every RK4 pass, in order: ``integrate``'s main and
+    half-step passes, then the order check's."""
     steps = []
     original = integrator._rk4_pass
 
-    def counting(start, p, t_start, h, n_steps):
+    def counting(initial, p, t_start, h, n_steps):
         steps.append(n_steps)
-        return original(start, p, t_start, h, n_steps)
+        return original(initial, p, t_start, h, n_steps)
 
     monkeypatch.setattr(integrator, "_rk4_pass", counting)
+    monkeypatch.setattr(verification, "_rk4_pass", counting)
     return steps
 
 
-@pytest.mark.parametrize("step,expected", [
-    (2e-3, 10_000 + 20_000 + 2_000 + 4_000 + 8_000),     # order checked at span/2000
-    (0.05, 400 + 800 + 1_600),                          # order checked at the run's own step
+@pytest.mark.parametrize("p, span, total, richardson_total", [
+    # order at span/2000: 2,000 and 4,000 steps
+    (None, (-10.0, 10.0, 2e-3), 10_000 + 20_000 + 2_000 + 4_000, 44_000),
+    # order at the run's own step: 400 and 800 steps
+    (None, (-10.0, 10.0, 0.05), 400 + 800 + 400 + 800, 2_800),
+    # round(2 span / step) = 2 round(span / step) + 1: the order's half-step pass is 2n + 1
+    (None, (-10.0, 10.0, 20.0 / 400.4), 400 + 800 + 400 + 801, 400 + 800 + 801 + 1_602),
+    # order at 0.1 / R, just under twice the run's step
+    (TwoLevelParams(omega21=1000.0, a12=0.2), (-1.0, 1.0, 5e-5), 40_000 + 80_000 + 40_004 + 20_002,
+     40_000 + 80_000 + 20_002 + 40_004 + 80_008),
 ])
-def test_each_rk4_pass_runs_once(step, expected, canonical_params, monkeypatch):
+def test_order_passes_within_the_runs_half_step(p, span, total, richardson_total, canonical_params, monkeypatch):
+    # no order pass is longer than the run's own half-step pass, which the RK4
+    # limit already bounds, and verify runs no more RK4 steps than with the
+    # Richardson ratio and its memo of passes
     steps = _count_rk4_steps(monkeypatch)
-    report, _ = run_checks(canonical_params, -10.0, 10.0, step)
-    assert report.passed
-    assert sum(steps) == expected
-    assert len(steps) == len(set(steps))
+    report, _ = run_checks(p or canonical_params, *span)
+    assert report.passed and not _check(report, "convergence_order").skipped
+    n = steps[0]
+    assert steps[1] == 2 * n and all(s <= 2 * n + 1 for s in steps[2:])
+    assert sum(steps) == total <= richardson_total
 
 
 @pytest.mark.parametrize("span", [(-10.0, 10.0, 2e-3), (-10.0, 10.0, 0.05), (-10.0, 10.0, 0.03),
                                   (-7.3, 9.1, 0.0137)])
 def test_convergence_order_equals_separate_integrations(span, canonical_params):
-    # shared passes give the ratio of two independent integrate calls bit for bit,
-    # also where round(2 span / step) is not twice round(span / step)
+    # the order is the ratio of the largest deviations of two integrate calls
+    # from the exact flow, bit for bit, also where round(2 span / step) is not
+    # twice round(span / step)
     report, _ = run_checks(canonical_params, *span)
     t_start, t_end, step = span
     conv_step = max(step, (t_end - t_start) / 2000.0)
-    coarse = integrate(None, canonical_params, t_start, t_end, conv_step)
-    half = integrate(None, canonical_params, t_start, t_end, conv_step / 2.0)
-    assert _check(report, "convergence_order").measured == coarse.error_estimate / half.error_estimate
+    start, at = _flow_anchor(canonical_params, t_start)
+
+    def error(width):
+        traj = integrate(None, canonical_params, t_start, t_end, width)
+        return np.max(np.abs(traj.bloch - bloch_flow(traj.t, canonical_params, start, at)))
+
+    assert _check(report, "convergence_order").measured == error(conv_step) / error(conv_step / 2.0)
 
 
 @pytest.mark.parametrize("omega21", [200.0, 400.0, 1000.0])
@@ -190,7 +208,8 @@ def test_order_passes_fast_flows(omega21, initial, span):
     # started at span/2000 alone, h R reached 1 at omega21 = 1000 on [-1, 1],
     # outside RK4's asymptotic range, and a correct run read 1.26
     p = TwoLevelParams(omega21=omega21, a12=0.2)
-    check = verification._convergence_order(initial, p, *span, 1e-5, {})
+    start, at = _flow_anchor(p, span[0], initial)
+    check = verification._convergence_order(initial, p, start, at, *span, 1e-5)
     assert not check.skipped and check.passed
     assert 15.9 < check.measured < 16.1
 
@@ -199,18 +218,6 @@ def test_fast_flow_verifies_end_to_end():
     report, _ = run_checks(TwoLevelParams(omega21=1000.0, a12=0.2), -1.0, 1.0, 1e-5)
     assert report.passed and not any(c.skipped for c in report.checks)
     assert 12.0 <= _check(report, "convergence_order").measured <= 20.0
-
-
-def test_order_skipped_when_its_half_step_run_exceeds_the_limit(monkeypatch):
-    # at h R = 0.1 the order is checked at the run's own step, which adds a
-    # pass of 4n steps; where the run at h/2 is over the limit it is skipped
-    p = TwoLevelParams(omega21=1000.0, a12=0.2)
-    monkeypatch.setattr(verification, "_MAX_RK4_STEPS", 30_000)
-    report, _ = run_checks(p, -1.0, 1.0, 1e-4)
-    check = _check(report, "convergence_order")
-    assert check.skipped and check.tolerance == "over the RK4 limit"
-    monkeypatch.setattr(verification, "_MAX_RK4_STEPS", 40_000)
-    assert not _check(run_checks(p, -1.0, 1.0, 1e-4)[0], "convergence_order").skipped
 
 
 def test_order_skipped_when_no_step_clears_rounding():
