@@ -4,14 +4,13 @@
 it is what ``simulate`` writes. ``integrate`` runs classical Runge-Kutta on
 the same grid and stays as the independent cross-check inside ``verify``.
 Both start where ``twolevel._flow_anchor`` says. A ``Trajectory`` is the
-sample times, the Bloch samples, the step, the parameters and the error
-estimate; every observable (density matrix, energy, dipole, shift) is a
-fixed map of the samples and is derived where it is used.
+sample times, the Bloch samples, the step and the parameters; every
+observable (density matrix, energy, dipole, shift) is a fixed map of the
+samples and is derived where it is used.
 Deliberately fixed-step: at the intended parameter scales (|q| << |omega21|)
 the dynamics are smooth and non-stiff, and a fixed grid makes trajectories
-byte-for-byte reproducible. A companion pass at half the step provides a
-Richardson estimate of the global error, stored on the trajectory; ``verify``
-measures RK4's order against the exact flow, one ``_rk4_pass`` at a time.
+byte-for-byte reproducible. RK4's error is its deviation from the exact
+flow; ``verify`` measures it, and its order, one ``integrate`` call at a time.
 
 RK4 is run in two parts, following the structure of the equations. dPz/dt
 = q (Pz^2 - 1) does not involve Px or Py, so Python runs the RK4 recurrence
@@ -44,15 +43,10 @@ class StepSizeError(RuntimeError):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-ordered Bloch samples on a grid of equal steps.
-
-    ``error_estimate`` is the Richardson estimate of the global error of the
-    Bloch components (max norm over the run); 0 for exact samples.
-    """
+    """Time-ordered Bloch samples on a grid of equal steps."""
 
     t: np.ndarray
     bloch: np.ndarray          # (N, 3)
-    error_estimate: float
     step: float
     params: TwoLevelParams
 
@@ -115,16 +109,22 @@ def _pz_recurrence(pz: float, q: float, h: float, n_steps: int) -> list[float]:
     return out
 
 
-def _rk4_pass(initial: BlochVector | None, p: TwoLevelParams, t_start: float,
-              h: float, n_steps: int) -> np.ndarray:
-    """RK4 samples (n_steps + 1, 3) from ``initial`` at t_start, by default the
-    flow there; StepSizeError at the first sample whose norm leaves the ball's
-    slack, saying the state overflowed where that norm is not finite."""
+def integrate(initial: BlochVector | None, p: TwoLevelParams, t_start: float,
+              t_end: float, step: float) -> Trajectory:
+    """Integrate the Bloch equations on a fixed grid of width ~``step``.
+
+    The span is divided into round(span/step) equal steps, so the last sample
+    lands exactly on t_end. ``initial=None`` starts from the closed-form
+    value at t_start. Aborts with StepSizeError at the first sample whose
+    norm leaves the closed unit ball by more than 1e-6 (on this flow, only a
+    discretization artifact), or overflows.
+    """
+    t, h = time_grid(t_start, t_end, step)
     # a given start enters RK4 as given, not re-evaluated through the flow
     if initial is None:
         initial = bloch_flow(t_start, p, *_flow_anchor(p, t_start))
     px0, py0, pz0 = (float(v) for v in initial)
-    pz = np.array(_pz_recurrence(pz0, p.q, h, n_steps))
+    pz = np.array(_pz_recurrence(pz0, p.q, h, len(t) - 1))
 
     def rates(z):
         # dw/dt = a(z) w with a(z) = f_x - i f_y of bloch_rhs at (1, 0, z); f_z is dPz/dt
@@ -158,25 +158,7 @@ def _rk4_pass(initial: BlochVector | None, p: TwoLevelParams, t_start: float,
             f"|P| = {norm[k]:.9f} left the unit ball at t = {t_start + k * h:g}; "
             f"step {h:g} is too large for these parameters, retry with a smaller step"
         )
-    return np.column_stack((px, py, pz))
-
-
-def integrate(initial: BlochVector | None, p: TwoLevelParams, t_start: float,
-              t_end: float, step: float) -> Trajectory:
-    """Integrate the Bloch equations on a fixed grid of width ~``step``.
-
-    The span is divided into round(span/step) equal steps, so the last sample
-    lands exactly on t_end. ``initial=None`` starts from the closed-form
-    value at t_start. Aborts with StepSizeError when the norm of either pass
-    leaves the closed unit ball by more than 1e-6, which on this flow can
-    only be a discretization artifact.
-    """
-    t, h = time_grid(t_start, t_end, step)
-    n_steps = len(t) - 1
-    samples = _rk4_pass(initial, p, t_start, h, n_steps)
-    # Richardson companion at half the step, compared at the shared times
-    deviation = float(np.max(np.abs(samples - _rk4_pass(initial, p, t_start, 0.5 * h, 2 * n_steps)[::2])))
-    return Trajectory(t=t, bloch=samples, error_estimate=deviation * 16.0 / 15.0, step=h, params=p)
+    return Trajectory(t=t, bloch=np.column_stack((px, py, pz)), step=h, params=p)
 
 
 def exact_trajectory(initial: BlochVector | None, p: TwoLevelParams, t_start: float,
@@ -189,4 +171,4 @@ def exact_trajectory(initial: BlochVector | None, p: TwoLevelParams, t_start: fl
     """
     t, h = time_grid(t_start, t_end, step)
     samples = bloch_flow(t, p, *_flow_anchor(p, t_start, initial))
-    return Trajectory(t=t, bloch=samples, error_estimate=0.0, step=h, params=p)
+    return Trajectory(t=t, bloch=samples, step=h, params=p)

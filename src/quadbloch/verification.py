@@ -26,9 +26,14 @@ ratio reads in [16 * 0.9 / 1.1, 16 * 1.1 / 0.9] = [13.1, 19.6], inside
 ``_ORDER_WINDOW``; with no such step the check is skipped. Each pass is
 dropped once its error is taken; none runs over 2m + 1 steps for a run of m.
 
-RK4 holds about 480 bytes per step (the run's two passes and their
-temporaries), four times what ``simulate`` needs, so ``run_checks`` refuses
-more than ``_MAX_RK4_STEPS`` steps before it allocates anything.
+The agreement, norm and phase tolerances scale with e, RK4's error at the
+run's step h, read off the order check: e = err(h_c) (h / h_c)^4 from its
+coarse step h_c, which is never finer than h.
+
+RK4 holds up to about 500 bytes per step (the order check's half-step pass
+at the run's own step, with the run held), four times what ``simulate``
+needs, so ``run_checks`` refuses more than ``_MAX_RK4_STEPS`` steps before
+it allocates anything.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .integrator import Trajectory, _rk4_pass, _step_count, integrate, time_grid
+from .integrator import Trajectory, _step_count, integrate
 from .twolevel import (TwoLevelParams, _flow_anchor, _shift, additional_shift, bloch_flow, bloch_rhs,
                        bloch_to_density, frequency_shift)
 
@@ -52,7 +57,7 @@ _FD_SCALE = 1e-4             # the residual's difference step times the flow's f
 _FD_ROUNDING = 8.0           # eps per unit of (1 + phase) in one flow sample
 _CHECK_TIMES = 1001          # samples of the closed-form and decomposition residuals
 _PHASE_MIN_AMPLITUDE = 1e-3
-_MAX_RK4_STEPS = 2 * 10**6   # about 1 GB at RK4's 480 bytes per step
+_MAX_RK4_STEPS = 2 * 10**6   # about 1 GB at the order check's 500 bytes per step
 
 
 @dataclass(frozen=True)
@@ -141,36 +146,38 @@ def _shift_phase_mismatch(traj: Trajectory, shift: np.ndarray) -> float | None:
     keep = np.abs(w) >= _PHASE_MIN_AMPLITUDE
     if len(traj) < 3 or not keep.any():
         return None
-    rate = np.gradient(np.unwrap(np.angle(w)), traj.t, edge_order=2) - traj.params.omega21
+    # at the width RK4 stepped: the rounded sample times add noise, and
+    # their spacing products underflow on tiny steps
+    rate = np.gradient(np.unwrap(np.angle(w)), traj.step, edge_order=2) - traj.params.omega21
     return float(np.max(np.abs(shift[keep] - rate[keep])))
 
 
 def _convergence_order(initial, p: TwoLevelParams, start, at: float, t_start: float, t_end: float,
-                       step: float) -> Check:
-    """err(h) / err(h/2), err the largest deviation of RK4 from ``initial``
-    from the flow through ``start`` at time ``at``, at the finest h from
-    max(step, min(span/2000, _ORDER_SCALE / R)) up whose errors clear rounding."""
+                       step: float) -> tuple[Check, float, float]:
+    """(check, err(h), h): the check of err(h) / err(h/2), err the largest
+    deviation of RK4 from ``initial`` from the flow through ``start`` at
+    time ``at``, at the finest h from max(step, min(span/2000, _ORDER_SCALE / R))
+    up whose errors clear rounding, or the last h tried."""
     conv_step = max(step, min((t_end - t_start) / 2000.0, _ORDER_SCALE / _rate_bound(p)))
 
-    def error(width: float) -> float:
-        t, h = time_grid(t_start, t_end, width)
-        samples = _rk4_pass(initial, p, t_start, h, len(t) - 1)
-        return float(np.max(np.abs(samples - bloch_flow(t, p, start, at))))
+    def error(width: float) -> tuple[float, float]:
+        traj = integrate(initial, p, t_start, t_end, width)
+        return float(np.max(np.abs(traj.bloch - bloch_flow(traj.t, p, start, at)))), traj.step
 
-    half = error(conv_step / 2.0)
+    half, _ = error(conv_step / 2.0)
     for _ in range(_ORDER_DOUBLINGS + 1):
-        coarse = error(conv_step)
+        coarse, h = error(conv_step)
         if half == 0.0 and coarse == 0.0:
-            return Check("convergence_order", True, None, "exact (fixed point)", skipped=True)
+            return Check("convergence_order", True, None, "exact (fixed point)", skipped=True), 0.0, h
         rounding = (np.finfo(float).eps * _step_count(t_start, t_end, conv_step / 2.0)
                     + _flow_rounding(p, at, t_start, t_end))
         if min(coarse, half) >= _ORDER_FLOOR * rounding:
             ratio = coarse / half
             return Check("convergence_order", _ORDER_WINDOW[0] <= ratio <= _ORDER_WINDOW[1],
-                         ratio, f"in [{_ORDER_WINDOW[0]:g}, {_ORDER_WINDOW[1]:g}]")
+                         ratio, f"in [{_ORDER_WINDOW[0]:g}, {_ORDER_WINDOW[1]:g}]"), coarse, h
         half = coarse       # the doubled step's half is this step, exactly
         conv_step *= 2.0
-    return Check("convergence_order", True, None, "at rounding level", skipped=True)
+    return Check("convergence_order", True, None, "at rounding level", skipped=True), coarse, h
 
 
 def run_checks(p: TwoLevelParams, t_start: float, t_end: float, step: float,
@@ -185,29 +192,32 @@ def run_checks(p: TwoLevelParams, t_start: float, t_end: float, step: float,
     """
     steps = _step_count(t_start, t_end, step)
     if steps > _MAX_RK4_STEPS:
-        raise ValueError(f"verify runs RK4 on {steps} steps; RK4 needs about 480 bytes per step, "
+        raise ValueError(f"verify runs RK4 on {steps} steps; RK4 needs about 500 bytes per step, "
                          f"and verify's limit is {_MAX_RK4_STEPS:.0e} steps")
     q = p.q
     checks: list[Check] = []
     traj = integrate(initial, p, t_start, t_end, step)
+    # the flow from the run's own start: by default the closed form through
+    # (1, 0, 0) at t0
+    start, at = _flow_anchor(p, t_start, initial)
+    order, order_error, order_step = _convergence_order(initial, p, start, at, t_start, t_end, step)
+    # RK4's error at the run's step, carried from the order check's at fourth order
+    error = order_error * (traj.step / order_step) ** 4
 
     rhs_params = p
     if flip_rotation:
         rhs_params = replace(p, omega21=-p.omega21, gamma11=-p.gamma11,
                              gamma22=-p.gamma22, gamma12=-p.gamma12)
-    # the flow from the run's own start: by default the closed form through
-    # (1, 0, 0) at t0
-    start, at = _flow_anchor(p, t_start, initial)
     # the tolerance is 1e-6, or the difference's own error bound where that is larger
     residual, bound = _closed_form_residual(p, rhs_params, start, at, t_start, t_end)
     residual_tol = max(_RESIDUAL_TOL, bound)
     checks.append(Check("closed_form_residual", residual < residual_tol,
                         residual, f"< {residual_tol:.3g}"))
 
-    # RK4 against the exact flow from the same start, within its own
-    # estimated error once that exceeds the nominal floor
+    # RK4 against the exact flow from the same start, within its error
+    # once that exceeds the nominal floor
     exact = bloch_flow(traj.t, p, start, at)
-    agree_tol = max(1e-8, 50.0 * traj.error_estimate)
+    agree_tol = max(1e-8, 50.0 * error)
 
     # |P| is conserved only on the unit sphere, so the norm is compared with
     # the flow's: d|P|^2/dt = 2 q Pz (|P|^2 - 1)
@@ -231,7 +241,7 @@ def run_checks(p: TwoLevelParams, t_start: float, t_end: float, step: float,
                             "no usable samples", skipped=True))
     else:
         # integrator phase error plus the O(h^2) truncation of the phase derivative
-        tol = max(1e-6, traj.error_estimate / traj.step + abs(p.lam) * q * q * traj.step**2)
+        tol = max(1e-6, error / traj.step + abs(p.lam) * q * q * traj.step**2)
         checks.append(Check("shift_matches_trajectory_phase", mismatch < tol,
                             mismatch, f"< {tol:.3g}"))
 
@@ -239,6 +249,6 @@ def run_checks(p: TwoLevelParams, t_start: float, t_end: float, step: float,
     checks.append(Check("shift_decomposition", shift_residual < _SHIFT_TOL,
                         shift_residual, f"< {_SHIFT_TOL:g}"))
 
-    checks.append(_convergence_order(initial, p, start, at, t_start, t_end, step))
+    checks.append(order)
 
     return Report(tuple(checks)), traj

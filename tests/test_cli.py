@@ -425,6 +425,16 @@ class TestVerify:
         conv_line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("convergence_order"))
         assert conv_line.split()[-1] == "pass" and 15.5 < float(conv_line.split()[1]) < 16.5
 
+    def test_phase_rate_on_tiny_steps(self, tmp_path, capsys):
+        # differentiated at the sample times, the gradient's spacing products
+        # underflowed at steps of 1e-301, and the phase check read nan
+        cfg = write(tmp_path / "v.cfg",
+                    "mode = verify\nomega21 = 1\na12 = 0.2\nt_start = 0\nt_end = 1e-300\nstep = 1e-301\n")
+        assert main(["verify", "--config", cfg]) == 0
+        line = next(l for l in capsys.readouterr().out.splitlines()
+                    if l.startswith("shift_matches_trajectory_phase"))
+        assert line.split()[-1] == "pass" and float(line.split()[1]) < 1e-14
+
 
 class TestShift:
     def test_identity_residual_and_t0_row(self, tmp_path, capsys):

@@ -68,7 +68,7 @@ def test_all_is_the_pinned_public_api():
 def test_trajectory_is_its_bloch_samples():
     # every observable is derived from the samples where it is used
     fields = [f.name for f in dataclasses.fields(quadbloch.Trajectory)]
-    assert fields == ["t", "bloch", "error_estimate", "step", "params"]
+    assert fields == ["t", "bloch", "step", "params"]
 
 
 def test_gamma_docstring_states_the_prescription():

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from quadbloch import BlochVector, TwoLevelParams, bloch_flow, integrate, integrator, verification
+from quadbloch import BlochVector, TwoLevelParams, bloch_flow, exact_trajectory, integrate, verification
 from quadbloch.twolevel import _flow_anchor, _shift
 from quadbloch.verification import _closed_form_residual, _shift_phase_mismatch, run_checks
 
@@ -64,10 +64,12 @@ def test_every_start_checked_against_exact_flow(case, canonical_params):
 
 
 def test_coarse_canonical_norm_within_error_estimate(canonical_params):
-    # the norm drift of 5.4e-6 at step 0.1 is inside the run's own error estimate
+    # the norm drift of 5.4e-6 at step 0.1 is inside 50 times the run's
+    # deviation from the exact flow, 1.53e-5
     report, traj = run_checks(canonical_params, -20.0, 20.0, 0.1)
     check = _check(report, "bloch_norm_preservation")
-    assert 1e-6 < check.measured < 50.0 * traj.error_estimate
+    exact = exact_trajectory(None, canonical_params, -20.0, 20.0, 0.1)
+    assert 1e-6 < check.measured < 50.0 * np.max(np.abs(traj.bloch - exact.bloch))
     assert check.passed and report.passed
 
 
@@ -83,6 +85,25 @@ def test_perturbed_norm_fails(start, canonical_params, monkeypatch):
     check = _check(report, "bloch_norm_preservation")
     assert not check.passed and check.measured > 1e-7
     assert not report.passed
+
+
+@pytest.mark.parametrize("step", [2e-3, 0.05, 0.1])
+@pytest.mark.parametrize("wrong", ["px-offset", "omega21-offset"])
+def test_wrong_flow_fails(wrong, step, canonical_params, monkeypatch):
+    # negative control: a flow off by 1e-6 in Px, or turning at omega21 + 1e-7,
+    # fails the report; RK4's order against it is off at every step
+    exact = verification.bloch_flow
+
+    def shifted(t, p, *anchor):
+        return exact(t, p, *anchor) + np.array([1e-6, 0.0, 0.0])
+
+    def detuned(t, p, *anchor):
+        return exact(t, replace(p, omega21=p.omega21 + 1e-7), *anchor)
+
+    monkeypatch.setattr(verification, "bloch_flow", shifted if wrong == "px-offset" else detuned)
+    report, _ = run_checks(canonical_params, SPAN[0], SPAN[1], step)
+    assert not report.passed
+    assert not _check(report, "convergence_order").passed
 
 
 def test_residual_at_q_zero_follows_the_run_start():
@@ -146,41 +167,39 @@ def test_readme_residual_is_checked_at_1e_6(canonical_params):
 
 
 def _count_rk4_steps(monkeypatch):
-    """Step counts of every RK4 pass, in order: ``integrate``'s main and
-    half-step passes, then the order check's."""
+    """Step counts of every RK4 pass, in order: the run's, then the order check's."""
     steps = []
-    original = integrator._rk4_pass
+    original = verification.integrate
 
-    def counting(initial, p, t_start, h, n_steps):
-        steps.append(n_steps)
-        return original(initial, p, t_start, h, n_steps)
+    def counting(*args):
+        traj = original(*args)
+        steps.append(len(traj) - 1)
+        return traj
 
-    monkeypatch.setattr(integrator, "_rk4_pass", counting)
-    monkeypatch.setattr(verification, "_rk4_pass", counting)
+    monkeypatch.setattr(verification, "integrate", counting)
     return steps
 
 
-@pytest.mark.parametrize("p, span, total, richardson_total", [
+@pytest.mark.parametrize("p, span, total, half_step_total", [
     # order at span/2000: 2,000 and 4,000 steps
-    (None, (-10.0, 10.0, 2e-3), 10_000 + 20_000 + 2_000 + 4_000, 44_000),
+    (None, (-10.0, 10.0, 2e-3), 10_000 + 2_000 + 4_000, 36_000),
     # order at the run's own step: 400 and 800 steps
-    (None, (-10.0, 10.0, 0.05), 400 + 800 + 400 + 800, 2_800),
+    (None, (-10.0, 10.0, 0.05), 400 + 400 + 800, 2_400),
     # round(2 span / step) = 2 round(span / step) + 1: the order's half-step pass is 2n + 1
-    (None, (-10.0, 10.0, 20.0 / 400.4), 400 + 800 + 400 + 801, 400 + 800 + 801 + 1_602),
+    (None, (-10.0, 10.0, 20.0 / 400.4), 400 + 400 + 801, 2_401),
     # order at 0.1 / R, just under twice the run's step
-    (TwoLevelParams(omega21=1000.0, a12=0.2), (-1.0, 1.0, 5e-5), 40_000 + 80_000 + 40_004 + 20_002,
-     40_000 + 80_000 + 20_002 + 40_004 + 80_008),
+    (TwoLevelParams(omega21=1000.0, a12=0.2), (-1.0, 1.0, 5e-5), 40_000 + 40_004 + 20_002, 180_006),
 ])
-def test_order_passes_within_the_runs_half_step(p, span, total, richardson_total, canonical_params, monkeypatch):
-    # no order pass is longer than the run's own half-step pass, which the RK4
-    # limit already bounds, and verify runs no more RK4 steps than with the
-    # Richardson ratio and its memo of passes
+def test_order_passes_within_the_runs_half_step(p, span, total, half_step_total, canonical_params, monkeypatch):
+    # no order pass is longer than a half-step pass of the run, which the RK4
+    # limit already bounds, and verify runs fewer RK4 steps than when the run
+    # carried a half-step pass of its own for an error estimate
     steps = _count_rk4_steps(monkeypatch)
     report, _ = run_checks(p or canonical_params, *span)
     assert report.passed and not _check(report, "convergence_order").skipped
     n = steps[0]
-    assert steps[1] == 2 * n and all(s <= 2 * n + 1 for s in steps[2:])
-    assert sum(steps) == total <= richardson_total
+    assert all(s <= 2 * n + 1 for s in steps[1:])
+    assert sum(steps) == total < half_step_total
 
 
 @pytest.mark.parametrize("span", [(-10.0, 10.0, 2e-3), (-10.0, 10.0, 0.05), (-10.0, 10.0, 0.03),
@@ -209,7 +228,7 @@ def test_order_passes_fast_flows(omega21, initial, span):
     # outside RK4's asymptotic range, and a correct run read 1.26
     p = TwoLevelParams(omega21=omega21, a12=0.2)
     start, at = _flow_anchor(p, span[0], initial)
-    check = verification._convergence_order(initial, p, start, at, *span, 1e-5)
+    check, _, _ = verification._convergence_order(initial, p, start, at, *span, 1e-5)
     assert not check.skipped and check.passed
     assert 15.9 < check.measured < 16.1
 
@@ -221,8 +240,8 @@ def test_fast_flow_verifies_end_to_end():
 
 
 def test_order_skipped_when_no_step_clears_rounding():
-    # a rotation of 1e-4 rad per unit time leaves every Richardson estimate at
-    # rounding level, where the ratio read 0.094 and failed
+    # a rotation of 1e-4 rad per unit time leaves every RK4 error at rounding
+    # level, where the ratio read 0.094 and failed
     p = TwoLevelParams(omega21=1e-4, gamma11=0.0, gamma22=0.0, gamma12=0.0)
     report, _ = run_checks(p, -10.0, 10.0, 0.01)
     check = _check(report, "convergence_order")
