@@ -1,11 +1,11 @@
 """Command-line front end: coefficient tables, simulations, verification.
 
-    quadbloch coeffs   --config pair.cfg
+    quadbloch coeffs   --config pair.cfg [--set key=value ...]
     quadbloch simulate --config run.cfg  [--set key=value ...]
-    quadbloch verify   --config run.cfg
-    quadbloch shift    --config run.cfg
+    quadbloch verify   --config run.cfg  [--set key=value ...]
+    quadbloch shift    --config run.cfg  [--set key=value ...]
 
-Exit codes: 0 on success, 1 on configuration or I/O errors, 2 when a
+Exit codes: 0 on success, 1 on usage, configuration or I/O errors, 2 when a
 verification report fails.
 """
 
@@ -63,8 +63,7 @@ def _fmt_complex(value: complex, factor: float = 1.0) -> str:
     return format(scaled.real, _COEFF_FMT)
 
 
-def run_coeffs(cfg: RunConfig, out=None) -> int:
-    out = out or sys.stdout
+def run_coeffs(cfg: RunConfig) -> int:
     si = cfg.units == "si"
     data = transition_multipoles(cfg.state_a, cfg.state_b)
     rates = data.rates()
@@ -75,25 +74,25 @@ def run_coeffs(cfg: RunConfig, out=None) -> int:
     dvec_c = constants.DELTA_VEC_SI if si else 1.0
     dten_c = constants.DELTA_TENSOR_SI if si else 1.0
 
-    print(f"# pair: {cfg.state_a.label()} -> {cfg.state_b.label()}   units: {cfg.units}", file=out)
-    print(f"{'omega':16s} {_fmt(data.omega * freq_c)}", file=out)
+    print(f"# pair: {cfg.state_a.label()} -> {cfg.state_b.label()}   units: {cfg.units}")
+    print(f"{'omega':16s} {_fmt(data.omega * freq_c)}")
     for i, axis in enumerate(_AXES):
-        print(f"{'D_' + axis:16s} {_fmt_complex(data.dipole[i], dip_c)}", file=out)
+        print(f"{'D_' + axis:16s} {_fmt_complex(data.dipole[i], dip_c)}")
     for i in range(3):
         for j in range(i, 3):
             name = f"Q_{_AXES[i]}{_AXES[j]}"
-            print(f"{name:16s} {_fmt_complex(data.quadrupole[i, j], quad_c)}", file=out)
+            print(f"{name:16s} {_fmt_complex(data.quadrupole[i, j], quad_c)}")
     for i, axis in enumerate(_AXES):
-        print(f"{'Delta_' + axis:16s} {_fmt(data.delta_vec[i] * dvec_c)}", file=out)
+        print(f"{'Delta_' + axis:16s} {_fmt(data.delta_vec[i] * dvec_c)}")
     for k in range(3):
         for i in range(3):
             name = f"delta_{_AXES[k]}{_AXES[i]}"
-            print(f"{name:16s} {_fmt(data.delta_tensor[k, i] * dten_c)}", file=out)
-    print(f"{'A':16s} {_fmt(rates.a_rate * freq_c)}", file=out)
-    print(f"{'B':16s} {_fmt(rates.b_rate * freq_c)}", file=out)
-    print(f"{'C':16s} {_fmt(rates.c_rate * freq_c)}", file=out)
+            print(f"{name:16s} {_fmt(data.delta_tensor[k, i] * dten_c)}")
+    print(f"{'A':16s} {_fmt(rates.a_rate * freq_c)}")
+    print(f"{'B':16s} {_fmt(rates.b_rate * freq_c)}")
+    print(f"{'C':16s} {_fmt(rates.c_rate * freq_c)}")
     if cfg.k_max is not None:
-        print(f"{f'Gamma(k_max={cfg.k_max:g})':16s} {_fmt(data.gamma(cfg.k_max) * freq_c)}", file=out)
+        print(f"{f'Gamma(k_max={cfg.k_max:g})':16s} {_fmt(data.gamma(cfg.k_max) * freq_c)}")
     return 0
 
 
@@ -152,7 +151,7 @@ def _csv_columns(traj: Trajectory, si: bool = False) -> dict[str, np.ndarray]:
             "dipole": px * d_c, "shift": _shift(p, pz) * f_c}
 
 
-def run_simulate(cfg: RunConfig, out=None) -> int:
+def run_simulate(cfg: RunConfig) -> int:
     """Write the exact flow sampled every ~``step`` (no numeric integration)."""
     p = _resolve_params(cfg)
     traj = exact_trajectory(cfg.initial, p, cfg.t_start, cfg.t_end, cfg.step)
@@ -166,16 +165,13 @@ def run_simulate(cfg: RunConfig, out=None) -> int:
     return 0
 
 
-def run_verify(cfg: RunConfig, out=None, flip_rotation: bool = False) -> int:
-    out = out or sys.stdout
-    report, _ = run_checks(_resolve_params(cfg), cfg.t_start, cfg.t_end, cfg.step,
-                           initial=cfg.initial, flip_rotation=flip_rotation)
-    print(report.format(), file=out)
+def run_verify(cfg: RunConfig) -> int:
+    report, _ = run_checks(_resolve_params(cfg), cfg.t_start, cfg.t_end, cfg.step, initial=cfg.initial)
+    print(report.format())
     return 0 if report.passed else 2
 
 
-def run_shift(cfg: RunConfig, out=None) -> int:
-    out = out or sys.stdout
+def run_shift(cfg: RunConfig) -> int:
     p = _resolve_params(cfg)
     dipole_only = p.dipole_only()
     freq_c = constants.PER_ATOMIC_TIME_S if cfg.units == "si" else 1.0
@@ -186,15 +182,21 @@ def run_shift(cfg: RunConfig, out=None) -> int:
     full = frequency_shift(times, p, *start)
     base = frequency_shift(times, dipole_only, *start)
     extra = additional_shift(times, p, *start)
-    print("t,shift_full,shift_dipole_only,additional_shift,identity_residual", file=out)
-    _write_csv_rows(out, (times * t_c, full * freq_c, base * freq_c, extra * freq_c,
-                          (full - base - extra) * freq_c))
+    print("t,shift_full,shift_dipole_only,additional_shift,identity_residual")
+    _write_csv_rows(sys.stdout, (times * t_c, full * freq_c, base * freq_c, extra * freq_c,
+                                 (full - base - extra) * freq_c))
     return 0
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 1, since 2 means a failed check
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quadbloch",
         description="Two-level radiative decay with quadrupole-corrected frequency chirp",
     )
@@ -209,9 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="path to a key=value config file")
         cmd.add_argument("--set", action="append", default=[], dest="overrides",
                          metavar="KEY=VALUE", help="override a config key (repeatable)")
-        if name == "verify":
-            cmd.add_argument("--debug-flip-rotation", action="store_true",
-                             help="negative control: corrupt the rotation sign in the residual check")
     return parser
 
 
@@ -228,7 +227,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return run_simulate(cfg)
         if args.command == "verify":
-            return run_verify(cfg, flip_rotation=args.debug_flip_rotation)
+            return run_verify(cfg)
         return run_shift(cfg)
     except (ConfigError, StepSizeError, OSError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

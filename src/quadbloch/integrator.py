@@ -24,6 +24,7 @@ step: Pz to the bit, Px and Py to rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,8 @@ import numpy as np
 from .twolevel import BALL_SLACK, BlochVector, TwoLevelParams, _flow_anchor, bloch_flow, bloch_rhs
 
 _NORM_ABORT = 1.0 + BALL_SLACK
+# g above which e^g eps, rounding grown off the sphere, is 1% of the slack (17.6)
+_ROUNDING_GROWTH_LIMIT = math.log(0.01 * BALL_SLACK / np.finfo(float).eps)
 # Most steps a time grid may have: the 11 float64 columns simulate derives
 # from 10^7 samples take about 0.9 GB before any CSV text. verify's RK4 needs
 # about four times simulate's memory per step and has its own, lower limit.
@@ -115,9 +118,10 @@ def integrate(initial: BlochVector | None, p: TwoLevelParams, t_start: float,
 
     The span is divided into round(span/step) equal steps, so the last sample
     lands exactly on t_end. ``initial=None`` starts from the closed-form
-    value at t_start. Aborts with StepSizeError at the first sample whose
-    norm leaves the closed unit ball by more than 1e-6 (on this flow, only a
-    discretization artifact), or overflows.
+    value at t_start. Aborts with StepSizeError at the first sample k whose
+    norm leaves the closed unit ball by more than 1e-6, or overflows: from a
+    coarse step, or from rounding the flow grew by e^g, g = 2 q h sum(Pz[:k])
+    (d(|P|^2 - 1)/dt = 2 q Pz (|P|^2 - 1)), which no step helps.
     """
     t, h = time_grid(t_start, t_end, step)
     # a given start enters RK4 as given, not re-evaluated through the flow
@@ -154,10 +158,12 @@ def integrate(initial: BlochVector | None, p: TwoLevelParams, t_start: float,
         if not np.isfinite(norm[k]):
             raise StepSizeError(f"|P| = {norm[k]} at t = {t_start + k * h:g}; "
                                 "the state overflowed at these rates")
-        raise StepSizeError(
-            f"|P| = {norm[k]:.9f} left the unit ball at t = {t_start + k * h:g}; "
-            f"step {h:g} is too large for these parameters, retry with a smaller step"
-        )
+        where = f"|P| = {norm[k]:.9f} left the unit ball at t = {t_start + k * h:g}; "
+        growth = 2.0 * p.q * h * float(np.sum(pz[:k]))
+        if growth > _ROUNDING_GROWTH_LIMIT:
+            raise StepSizeError(where + f"the flow multiplied rounding off the unit sphere by "
+                                f"e^{growth:.1f} since t_start, so no step can help: start later")
+        raise StepSizeError(where + f"step {h:g} is too large for these parameters, retry with a smaller step")
     return Trajectory(t=t, bloch=np.column_stack((px, py, pz)), step=h, params=p)
 
 

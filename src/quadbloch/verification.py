@@ -11,7 +11,8 @@ difference of the flow, at a step scaled down by the flow's fastest rate.
 Its tolerance is 1e-6, or the difference's own error bound (truncation
 plus the flow's rounding over the step) where that is larger, so a correct
 flow passes at any rate while a wrong rotation, off by twice the turn
-rate, fails.
+rate, fails. Each check's negative control is a test fake of the one input
+only that check reads.
 
 The order is err(h) / err(h/2), err the largest deviation of one RK4 pass
 from the exact flow, at a step no finer than the run's own: from span/2000,
@@ -38,7 +39,7 @@ it allocates anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,10 +105,10 @@ def _flow_rounding(p: TwoLevelParams, at: float, t_start: float, t_end: float) -
     return _FD_ROUNDING * np.finfo(float).eps * (1.0 + _rate_bound(p) * span)
 
 
-def _closed_form_residual(p: TwoLevelParams, rhs_params: TwoLevelParams, start, at: float,
-                          t_start: float, t_end: float) -> tuple[float, float]:
-    """(max |bloch_rhs(x(t), rhs_params) - dx/dt|, the error bound of dx/dt)
-    along the flow x(t) of ``p`` through ``start`` at time ``at``.
+def _closed_form_residual(p: TwoLevelParams, start, at: float, t_start: float,
+                          t_end: float) -> tuple[float, float]:
+    """(max |bloch_rhs(x(t), p) - dx/dt|, the error bound of dx/dt) along the
+    flow x(t) of ``p`` through ``start`` at time ``at``.
 
     dx/dt is a central difference at step h = _FD_SCALE / R, with R from
     ``_rate_bound``. Its error bound has two terms:
@@ -126,7 +127,7 @@ def _closed_form_residual(p: TwoLevelParams, rhs_params: TwoLevelParams, start, 
     def flow(t):
         return bloch_flow(t, p, start, at)
 
-    rhs = np.array(bloch_rhs(flow(times).T, rhs_params)).T
+    rhs = np.array(bloch_rhs(flow(times).T, p)).T
     fd = (flow(times + h) - flow(times - h)) / (2.0 * h)
     return float(np.max(np.abs(rhs - fd))), bound
 
@@ -181,14 +182,10 @@ def _convergence_order(initial, p: TwoLevelParams, start, at: float, t_start: fl
 
 
 def run_checks(p: TwoLevelParams, t_start: float, t_end: float, step: float,
-               initial=None, flip_rotation: bool = False) -> tuple[Report, Trajectory]:
+               initial=None) -> tuple[Report, Trajectory]:
     """Run every check at the given parameters and return (report, trajectory).
 
-    ``flip_rotation`` negates the transverse rotation rate of the right-hand
-    side inside the residual check (omega21 and the gammas change sign, q is
-    kept); it exists as a negative control (the residual must then fail for
-    any parameters with a nonzero rotation rate). More than
-    ``_MAX_RK4_STEPS`` steps are refused with a ValueError.
+    More than ``_MAX_RK4_STEPS`` steps are refused with a ValueError.
     """
     steps = _step_count(t_start, t_end, step)
     if steps > _MAX_RK4_STEPS:
@@ -204,12 +201,8 @@ def run_checks(p: TwoLevelParams, t_start: float, t_end: float, step: float,
     # RK4's error at the run's step, carried from the order check's at fourth order
     error = order_error * (traj.step / order_step) ** 4
 
-    rhs_params = p
-    if flip_rotation:
-        rhs_params = replace(p, omega21=-p.omega21, gamma11=-p.gamma11,
-                             gamma22=-p.gamma22, gamma12=-p.gamma12)
     # the tolerance is 1e-6, or the difference's own error bound where that is larger
-    residual, bound = _closed_form_residual(p, rhs_params, start, at, t_start, t_end)
+    residual, bound = _closed_form_residual(p, start, at, t_start, t_end)
     residual_tol = max(_RESIDUAL_TOL, bound)
     checks.append(Check("closed_form_residual", residual < residual_tol,
                         residual, f"< {residual_tol:.3g}"))

@@ -1,3 +1,4 @@
+import argparse
 import io
 import math
 import tracemalloc
@@ -275,6 +276,19 @@ class TestSimulate:
         assert main(["verify", "--config", cfg]) == 1
         assert "smaller step" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, growth", [([], "22.5"), (["--set", "step=0.001"], "22.5"),
+                                                   (["--set", "step=2"], "24.0")])
+    def test_far_start_is_not_blamed_on_the_step(self, tmp_path, capsys, overrides, growth):
+        # README's rates from t = -185: by t = -72.5 the flow has grown rounding
+        # off the sphere by e^22.5, so every step left the ball there and was
+        # blamed, and step = 2 named the order check's step 1
+        cfg = write(tmp_path / "run.cfg",
+                    "mode = verify\n" + CANONICAL_DYNAMICS.replace("t_start = -20", "t_start = -185"))
+        assert main(["verify", "--config", cfg, *overrides]) == 1
+        err = capsys.readouterr().err
+        assert f"by e^{growth} since t_start, so no step can help: start later" in err
+        assert "smaller step" not in err and "step 1 " not in err
+
     def test_overflowing_state_is_not_blamed_on_the_step(self, tmp_path, capsys):
         # README's rates with gamma12 = 1e307: the norm is nan, and no step can help
         cfg = write(tmp_path / "run.cfg",
@@ -350,10 +364,11 @@ class TestVerify:
         assert "overall: PASS" in out
         assert out.count("pass") >= 6
 
-    def test_flipped_rotation_fails_residual(self, tmp_path, capsys):
+    def test_flipped_rotation_fails_residual(self, tmp_path, capsys, flip_rotation):
         cfg = write(tmp_path / "v.cfg", "mode = verify\nstep = 0.001\n"
                     + CANONICAL_DYNAMICS.replace("step = 0.01\n", ""))
-        assert main(["verify", "--config", cfg, "--debug-flip-rotation"]) == 2
+        flip_rotation()
+        assert main(["verify", "--config", cfg]) == 2
         out = capsys.readouterr().out
         assert "closed_form_residual" in out and "FAIL" in out
 
@@ -378,11 +393,12 @@ class TestVerify:
 
     @pytest.mark.parametrize("start", ["", "px0 = 0.6\npy0 = 0.0\npz0 = 0.8\n"],
                              ids=["default-start", "custom-start"])
-    def test_flipped_rotation_fails_residual_at_q_zero(self, tmp_path, capsys, start):
+    def test_flipped_rotation_fails_residual_at_q_zero(self, tmp_path, capsys, start, flip_rotation):
         cfg = write(tmp_path / "v.cfg",
                     "mode = verify\nomega21 = 1.0\ngamma11 = 0.1\nt_start = -10\nt_end = 10\n"
                     "step = 0.01\n" + start)
-        assert main(["verify", "--config", cfg, "--debug-flip-rotation"]) == 2
+        flip_rotation()
+        assert main(["verify", "--config", cfg]) == 2
         out = capsys.readouterr().out
         residual_line = next(l for l in out.splitlines() if l.startswith("closed_form_residual"))
         assert residual_line.split()[-1] == "FAIL"
@@ -548,6 +564,33 @@ class TestExitCodes:
         cfg = write(tmp_path / "bad.cfg", "mode = simulate\nstep = -1\n")
         assert main(["simulate", "--config", cfg]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["verify", "--config", "CFG", "--debug-flip-rotation"], ["verify"], [],
+                                      ["bogus", "--config", "CFG"]],
+                             ids=["unknown-option", "no-config", "no-command", "invalid-command"])
+    def test_usage_error_is_one(self, tmp_path, capsys, argv):
+        # argparse's own code, 2, would read as a failed verification
+        cfg = write(tmp_path / "v.cfg", "mode = verify\n" + CANONICAL_DYNAMICS)
+        with pytest.raises(SystemExit) as raised:
+            main([cfg if arg == "CFG" else arg for arg in argv])
+        assert raised.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: quadbloch") and "error:" in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    def test_help_is_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: quadbloch")
+
+    def test_every_command_takes_only_config_and_set(self):
+        from quadbloch.cli import _build_parser
+
+        sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == ["coeffs", "simulate", "verify", "shift"]
+        for name, cmd in sub.choices.items():
+            assert [s for a in cmd._actions for s in a.option_strings] == ["-h", "--help", "--config", "--set"], name
 
     def test_missing_config_file_is_one(self, capsys):
         assert main(["coeffs", "--config", "/nonexistent/x.cfg"]) == 1

@@ -266,6 +266,18 @@ class TestStepAbort:
                 integrate(BlochVector(0.6, 0.0, -0.8), p, 0.0, 100.0, 1.0)
         assert str(raised.value) == str(expected.value)
 
+    @pytest.mark.parametrize("step, t, growth", [(0.01, "-72.54", "22.5"), (0.001, "-72.543", "22.5"),
+                                                 (1.0, "-65", "24.0")])
+    def test_far_start_blames_the_flow_not_the_step(self, step, t, growth, canonical_params):
+        # d(|P|^2 - 1)/dt = 2 q Pz (|P|^2 - 1): from t = -185 the flow grows
+        # rounding off the sphere by e^22.5 before it leaves the ball, whatever
+        # the step; the step-fault aborts above read 0, -0.16 and -16
+        with pytest.raises(StepSizeError) as raised:
+            integrate(None, canonical_params, -185.0, 20.0, step)
+        assert str(raised.value).endswith(
+            f"left the unit ball at t = {t}; the flow multiplied rounding off the unit sphere "
+            f"by e^{growth} since t_start, so no step can help: start later")
+
     def test_overflowing_step_aborts_without_warnings(self):
         # the stage values overflow to inf and nan; the first step still aborts
         p = TwoLevelParams(omega21=1.0, a12=1e120)

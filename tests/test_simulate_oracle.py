@@ -13,14 +13,23 @@ to 37 rad here, to about eps per radian, and the largest error measured was
 4.8e-15, on Px at q = 0, where no envelope damps it; from the other starts
 every column was within 1e-15. The t column is t_start + k h, within a few
 ulps of the exact grid time.
+
+README's run, repeated at each of numpy's CPU dispatch levels, moves only
+the flow's last ulp: the same rows and t column, every cell within the same
+bound of the native run.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+from quadbloch import cli
 from quadbloch.cli import main
 from quadbloch.twolevel import TwoLevelParams
 
@@ -89,3 +98,36 @@ def test_columns_match_50_digit_closed_form(case, tmp_path):
             worst = np.maximum(worst, [float(abs(c - e)) for c, e in zip(cells, expected)])
     assert worst[0] <= 4.0 * np.finfo(float).eps * max(abs(t_start), abs(t_end))
     assert np.all(worst[1:] <= COLUMN_TOL), worst
+
+
+README_RUN = RATES + "t_start = -20\nt_end = 20\nstep = 0.001\n"
+
+
+def test_readme_run_at_every_dispatch_level(tmp_path):
+    """README's ``run.cfg``, with numpy's highest dispatch levels disabled in
+    a child process only, one more each run: the same metadata, header, row
+    count and t column as the native run, and every cell within COLUMN_TOL."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    available = [feature for feature in __cpu_dispatch__ if __cpu_features__.get(feature)]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode = simulate\n" + README_RUN)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    runs = {}
+    for keep in range(len(available), -1, -1):
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        if available[keep:]:
+            env["NPY_DISABLE_CPU_FEATURES"] = " ".join(available[keep:])
+        out = tmp_path / f"level-{keep}.csv"
+        subprocess.run([sys.executable, "-m", "quadbloch.cli", "simulate", "--config", str(cfg),
+                        "--set", f"output={out}"], env=env, check=True)
+        lines = out.read_text().splitlines()
+        head = next(k for k, line in enumerate(lines) if line.startswith("t,")) + 1
+        runs[" ".join(available[:keep]) or "baseline"] = (
+            lines[:head], [row.split(",", 1)[0] for row in lines[head:]], np.loadtxt(lines[head:], delimiter=","))
+    native_head, native_t, native = runs.pop(" ".join(available) or "baseline")
+    assert native.shape == (40_001, 11)
+    for level, (head, t, cells) in runs.items():
+        assert head == native_head and t == native_t, level
+        assert cells.shape == native.shape and np.max(np.abs(cells - native)) <= COLUMN_TOL, level

@@ -106,42 +106,84 @@ def test_wrong_flow_fails(wrong, step, canonical_params, monkeypatch):
     assert not _check(report, "convergence_order").passed
 
 
-def test_residual_at_q_zero_follows_the_run_start():
+def _fake_check_input(check, monkeypatch, flip_rotation):
+    """Negative control of one check: corrupt the one input only it reads."""
+    if check == "closed_form_residual":
+        flip_rotation()
+    elif check == "trace_conservation":
+        density = verification.bloch_to_density
+
+        def off_trace(x):
+            rho = density(x)
+            return rho._replace(rho11=rho.rho11 + 1e-9)
+
+        monkeypatch.setattr(verification, "bloch_to_density", off_trace)
+    elif check == "shift_matches_trajectory_phase":
+        monkeypatch.setattr(verification, "_shift", lambda p, pz: -p.tau + p.lam * pz)  # the old lam sign
+    else:
+        extra = verification.additional_shift
+        monkeypatch.setattr(verification, "additional_shift", lambda *args: extra(*args) + 1e-9)
+
+
+@pytest.mark.parametrize("start", [None, BlochVector(0.3, -0.2, 0.5)], ids=["default", "custom"])
+@pytest.mark.parametrize("step", [2e-3, 0.05])
+@pytest.mark.parametrize("check", ["closed_form_residual", "trace_conservation",
+                                   "shift_matches_trajectory_phase", "shift_decomposition"])
+def test_each_negative_control_fails_its_own_check_only(check, step, start, canonical_params,
+                                                         monkeypatch, flip_rotation):
+    _fake_check_input(check, monkeypatch, flip_rotation)
+    report, _ = run_checks(canonical_params, SPAN[0], SPAN[1], step, initial=start)
+    assert [c.name for c in report.checks if not (c.passed or c.skipped)] == [check]
+
+
+@pytest.mark.parametrize("start", [None, BlochVector(0.3, -0.2, 0.5)], ids=["default", "custom"])
+def test_turned_rk4_fails_agreement_not_norm(start, canonical_params, monkeypatch):
+    # negative control: RK4's Px - i Py turned by 1e-6 rad keeps |P| but leaves the flow
+    def turned(*args):
+        traj = integrate(*args)
+        w = (traj.bloch[:, 0] - 1j * traj.bloch[:, 1]) * np.exp(1e-6j)
+        return replace(traj, bloch=np.column_stack((w.real, -w.imag, traj.bloch[:, 2])))
+
+    monkeypatch.setattr(verification, "integrate", turned)
+    report, _ = run_checks(canonical_params, *SPAN, initial=start)
+    assert not _check(report, "analytic_agreement").passed
+    assert _check(report, "bloch_norm_preservation").passed
+
+
+def test_residual_at_q_zero_follows_the_run_start(flip_rotation):
     # flipping the rotation at q = 0 leaves a residual of 2 |Omega| |Px0 - i Py0|,
     # Omega = omega21 - tau - lam Pz0, along the flow from the run's own start
     p = TwoLevelParams(omega21=1.0, gamma11=0.1)
     start = BlochVector(0.3, 0.0, 0.4)
-    report, _ = run_checks(p, *SPAN, initial=start, flip_rotation=True)
+    report, _ = run_checks(p, *SPAN, initial=start)
+    assert _check(report, "closed_form_residual").measured < 1e-8 and report.passed
+    flip_rotation()
+    report, _ = run_checks(p, *SPAN, initial=start)
     check = _check(report, "closed_form_residual")
     expected = 2.0 * abs(p.omega21 - p.tau - p.lam * start.pz) * 0.3
     assert not check.passed and check.measured == pytest.approx(expected, rel=1e-3)
-    report, _ = run_checks(p, *SPAN, initial=start)
-    assert _check(report, "closed_form_residual").measured < 1e-8 and report.passed
 
 
-def test_residual_follows_a_custom_start(canonical_params):
+def test_residual_follows_a_custom_start(canonical_params, flip_rotation):
     # at q != 0 too, flipping the rotation leaves 2 |Omega(t)| |Px - i Py|(t)
     # along the flow from the run's own start, not along the default closed form
     p, start = canonical_params, BlochVector(0.3, -0.2, 0.5)
     flow = bloch_flow(np.linspace(SPAN[0], SPAN[1], 1001), p, start, SPAN[0])
     omega = p.omega21 - p.tau - p.lam * flow[:, 2]
     expected = float(np.max(2.0 * np.abs(omega) * np.hypot(flow[:, 0], flow[:, 1])))
-    report, _ = run_checks(p, *SPAN, initial=start, flip_rotation=True)
-    check = _check(report, "closed_form_residual")
-    assert not check.passed and check.measured == pytest.approx(expected, rel=1e-3)
     report, _ = run_checks(p, *SPAN, initial=start)
     assert _check(report, "closed_form_residual").measured < 1e-8 and report.passed
+    flip_rotation()
+    report, _ = run_checks(p, *SPAN, initial=start)
+    check = _check(report, "closed_form_residual")
+    assert not check.passed and check.measured == pytest.approx(expected, rel=1e-3)
 
 
-def _residual_check(p, t_start, t_end, initial=None, flip=False):
+def _residual_check(p, t_start, t_end, initial=None):
     """(passed, measured, tolerance) of the closed-form residual alone, as
     ``run_checks`` judges it, with no RK4 run."""
-    rhs_params = p
-    if flip:
-        rhs_params = replace(p, omega21=-p.omega21, gamma11=-p.gamma11, gamma22=-p.gamma22,
-                             gamma12=-p.gamma12)
     start, at = _flow_anchor(p, t_start, initial)
-    measured, bound = _closed_form_residual(p, rhs_params, start, at, t_start, t_end)
+    measured, bound = _closed_form_residual(p, start, at, t_start, t_end)
     tolerance = max(verification._RESIDUAL_TOL, bound)
     return measured < tolerance, measured, tolerance
 
@@ -149,14 +191,15 @@ def _residual_check(p, t_start, t_end, initial=None, flip=False):
 @pytest.mark.parametrize("omega21", [200.0, 400.0, 1000.0])
 @pytest.mark.parametrize("initial", [None, BlochVector(0.3, -0.2, 0.5)], ids=["default", "custom"])
 @pytest.mark.parametrize("span", [(-1.0, 1.0), (-20.0, 20.0)])
-def test_residual_passes_fast_flows(omega21, initial, span):
+def test_residual_passes_fast_flows(omega21, initial, span, flip_rotation):
     # the fixed step 1e-6 FAILed these correct flows: 1.34e-6, 1.07e-5 and
     # 1.67e-4 on [-1, 1]; a flipped rotation, off by 2 omega21, still fails
     p = TwoLevelParams(omega21=omega21, a12=0.2)
     passed, measured, tolerance = _residual_check(p, *span, initial)
     assert passed, (measured, tolerance)
     assert tolerance < 1e-5 * omega21
-    flipped, measured, tolerance = _residual_check(p, *span, initial, flip=True)
+    flip_rotation()
+    flipped, measured, tolerance = _residual_check(p, *span, initial)
     assert not flipped and measured > 1e4 * tolerance
 
 
