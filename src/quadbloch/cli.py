@@ -151,11 +151,21 @@ def _csv_columns(traj: Trajectory, si: bool = False) -> dict[str, np.ndarray]:
             "dipole": px * d_c, "shift": _shift(p, pz) * f_c}
 
 
+def _require_finite(columns: dict[str, np.ndarray], times: np.ndarray) -> None:
+    """Refuse, before anything is written, a table with a nan or inf cell."""
+    for name, col in columns.items():
+        bad = ~np.isfinite(col)
+        if bad.any():
+            raise ValueError(f"column {name} is not finite at t = {times[bad.argmax()]:.17g} "
+                             "(its first such row); nothing was written")
+
+
 def run_simulate(cfg: RunConfig) -> int:
     """Write the exact flow sampled every ~``step`` (no numeric integration)."""
     p = _resolve_params(cfg)
     traj = exact_trajectory(cfg.initial, p, cfg.t_start, cfg.t_end, cfg.step)
     columns = _csv_columns(traj, cfg.units == "si")
+    _require_finite(columns, traj.t)
     with open(cfg.output, "w", newline="") as fh:
         fh.write("# quadbloch simulate\n")
         for line in _metadata_lines(cfg, p, traj):
@@ -182,9 +192,11 @@ def run_shift(cfg: RunConfig) -> int:
     full = frequency_shift(times, p, *start)
     base = frequency_shift(times, dipole_only, *start)
     extra = additional_shift(times, p, *start)
-    print("t,shift_full,shift_dipole_only,additional_shift,identity_residual")
-    _write_csv_rows(sys.stdout, (times * t_c, full * freq_c, base * freq_c, extra * freq_c,
-                                 (full - base - extra) * freq_c))
+    columns = {"t": times * t_c, "shift_full": full * freq_c, "shift_dipole_only": base * freq_c,
+               "additional_shift": extra * freq_c, "identity_residual": (full - base - extra) * freq_c}
+    _require_finite(columns, times)
+    print(",".join(columns))
+    _write_csv_rows(sys.stdout, list(columns.values()))
     return 0
 
 

@@ -13,12 +13,16 @@ is anti-Hermitian. ``NLevelSystem`` stores the complex rate matrix
 (A/2 - B + C) + i Gamma, so one product gives y = w + i u, and
 ``multilevel_rhs`` evaluates the generator form
 
-    X = y_a rho_ab + (V rho)_ab,    d rho/dt = -i Omega_ab rho_ab - (X + X^H)_ab.
+    X = (diag(y) + V) rho,    d rho/dt = -i Omega_ab rho_ab - (X + X^H)_ab.
 
-For Hermitian rho this is the sum above, because (V rho)^H = -rho V, and it
-takes one complex matrix product. X + X^H is Hermitian by construction, so
-the derivative at an exactly Hermitian rho is exactly Hermitian, and RK4
-with real coefficients keeps such a rho exactly Hermitian.
+For Hermitian rho this is the sum above, because (V rho)^H = -rho V. V has
+an exactly zero diagonal (Omega_aa = E_a - E_a = 0), so adding y onto it
+gives diag(y) + V with no rounding, and the k = a term of (diag(y) + V) rho
+is exactly y_a rho_ab: a driven call takes this one complex matrix product,
+and an undriven call (V = 0) scales the rows of rho by y instead. X + X^H
+is Hermitian by construction, so the derivative at an exactly Hermitian rho
+is exactly Hermitian, and RK4 with real coefficients keeps such a rho
+exactly Hermitian.
 
 A rho that is Hermitian only to delta = max |rho - rho^H| (at most 1e-9 is
 accepted) has the populations of its Hermitian part H = (rho + rho^H) / 2.
@@ -58,7 +62,8 @@ class NLevelSystem:
     gamma must be symmetric, the rate matrices antisymmetric, and the dipole
     matrix Hermitian (D[b, a] = conj(D[a, b]) componentwise). ``drive`` maps a
     time to the applied field 3-vector at the atom's position; None means no
-    drive.
+    drive. Every array is stored as a read-only copy, so a later change to a
+    caller's array cannot reach the system.
     """
 
     energies: np.ndarray                 # (N,)
@@ -74,16 +79,13 @@ class NLevelSystem:
     _drive_dipoles: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        energies = np.asarray(self.energies, dtype=float)
+        energies = self._store("energies", self.energies, float)
         n = energies.shape[0]
-        object.__setattr__(self, "energies", energies)
         for name in ("gamma", "a_rates", "b_rates", "c_rates"):
-            mat = np.asarray(getattr(self, name), dtype=float)
+            mat = self._store(name, getattr(self, name), float)
             _require(mat.shape == (n, n), f"{name} must have shape ({n}, {n})")
-            object.__setattr__(self, name, mat)
-        dip = np.asarray(self.dipoles, dtype=complex)
+        dip = self._store("dipoles", self.dipoles, complex)
         _require(dip.shape == (n, n, 3), f"dipoles must have shape ({n}, {n}, 3)")
-        object.__setattr__(self, "dipoles", dip)
 
         # finite first, so that inf - inf in the symmetry checks cannot warn
         for name in ("energies", "gamma", "a_rates", "b_rates", "c_rates", "dipoles"):
@@ -96,12 +98,19 @@ class NLevelSystem:
                  "dipole matrix must be Hermitian")
 
         omega = self.omega_matrix()
-        object.__setattr__(self, "_free", -1j * omega)
+        self._store("_free", -1j * omega, complex)
         relax = 0.5 * self.a_rates - self.b_rates + self.c_rates
-        object.__setattr__(self, "_rates", relax + 1j * self.gamma)
+        self._store("_rates", relax + 1j * self.gamma, complex)
         # Omega_ab D_ab / c as rows of (N^2, 3), so V(t) is one product with A0(t)
-        object.__setattr__(self, "_drive_dipoles",
-                           (omega[:, :, None] * dip / SPEED_OF_LIGHT).reshape(n * n, 3))
+        self._store("_drive_dipoles", (omega[:, :, None] * dip / SPEED_OF_LIGHT).reshape(n * n, 3),
+                    complex)
+
+    def _store(self, name: str, value, dtype) -> np.ndarray:
+        """Set a field to a read-only copy, so no caller's array is shared."""
+        arr = np.array(value, dtype=dtype)
+        arr.setflags(write=False)
+        object.__setattr__(self, name, arr)
+        return arr
 
     @property
     def level_count(self) -> int:
@@ -128,17 +137,24 @@ def multilevel_rhs(rho: np.ndarray, system: NLevelSystem, t: float = 0.0) -> np.
             and np.maximum.reduce(np.abs(rho - rho.conj().T), axis=None) <= _INPUT_TOL):
         raise ValueError("rho must be Hermitian (tolerance 1e-9)")
     diag = rho.diagonal()
-    trace = diag.sum()
+    # Python complex scalars: cheaper than ndarray.sum at a few levels, and an
+    # overflowing trace gives inf with no RuntimeWarning
+    trace = sum(diag.tolist())
     if not (abs(trace.real - 1.0) <= _INPUT_TOL and abs(trace.imag) <= _INPUT_TOL):
         raise ValueError("rho must have unit trace (tolerance 1e-9)")
 
     # ndarray.dot, not @: at a few levels the matmul ufunc's dispatch costs more
-    x = system._rates.dot(diag.real)[:, None] * rho
-    if system.drive is not None:
+    y = system._rates.dot(diag.real)
+    if system.drive is None:
+        x = y[:, None] * rho
+    else:
         a0 = np.asarray(system.drive(t), dtype=float)
         if a0.shape != (3,):
             raise ValueError("drive must return a 3-vector")
-        x += system._drive_dipoles.dot(a0).reshape(n, n).dot(rho)
+        # V's diagonal is exactly zero (Omega_aa = 0), so diag(y) + V is V with y on it
+        g = system._drive_dipoles.dot(a0)
+        g[::n + 1] += y
+        x = g.reshape(n, n).dot(rho)
     return system._free * rho - (x + x.conj().T)
 
 

@@ -21,6 +21,25 @@ t_end = 20
 step = 0.01
 """
 
+# rates that overflow double precision along the run: the table has nan or inf cells
+OVERFLOWING_RATES = """
+omega21 = 1.0
+a12 = -0.2
+gamma11 = 1e308
+gamma12 = -1e308
+t_start = -50
+t_end = 50
+step = 0.5
+"""
+FAR_OVERFLOWING_RATES = """
+omega21 = 5e-324
+gamma12 = -1e150
+b12 = 0.2
+c12 = 1e300
+t_start = 0
+t_end = 1e150
+step = 1e147
+"""
 
 # README's pair.cfg, and the highest-l pair whose radial factors stay finite
 README_PAIR_TABLE = """\
@@ -630,6 +649,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: verify runs RK4 on 2000001 steps") and "limit is 2e+06 steps" in err
         assert peak < 1_000_000
+
+    @pytest.mark.parametrize("command, rates, column, first", [
+        ("simulate", OVERFLOWING_RATES, "Px", "-50"),
+        ("shift", OVERFLOWING_RATES, "shift_full", "13.5"),
+        ("simulate", FAR_OVERFLOWING_RATES, "Px", "9.9999999999999998e+146"),
+        ("shift", FAR_OVERFLOWING_RATES, "additional_shift", "9.9999999999999998e+146"),
+    ], ids=["simulate", "shift", "simulate-far", "shift-far"])
+    def test_non_finite_table_is_one(self, tmp_path, capsys, command, rates, column, first):
+        # refused before the output is opened or the header printed
+        out = tmp_path / "o.csv"
+        cfg = write(tmp_path / "run.cfg", f"mode = {command}\noutput = {out}\n" + rates)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow on the way is expected
+            assert main([command, "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: column {column} is not finite at t = {first} "
+                                "(its first such row); nothing was written\n")
+        assert captured.out == "" and not out.exists()
 
     def test_overrides_reach_validation(self, tmp_path, capsys):
         out = tmp_path / "o.csv"

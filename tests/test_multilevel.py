@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from quadbloch import (
 )
 from quadbloch.constants import SPEED_OF_LIGHT
 
-from oracles import density_rhs_two_level
+from oracles import density_rhs_two_level, rk4_density_path
 
 
 def random_hermitian_density(rng, n):
@@ -109,6 +110,42 @@ class TestSystemValidation:
                 NLevelSystem(**inputs)
 
 
+class TestSystemStorage:
+    def test_inputs_are_copied(self, rng):
+        # float64 and complex128 inputs, which np.asarray would keep, not copy
+        drive = lambda t: np.array([0.4, -0.9, 0.25])
+        base = random_system(rng, 4)
+        names = ("energies", "gamma", "a_rates", "b_rates", "c_rates", "dipoles")
+        inputs = {name: getattr(base, name).copy() for name in names}
+        sysm = NLevelSystem(**inputs, drive=drive)
+        omega = sysm.omega_matrix()
+        rho = random_hermitian_density(rng, 4)
+        d = multilevel_rhs(rho, sysm, t=0.2)
+        inputs["energies"][1] = 5.0
+        for arr in inputs.values():
+            arr[0, ...] = 7.0
+        for name in names:
+            assert np.array_equal(getattr(sysm, name), getattr(base, name))
+        assert np.array_equal(sysm.omega_matrix(), omega)
+        assert np.array_equal(multilevel_rhs(rho, sysm, t=0.2), d)
+
+    @pytest.mark.parametrize("name", ["energies", "gamma", "a_rates", "b_rates", "c_rates", "dipoles",
+                                      "_free", "_rates", "_drive_dipoles"])
+    def test_stored_arrays_are_read_only(self, rng, name):
+        sysm = random_system(rng, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(sysm, name)[0, ...] = 1.0
+
+    def test_drive_coupling_diagonal_is_exactly_zero(self, rng):
+        # Omega_aa = E_a - E_a = 0, so multilevel_rhs puts y on V's diagonal with no rounding
+        for n in (2, 3, 6, 10):
+            base = random_system(rng, n)
+            for energies in (base.energies, np.round(base.energies), np.full(n, 0.7),
+                             1e12 * base.energies, np.repeat(rng.normal(size=2), [1, n - 1])):
+                sysm = replace(base, energies=energies)
+                assert np.array_equal(sysm._drive_dipoles[::n + 1], np.zeros((n, 3)))
+
+
 class TestMultilevelRhs:
     def test_invalid_density_rejected(self, rng):
         sysm = random_system(rng, 3)
@@ -133,10 +170,13 @@ class TestMultilevelRhs:
                 multilevel_rhs(rho, sysm)
 
     def test_trace_overflowing_to_nan_rejected(self, rng):
-        # finite and Hermitian, but the trace sums inf and -inf
+        # finite and Hermitian, but the trace overflows to inf
         rho = np.diag([1e308, 1e308, -1e308, -1e308]).astype(complex)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="trace"):
-            multilevel_rhs(rho, random_system(rng, 4))
+        # rejected with no numpy RuntimeWarning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="trace"):
+                multilevel_rhs(rho, random_system(rng, 4))
 
     def test_free_evolution_exact(self, rng):
         n = 4
@@ -187,14 +227,8 @@ class TestMultilevelRhs:
         rho = random_hermitian_density(rng, 5)
         rho = 0.5 * (rho + rho.conj().T)
         assert np.array_equal(rho, rho.conj().T)
-        h = 1e-3
-        for step in range(20_000):
-            t = step * h
-            k1 = multilevel_rhs(rho, sysm, t)
-            k2 = multilevel_rhs(rho + 0.5 * h * k1, sysm, t + 0.5 * h)
-            k3 = multilevel_rhs(rho + 0.5 * h * k2, sysm, t + 0.5 * h)
-            k4 = multilevel_rhs(rho + h * k3, sysm, t + h)
-            rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for rho in rk4_density_path(rho, sysm, 1e-3, 20_000):
+            pass
         assert np.array_equal(rho, rho.conj().T)
 
     def test_nearly_hermitian_input_within_stated_bound(self, rng):
@@ -269,16 +303,34 @@ class TestMultilevelRhs:
         # RK4 over 1e5 steps; antisymmetric rates make the trace a linear invariant
         sysm = random_system(rng, 3)
         rho = random_hermitian_density(rng, 3)
-        h = 1e-4
-        worst = 0.0
-        for _ in range(100_000):
-            k1 = multilevel_rhs(rho, sysm)
-            k2 = multilevel_rhs(rho + 0.5 * h * k1, sysm)
-            k3 = multilevel_rhs(rho + 0.5 * h * k2, sysm)
-            k4 = multilevel_rhs(rho + h * k3, sysm)
-            rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            worst = max(worst, abs(np.trace(rho).real - 1.0))
+        worst = max(abs(np.trace(r).real - 1.0) for r in rk4_density_path(rho, sysm, 1e-4, 100_000))
         assert worst < 1e-10
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_driven_workload_keeps_trace_and_hermiticity(self, rng, n):
+        # the nlevel-drive benchmark workload's systems, steps and output check
+        def antisymmetric(scale):
+            m = rng.normal(0.0, scale, (n, n))
+            return m - m.T
+
+        for _ in range(4):
+            amplitude, frequency = rng.uniform(0.2, 1.0), rng.uniform(0.1, 1.0)
+
+            def drive(t):
+                wt = frequency * t
+                return amplitude * np.array([np.cos(wt), 0.5 * np.sin(wt), 0.2])
+
+            gamma = rng.normal(0.0, 0.01, (n, n))
+            dip = rng.normal(size=(n, n, 3)) + 1j * rng.normal(size=(n, n, 3))
+            sysm = NLevelSystem(np.sort(rng.uniform(-1.0, 0.0, n)), gamma + gamma.T,
+                                antisymmetric(1e-3), antisymmetric(1e-4), antisymmetric(1e-4),
+                                0.5 * (dip + np.conj(np.transpose(dip, (1, 0, 2)))), drive)
+            psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+            psi /= np.linalg.norm(psi)
+            for rho in rk4_density_path(np.outer(psi, psi.conj()), sysm, 0.05, 250):
+                pass
+            assert abs(np.trace(rho) - 1.0) <= 1e-10
+            assert np.max(np.abs(rho - rho.conj().T)) <= 1e-10
 
 
 class TestFrequencyShiftGeneral:
