@@ -57,7 +57,9 @@ def _fmt_complex(value: complex, factor: float = 1.0) -> str:
     significant in atomic units. The cut-off 1e-12 (1 + |re|) is set for
     moments of order one, so it is applied before the unit factor: an SI
     moment is far below it."""
-    scaled = value * factor
+    # complex by complex, as numpy multiplies: from Python 3.14 complex * float
+    # drops the factor's zero imaginary part, which can flip the sign of a zero
+    scaled = value * complex(factor)
     if abs(value.imag) > 1e-12 * (1.0 + abs(value.real)):
         return f"{scaled.real:{_COEFF_FMT}}{scaled.imag:+{_COEFF_FMT}}j"
     return format(scaled.real, _COEFF_FMT)
@@ -74,25 +76,26 @@ def run_coeffs(cfg: RunConfig) -> int:
     dvec_c = constants.DELTA_VEC_SI if si else 1.0
     dten_c = constants.DELTA_TENSOR_SI if si else 1.0
 
-    print(f"# pair: {cfg.state_a.label()} -> {cfg.state_b.label()}   units: {cfg.units}")
-    print(f"{'omega':16s} {_fmt(data.omega * freq_c)}")
-    for i, axis in enumerate(_AXES):
-        print(f"{'D_' + axis:16s} {_fmt_complex(data.dipole[i], dip_c)}")
-    for i in range(3):
-        for j in range(i, 3):
-            name = f"Q_{_AXES[i]}{_AXES[j]}"
-            print(f"{name:16s} {_fmt_complex(data.quadrupole[i, j], quad_c)}")
-    for i, axis in enumerate(_AXES):
-        print(f"{'Delta_' + axis:16s} {_fmt(data.delta_vec[i] * dvec_c)}")
-    for k in range(3):
-        for i in range(3):
-            name = f"delta_{_AXES[k]}{_AXES[i]}"
-            print(f"{name:16s} {_fmt(data.delta_tensor[k, i] * dten_c)}")
-    print(f"{'A':16s} {_fmt(rates.a_rate * freq_c)}")
-    print(f"{'B':16s} {_fmt(rates.b_rate * freq_c)}")
-    print(f"{'C':16s} {_fmt(rates.c_rate * freq_c)}")
+    # Python scalars format to the same bytes as numpy's, at a fraction of the cost
+    dipole = data.dipole.tolist()
+    quadrupole = data.quadrupole.tolist()
+    delta_vec = data.delta_vec.tolist()
+    delta_tensor = data.delta_tensor.tolist()
+
+    lines = [f"# pair: {cfg.state_a.label()} -> {cfg.state_b.label()}   units: {cfg.units}",
+             f"{'omega':16s} {_fmt(data.omega * freq_c)}"]
+    lines += [f"{'D_' + axis:16s} {_fmt_complex(value, dip_c)}" for axis, value in zip(_AXES, dipole)]
+    lines += [f"{'Q_' + _AXES[i] + _AXES[j]:16s} {_fmt_complex(quadrupole[i][j], quad_c)}"
+              for i in range(3) for j in range(i, 3)]
+    lines += [f"{'Delta_' + axis:16s} {_fmt(value * dvec_c)}" for axis, value in zip(_AXES, delta_vec)]
+    lines += [f"{'delta_' + _AXES[k] + _AXES[i]:16s} {_fmt(delta_tensor[k][i] * dten_c)}"
+              for k in range(3) for i in range(3)]
+    lines += [f"{'A':16s} {_fmt(rates.a_rate * freq_c)}",
+              f"{'B':16s} {_fmt(rates.b_rate * freq_c)}",
+              f"{'C':16s} {_fmt(rates.c_rate * freq_c)}"]
     if cfg.k_max is not None:
-        print(f"{f'Gamma(k_max={cfg.k_max:g})':16s} {_fmt(data.gamma(cfg.k_max) * freq_c)}")
+        lines.append(f"{f'Gamma(k_max={cfg.k_max:g})':16s} {_fmt(data.gamma(cfg.k_max) * freq_c)}")
+    print("\n".join(lines))
     return 0
 
 

@@ -79,7 +79,9 @@ def _solid_harmonic_chain(l, m, pts):
     Only the entries the recursion needs are built: the diagonal up to
     S_m^m, then the column m up to S_l^m. The recursion carries the gradient
     alongside the value, so both are exact polynomial evaluations (no pole
-    at sin(theta) = 0).
+    at sin(theta) = 0). Each step updates the gradient as one (..., 3) array;
+    every element still takes the operations of the per-component recursion
+    in the same order, so the result is the same to the bit.
     """
     x = pts[..., 0]
     y = pts[..., 1]
@@ -93,12 +95,15 @@ def _solid_harmonic_chain(l, m, pts):
     # diagonal: S_j^j = -sqrt((2j+1)/(2j)) (x + iy) S_{j-1}^{j-1}
     for j in range(1, m + 1):
         c = -math.sqrt((2 * j + 1) / (2 * j))
+        cxy = c * xy
         v0, g0 = v, g
-        v = c * xy * v0
-        g = np.empty(shape + (3,), dtype=complex)
-        g[..., 0] = c * (v0 + xy * g0[..., 0])
-        g[..., 1] = c * (1j * v0 + xy * g0[..., 1])
-        g[..., 2] = c * xy * g0[..., 2]
+        v = cxy * v0
+        # d/dx and d/dy are c (v0 + xy g0), with i v0 for y; d/dz is (c xy) g0
+        g = xy[..., None] * g0
+        g[..., 0] += v0
+        g[..., 1] += 1j * v0
+        g[..., :2] *= c
+        g[..., 2] = cxy * g0[..., 2]
     if l == m:
         return v, g
 
@@ -109,16 +114,20 @@ def _solid_harmonic_chain(l, m, pts):
     g = c * z[..., None] * g2
     g[..., 2] += c * v2
 
-    # up the column: S_j^m = a [z S_{j-1}^m - b r^2 S_{j-2}^m]
+    # up the column: S_j^m = a [z S_{j-1}^m - b r^2 S_{j-2}^m]; its gradient
+    # is a [z g1 + v1 e_z - b (2 pts v2 + r^2 g2)]
+    z_col = z[..., None]
+    r2_col = r2[..., None]
+    two_pts = 2.0 * pts
     for j in range(m + 2, l + 1):
         a = math.sqrt((4 * j * j - 1) / (j * j - m * m))
         b = math.sqrt(((j - 1) ** 2 - m * m) / (4 * (j - 1) ** 2 - 1))
         v1, g1 = v, g
         v = a * (z * v1 - b * r2 * v2)
-        g = np.empty(shape + (3,), dtype=complex)
-        g[..., 0] = a * (z * g1[..., 0] - b * (2 * x * v2 + r2 * g2[..., 0]))
-        g[..., 1] = a * (z * g1[..., 1] - b * (2 * y * v2 + r2 * g2[..., 1]))
-        g[..., 2] = a * (v1 + z * g1[..., 2] - b * (2 * z * v2 + r2 * g2[..., 2]))
+        g = z_col * g1
+        g[..., 2] += v1
+        g -= b * (two_pts * v2[..., None] + r2_col * g2)
+        g *= a
         v2, g2 = v1, g1
     return v, g
 
@@ -196,7 +205,7 @@ def eigenstate_factors(state: BoundState, r, unit):
         g, gp = _radial_envelope(state, r)
         rl1 = r ** (l - 1)
         rl = rl1 * r
-        radial = np.stack([g * rl, gp * rl, g * rl1])
+        radial = np.array([g * rl, gp * rl, g * rl1])
     if not np.isfinite(radial).all():
         raise ValueError(f"state {state.label()}: r^{l} overflows a float on its grid, r <= {np.max(r):.4g}")
     sval, sgrad = solid_harmonic(l, state.m, unit)

@@ -55,7 +55,7 @@ def _require(condition: bool, message: str):
         raise ValueError(message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NLevelSystem:
     """Level energies, coupling matrices and an optional drive A0(t).
 
@@ -63,7 +63,8 @@ class NLevelSystem:
     matrix Hermitian (D[b, a] = conj(D[a, b]) componentwise). ``drive`` maps a
     time to the applied field 3-vector at the atom's position; None means no
     drive. Every array is stored as a read-only copy, so a later change to a
-    caller's array cannot reach the system.
+    caller's array cannot reach the system. Systems compare and hash by
+    identity.
     """
 
     energies: np.ndarray                 # (N,)
@@ -74,12 +75,13 @@ class NLevelSystem:
     dipoles: np.ndarray                  # (N, N, 3) complex
     drive: Callable[[float], np.ndarray] | None = field(default=None)
     # fixed parts of multilevel_rhs, computed once from the fields above
-    _free: np.ndarray = field(init=False, repr=False, compare=False)
-    _rates: np.ndarray = field(init=False, repr=False, compare=False)
-    _drive_dipoles: np.ndarray = field(init=False, repr=False, compare=False)
+    _free: np.ndarray = field(init=False, repr=False)
+    _rates: np.ndarray = field(init=False, repr=False)
+    _drive_dipoles: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         energies = self._store("energies", self.energies, float)
+        _require(energies.ndim == 1, f"energies must be 1-D, got shape {energies.shape}")
         n = energies.shape[0]
         for name in ("gamma", "a_rates", "b_rates", "c_rates"):
             mat = self._store(name, getattr(self, name), float)

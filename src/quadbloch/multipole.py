@@ -127,7 +127,7 @@ def _pair_gram(a: BoundState, b: BoundState):
     radial_a, angular_a = eigenstate_factors(a, r, grid.unit_vectors)
     radial_b, angular_b = eigenstate_factors(b, r, grid.unit_vectors)
     weighted = radial_a * grid.radial_weights
-    powers = np.stack([weighted, weighted * r, weighted * (r * r)])   # (k, row, Nr)
+    powers = np.array([weighted, weighted * r, weighted * (r * r)])   # (k, row, Nr)
     radial = (powers.reshape(9, -1) @ radial_b.T).reshape(3, 3, 3)
     angular = (angular_a * grid.angular_weights) @ np.conj(angular_b).T
     if swap:

@@ -28,6 +28,10 @@ Pz = +-1 included. It is the only closed form: ``analytic_bloch`` is its
 trajectory through (1, 0, 0) at t0, and the density matrix, energy, dipole
 and shift of a trajectory are read off its samples. The residual tests hold
 it to the equations at machine precision.
+
+The flow's stated error is its rounding, ``_flow_rounding``: 8 eps (1 + R T),
+with R (``_rate_bound``) a bound on every rate of the flow and T on the
+times and phases it multiplies. ``verify`` builds its tolerances on it.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ import numpy as np
 # and of the fixed-step integrator), shared by the config and the integrator.
 BALL_SLACK = 1e-6
 _EQUATOR = (1.0, 0.0, 0.0)
+_FLOW_ROUNDING = 8.0         # eps per unit of (1 + phase) in one flow sample
 
 
 class BlochVector(NamedTuple):
@@ -185,6 +190,20 @@ def bloch_flow(t, p: TwoLevelParams, start, t_start: float) -> np.ndarray:
     env = np.exp(-big_l) if (px0 or py0) else np.zeros(t.shape)
     c, s = np.cos(phase), np.sin(phase)
     return np.stack([env * (px0 * c + py0 * s), env * (py0 * c - px0 * s), pz], axis=-1)
+
+
+def _rate_bound(p: TwoLevelParams) -> float:
+    """R = max(1, |omega21 - tau| + |lam| + |q|), a bound on every rate of
+    the flow: the turn rate omega21 - tau - lam Pz and q, with |Pz| <= 1."""
+    return max(1.0, abs(p.omega21 - p.tau) + abs(p.lam) + abs(p.q))
+
+
+def _flow_rounding(p: TwoLevelParams, at: float, t_start: float, t_end: float) -> float:
+    """_FLOW_ROUNDING eps (1 + R T), the rounding of a ``bloch_flow`` sample anchored at ``at``
+    on [t_start, t_end]: the phase is a product of size up to R |t - at|, and t is rounded at
+    |t|, so T = max |t| + max |t - at|."""
+    span = max(abs(t_start), abs(t_end)) + max(abs(t_start - at), abs(t_end - at))
+    return _FLOW_ROUNDING * np.finfo(float).eps * (1.0 + _rate_bound(p) * span)
 
 
 def _flow_anchor(p: TwoLevelParams, t_start: float, initial=None) -> tuple[tuple, float]:

@@ -18,10 +18,11 @@ The order is err(h) / err(h/2), err the largest deviation of one RK4 pass
 from the exact flow, at a step no finer than the run's own: from span/2000,
 or ``_ORDER_SCALE`` / R where finer (R bounds the flow's rates; at h R = 1 a
 correct run read 1.26, at 0.1 it reads 16.0), doubled at most
-``_ORDER_DOUBLINGS`` times while either error is below ``_ORDER_FLOOR`` eps
-(n + ``_FD_ROUNDING`` (1 + R T)), n the half-step pass's step count. n eps
-bounds RK4's rounding where it adds up coherently (at q = 0 every step
-multiplies by the same float); the rest is the flow's (``_flow_rounding``).
+``_ORDER_DOUBLINGS`` times while either error is below ``_ORDER_FLOOR``
+(n eps + delta), n the half-step pass's step count and delta the flow's
+stated rounding (``twolevel._flow_rounding``). n eps bounds RK4's rounding
+where it adds up coherently (at q = 0 every step multiplies by the same
+float).
 Each error is then within 10% of its truncation error, so a fourth-order
 ratio reads in [16 * 0.9 / 1.1, 16 * 1.1 / 0.9] = [13.1, 19.6], inside
 ``_ORDER_WINDOW``; with no such step the check is skipped. Each pass is
@@ -44,8 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrator import Trajectory, _step_count, integrate
-from .twolevel import (TwoLevelParams, _flow_anchor, _shift, additional_shift, bloch_flow, bloch_rhs,
-                       bloch_to_density, frequency_shift)
+from .twolevel import (TwoLevelParams, _flow_anchor, _flow_rounding, _rate_bound, _shift, additional_shift,
+                       bloch_flow, bloch_rhs, bloch_to_density, frequency_shift)
 
 _RESIDUAL_TOL = 1e-6
 _TRACE_TOL = 1e-10
@@ -55,7 +56,6 @@ _ORDER_FLOOR = 10.0
 _ORDER_DOUBLINGS = 4
 _ORDER_SCALE = 0.1           # the order check's finest step times the flow's fastest rate
 _FD_SCALE = 1e-4             # the residual's difference step times the flow's fastest rate
-_FD_ROUNDING = 8.0           # eps per unit of (1 + phase) in one flow sample
 _CHECK_TIMES = 1001          # samples of the closed-form and decomposition residuals
 _PHASE_MIN_AMPLITUDE = 1e-3
 _MAX_RK4_STEPS = 2 * 10**6   # about 1 GB at the order check's 500 bytes per step
@@ -90,19 +90,6 @@ class Report:
             lines.append(f"{c.name:32s} {measured:>14s} {c.tolerance:>22s} {c.status():>8s}")
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
-
-
-def _rate_bound(p: TwoLevelParams) -> float:
-    """R = max(1, |omega21 - tau| + |lam| + |q|), a bound on every rate of
-    the flow: the turn rate omega21 - tau - lam Pz and q, with |Pz| <= 1."""
-    return max(1.0, abs(p.omega21 - p.tau) + abs(p.lam) + abs(p.q))
-
-
-def _flow_rounding(p: TwoLevelParams, at: float, t_start: float, t_end: float) -> float:
-    """_FD_ROUNDING eps (1 + R T), the rounding of a flow sample on [t_start, t_end]: the phase is
-    a product of size up to R |t - at|, and t is rounded at |t|, so T = max |t| + max |t - at|."""
-    span = max(abs(t_start), abs(t_end)) + max(abs(t_start - at), abs(t_end - at))
-    return _FD_ROUNDING * np.finfo(float).eps * (1.0 + _rate_bound(p) * span)
 
 
 def _closed_form_residual(p: TwoLevelParams, start, at: float, t_start: float,

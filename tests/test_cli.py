@@ -100,6 +100,36 @@ B                0.00000000000e+00
 C                0.00000000000e+00
 Gamma(k_max=1)   9.52988331318e-10
 """
+# SI factors, an imaginary part printed in SI (D_y) and an m < 0 state, with k_max = 2
+SI_PAIR_TABLE = """\
+# pair: 3d-2 -> 2p-1   units: si
+omega            2.87092870383e+15
+D_x              1.80026512158e-29
+D_y              1.42144253060e-45-1.80026512158e-29j
+D_z              2.44387509500e-49
+Q_xx             -5.82779978164e-56
+Q_xy             -4.55569400993e-55
+Q_xz             -5.65777052644e-57
+Q_yy             1.62478496949e-56
+Q_yz             2.39136178288e-57
+Q_zz             4.20301481215e-56
+Delta_x          1.32598910323e-39
+Delta_y          -1.42220876731e-23
+Delta_z          -4.94274892691e-41
+delta_xx         -4.13765464684e-30
+delta_xy         -4.26245183232e-31
+delta_xz         -1.91596692340e-32
+delta_yx         3.30102150941e-30
+delta_yy         2.60421809151e-30
+delta_yz         -3.56050830053e-33
+delta_zx         6.85035354518e-32
+delta_zy         1.56866243992e-30
+delta_zz         6.00157419802e-31
+A                6.46862577099e+07
+B                9.12618363947e-13
+C                -2.49042413154e-28
+Gamma(k_max=2)   8.12623377437e+10
+"""
 
 
 def write(path, text):
@@ -188,6 +218,13 @@ class TestCoeffs:
             warnings.simplefilter("error")
             assert main(["coeffs", "--config", cfg]) == 0
         assert capsys.readouterr().out == expected
+
+    def test_si_table_bytes(self, tmp_path, capsys):
+        cfg = write(tmp_path / "pair.cfg", "mode = coeffs\nstate_a = 3d-2\nstate_b = 2p-1\nunits = si\nk_max = 2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["coeffs", "--config", cfg]) == 0
+        assert capsys.readouterr().out == SI_PAIR_TABLE
 
     @pytest.mark.parametrize("state_a, state_b, refused, cause", [
         ("78,77,0", "77,76,0", "78,77,0", "r^77 overflows a float on its grid"),

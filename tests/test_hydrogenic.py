@@ -4,56 +4,11 @@ import numpy as np
 import pytest
 
 from quadbloch import BoundState, bound_energy, eigenstate_eval, radial_wavefunction, transition_frequency
-from quadbloch.hydrogenic import _laguerre, solid_harmonic
+from quadbloch.hydrogenic import _laguerre, _solid_harmonic_chain, solid_harmonic
+
+from oracles import solid_harmonic_table
 
 
-def _solid_harmonic_table(l_max, pts):
-    """Oracle: the full table of r^l Y_lm and gradients for 0 <= m <= l <= l_max,
-    every entry built from the recursion in the same float operations."""
-    x = pts[..., 0]
-    y = pts[..., 1]
-    z = pts[..., 2]
-    r2 = x * x + y * y + z * z
-    xy = x + 1j * y
-
-    vals = {}
-    grads = {}
-    shape = x.shape
-    vals[(0, 0)] = np.full(shape, 0.5 / math.sqrt(math.pi), dtype=complex)
-    grads[(0, 0)] = np.zeros(shape + (3,), dtype=complex)
-
-    for l in range(1, l_max + 1):
-        c = -math.sqrt((2 * l + 1) / (2 * l))
-        v0 = vals[(l - 1, l - 1)]
-        g0 = grads[(l - 1, l - 1)]
-        vals[(l, l)] = c * xy * v0
-        g = np.empty(shape + (3,), dtype=complex)
-        g[..., 0] = c * (v0 + xy * g0[..., 0])
-        g[..., 1] = c * (1j * v0 + xy * g0[..., 1])
-        g[..., 2] = c * xy * g0[..., 2]
-        grads[(l, l)] = g
-
-        c = math.sqrt(2 * l + 1)
-        vals[(l, l - 1)] = c * z * v0
-        g = c * z[..., None] * g0
-        g[..., 2] += c * v0
-        grads[(l, l - 1)] = g
-
-        for m in range(l - 2, -1, -1):
-            a = math.sqrt((4 * l * l - 1) / (l * l - m * m))
-            b = math.sqrt(((l - 1) ** 2 - m * m) / (4 * (l - 1) ** 2 - 1))
-            v1 = vals[(l - 1, m)]
-            g1 = grads[(l - 1, m)]
-            v2 = vals[(l - 2, m)]
-            g2 = grads[(l - 2, m)]
-            vals[(l, m)] = a * (z * v1 - b * r2 * v2)
-            g = np.empty(shape + (3,), dtype=complex)
-            g[..., 0] = a * (z * g1[..., 0] - b * (2 * x * v2 + r2 * g2[..., 0]))
-            g[..., 1] = a * (z * g1[..., 1] - b * (2 * y * v2 + r2 * g2[..., 1]))
-            g[..., 2] = a * (v1 + z * g1[..., 2] - b * (2 * z * v2 + r2 * g2[..., 2]))
-            grads[(l, m)] = g
-
-    return vals, grads
 
 
 class TestBoundState:
@@ -182,7 +137,7 @@ class TestSolidHarmonic:
         pts = np.concatenate([rng.normal(scale=3.0, size=(200, 3)),
                               [[0.0, 0.0, 1.7], [0.0, 0.0, -2.0], [0.0, 0.0, 0.0], [1.0, -1.0, 0.0]]])
         l_max = 5
-        vals, grads = _solid_harmonic_table(l_max, pts)
+        vals, grads = solid_harmonic_table(l_max, pts)
         for l in range(l_max + 1):
             for m in range(-l, l + 1):
                 val, grad = solid_harmonic(l, m, pts)
@@ -192,6 +147,20 @@ class TestSolidHarmonic:
                     want_val, want_grad = sign * np.conj(want_val), sign * np.conj(want_grad)
                 assert np.array_equal(val, want_val), (l, m)
                 assert np.array_equal(grad, want_grad), (l, m)
+
+    def test_chain_equals_per_component_recursion(self, rng):
+        # the chain steps the gradient as one array; every element keeps the
+        # per-component recursion's operations, so even signed zeros agree
+        poles = [[0.0, 0.0, 1.3], [0.0, 0.0, -0.4], [0.0, 0.0, 0.0], [-0.0, 0.0, -0.0]]
+        l_max = 8
+        for pts in (rng.normal(scale=2.0, size=(150, 3)), np.array(poles), rng.normal(size=(2, 5, 3))):
+            vals, grads = solid_harmonic_table(l_max, pts)
+            for l in range(l_max + 1):
+                for m in range(l + 1):
+                    val, grad = _solid_harmonic_chain(l, m, pts)
+                    assert np.array_equal(val, vals[(l, m)]) and np.array_equal(grad, grads[(l, m)]), (l, m)
+                    assert val.tobytes() == vals[(l, m)].tobytes(), (l, m)
+                    assert grad.tobytes() == grads[(l, m)].tobytes(), (l, m)
 
 
 class TestLaguerre:

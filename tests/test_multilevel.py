@@ -109,6 +109,13 @@ class TestSystemValidation:
             with pytest.raises(ValueError, match=f"^{name} must be finite$"):
                 NLevelSystem(**inputs)
 
+    @pytest.mark.parametrize("energies", [1.0, np.zeros((2, 2))])
+    def test_energies_not_1d_rejected(self, energies):
+        # a scalar raised IndexError and a (2, 2) array a broadcast error
+        with pytest.raises(ValueError, match=r"^energies must be 1-D, got shape \("):
+            NLevelSystem(energies, np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)),
+                         np.zeros((2, 2)), np.zeros((2, 2, 3), dtype=complex))
+
 
 class TestSystemStorage:
     def test_inputs_are_copied(self, rng):
@@ -135,6 +142,14 @@ class TestSystemStorage:
         sysm = random_system(rng, 3)
         with pytest.raises(ValueError, match="read-only"):
             getattr(sysm, name)[0, ...] = 1.0
+
+    def test_equality_and_hash_are_identity(self, rng):
+        # array fields made == raise "truth value ... is ambiguous" and hash raise TypeError
+        a = random_system(rng, 3)
+        b = replace(a)
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert {a, b, a} == {a, b}
 
     def test_drive_coupling_diagonal_is_exactly_zero(self, rng):
         # Omega_aa = E_a - E_a = 0, so multilevel_rhs puts y on V's diagonal with no rounding
@@ -169,7 +184,7 @@ class TestMultilevelRhs:
             with pytest.raises(ValueError, match="Hermitian|trace"):
                 multilevel_rhs(rho, sysm)
 
-    def test_trace_overflowing_to_nan_rejected(self, rng):
+    def test_trace_overflowing_to_inf_rejected(self, rng):
         # finite and Hermitian, but the trace overflows to inf
         rho = np.diag([1e308, 1e308, -1e308, -1e308]).astype(complex)
         # rejected with no numpy RuntimeWarning on the way
