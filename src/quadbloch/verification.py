@@ -15,9 +15,12 @@ rate, fails. Each check's negative control is a test fake of the one input
 only that check reads.
 
 The order is err(h) / err(h/2), err the largest deviation of one RK4 pass
-from the exact flow, at a step no finer than the run's own: from span/2000,
-or ``_ORDER_SCALE`` / R where finer (R bounds the flow's rates; at h R = 1 a
-correct run read 1.26, at 0.1 it reads 16.0), doubled at most
+from the exact flow, at a step no finer than the run's own: from
+``_ORDER_SCALE`` / R (R bounds the flow's rates; at h R = 1 a correct run
+read 1.26, at 0.1 it reads 16.0 and samples every error oscillation at
+least 60 times), or from span / ``_ORDER_MIN_STEPS`` where finer, so a
+short or slow run keeps at least 500 coarse steps (runs of 4 to 40 read
+false FAILs without that floor). The step is doubled at most
 ``_ORDER_DOUBLINGS`` times while either error is below ``_ORDER_FLOOR``
 (n eps + delta), n the half-step pass's step count and delta the flow's
 stated rounding (``twolevel._flow_rounding``). n eps bounds RK4's rounding
@@ -25,8 +28,11 @@ where it adds up coherently (at q = 0 every step multiplies by the same
 float).
 Each error is then within 10% of its truncation error, so a fourth-order
 ratio reads in [16 * 0.9 / 1.1, 16 * 1.1 / 0.9] = [13.1, 19.6], inside
-``_ORDER_WINDOW``; with no such step the check is skipped. Each pass is
-dropped once its error is taken; none runs over 2m + 1 steps for a run of m.
+``_ORDER_WINDOW``; with no such step the check is skipped. Where a pass
+leaves the unit ball (a flow with q Pz > 0 grows RK4's truncation off the
+sphere, more at a coarser step), the check starts again from half its first
+step, down to the run's own. Each pass is dropped once its error is taken;
+none runs over 2m + 1 steps for a run of m.
 
 The agreement, norm and phase tolerances scale with e, RK4's error at the
 run's step h, read off the order check: e = err(h_c) (h / h_c)^4 from its
@@ -44,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrator import Trajectory, _step_count, integrate
+from .integrator import StepSizeError, Trajectory, _step_count, integrate
 from .twolevel import (TwoLevelParams, _flow_anchor, _flow_rounding, _rate_bound, _shift, additional_shift,
                        bloch_flow, bloch_rhs, bloch_to_density, frequency_shift)
 
@@ -55,6 +61,7 @@ _ORDER_WINDOW = (12.0, 20.0)
 _ORDER_FLOOR = 10.0
 _ORDER_DOUBLINGS = 4
 _ORDER_SCALE = 0.1           # the order check's finest step times the flow's fastest rate
+_ORDER_MIN_STEPS = 500       # coarse steps the order check keeps at least on short or slow runs
 _FD_SCALE = 1e-4             # the residual's difference step times the flow's fastest rate
 _CHECK_TIMES = 1001          # samples of the closed-form and decomposition residuals
 _PHASE_MIN_AMPLITUDE = 1e-3
@@ -140,32 +147,51 @@ def _shift_phase_mismatch(traj: Trajectory, shift: np.ndarray) -> float | None:
     return float(np.max(np.abs(shift[keep] - rate[keep])))
 
 
+def _order_step(p: TwoLevelParams, t_start: float, t_end: float, step: float) -> float:
+    """The order check's first coarse step: _ORDER_SCALE / R, or the finer
+    span / _ORDER_MIN_STEPS on a short or slow run, but never finer than the
+    run's own ``step``."""
+    return max(step, min((t_end - t_start) / _ORDER_MIN_STEPS, _ORDER_SCALE / _rate_bound(p)))
+
+
 def _convergence_order(initial, p: TwoLevelParams, start, at: float, t_start: float, t_end: float,
                        step: float) -> tuple[Check, float, float]:
     """(check, err(h), h): the check of err(h) / err(h/2), err the largest
     deviation of RK4 from ``initial`` from the flow through ``start`` at
-    time ``at``, at the finest h from max(step, min(span/2000, _ORDER_SCALE / R))
-    up whose errors clear rounding, or the last h tried."""
-    conv_step = max(step, min((t_end - t_start) / 2000.0, _ORDER_SCALE / _rate_bound(p)))
+    time ``at``, at the finest h from ``_order_step`` up whose errors clear
+    rounding, or the last h tried. Where a pass leaves the unit ball, the
+    check starts again from half its first step, down to the run's own."""
 
     def error(width: float) -> tuple[float, float]:
         traj = integrate(initial, p, t_start, t_end, width)
         return float(np.max(np.abs(traj.bloch - bloch_flow(traj.t, p, start, at)))), traj.step
 
-    half, _ = error(conv_step / 2.0)
-    for _ in range(_ORDER_DOUBLINGS + 1):
-        coarse, h = error(conv_step)
-        if half == 0.0 and coarse == 0.0:
-            return Check("convergence_order", True, None, "exact (fixed point)", skipped=True), 0.0, h
-        rounding = (np.finfo(float).eps * _step_count(t_start, t_end, conv_step / 2.0)
-                    + _flow_rounding(p, at, t_start, t_end))
-        if min(coarse, half) >= _ORDER_FLOOR * rounding:
-            ratio = coarse / half
-            return Check("convergence_order", _ORDER_WINDOW[0] <= ratio <= _ORDER_WINDOW[1],
-                         ratio, f"in [{_ORDER_WINDOW[0]:g}, {_ORDER_WINDOW[1]:g}]"), coarse, h
-        half = coarse       # the doubled step's half is this step, exactly
-        conv_step *= 2.0
-    return Check("convergence_order", True, None, "at rounding level", skipped=True), coarse, h
+    def measure(conv_step: float) -> tuple[Check, float, float]:
+        half, _ = error(conv_step / 2.0)
+        for _ in range(_ORDER_DOUBLINGS + 1):
+            coarse, h = error(conv_step)
+            if half == 0.0 and coarse == 0.0:
+                return Check("convergence_order", True, None, "exact (fixed point)", skipped=True), 0.0, h
+            rounding = (np.finfo(float).eps * _step_count(t_start, t_end, conv_step / 2.0)
+                        + _flow_rounding(p, at, t_start, t_end))
+            if min(coarse, half) >= _ORDER_FLOOR * rounding:
+                ratio = coarse / half
+                return Check("convergence_order", _ORDER_WINDOW[0] <= ratio <= _ORDER_WINDOW[1],
+                             ratio, f"in [{_ORDER_WINDOW[0]:g}, {_ORDER_WINDOW[1]:g}]"), coarse, h
+            half = coarse       # the doubled step's half is this step, exactly
+            conv_step *= 2.0
+        return Check("convergence_order", True, None, "at rounding level", skipped=True), coarse, h
+
+    conv_step = _order_step(p, t_start, t_end, step)
+    while True:
+        try:
+            return measure(conv_step)
+        except StepSizeError:
+            # where q Pz > 0 the flow grows RK4's truncation off the sphere,
+            # more at a coarser step; the run's own step kept it in the ball
+            if conv_step == step:
+                raise
+            conv_step = max(step, conv_step / 2.0)
 
 
 def run_checks(p: TwoLevelParams, t_start: float, t_end: float, step: float,

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from quadbloch import TwoLevelParams, analytic_bloch, constants
+from quadbloch import TwoLevelParams, analytic_bloch, constants, integrate, verification
 from quadbloch.cli import _CSV_ROWS_PER_WRITE, _write_csv_rows, main
 
 CANONICAL_DYNAMICS = """
@@ -472,10 +472,18 @@ class TestVerify:
         assert float(agree_line.split()[1]) > 1e-8
 
     @pytest.mark.parametrize("step", ["0.05", "0.02", "0.005"])
-    def test_order_measured_clear_of_rounding(self, tmp_path, capsys, step):
-        # a slow rotation (omega21 = 0.069): the order step span/2000 = 0.02 at
-        # step 0.02 and 0.005, or the run's 0.05, leaves the errors within ten
-        # times their rounding bound; it is doubled to 0.16, or to 0.1
+    def test_order_measured_clear_of_rounding(self, tmp_path, capsys, monkeypatch, step):
+        # a slow rotation (omega21 = 0.069): the order step span/500 = 0.08,
+        # coarser than each run's step, leaves the errors within ten times
+        # their rounding bound; it is doubled to 0.16
+        widths = []
+        original = verification.integrate
+
+        def recording(initial, p, t_start, t_end, width):
+            widths.append(width)
+            return original(initial, p, t_start, t_end, width)
+
+        monkeypatch.setattr(verification, "integrate", recording)
         cfg = write(tmp_path / "v.cfg",
                     "mode = verify\nstate_a = 3d+1\nstate_b = 2p0\ngamma11 = 0.01\ngamma22 = 0.005\n"
                     f"t_start = -10\nt_end = 30\nstep = {step}\n")
@@ -484,7 +492,35 @@ class TestVerify:
                          if l.startswith("convergence_order"))
         measured, status = conv_line.split()[1], conv_line.split()[-1]
         assert status == "pass"
-        assert measured == {"0.05": "1.601799e+01"}.get(step, "1.602823e+01")
+        assert widths[1:] == [0.04, 0.08, 0.16]
+        assert measured == "1.602823e+01"
+
+    def test_far_start_fails_agreement_but_measures_order(self, tmp_path, capsys):
+        # README's rates from t = -120: the flow grows RK4's rounding past the
+        # agreement tolerance, but the order passes at 0.1 / R clear of it,
+        # where span/2000 = 0.07 read 3.18 and FAILed
+        cfg = write(tmp_path / "v.cfg",
+                    "mode = verify\n" + CANONICAL_DYNAMICS.replace("t_start = -20", "t_start = -120"))
+        assert main(["verify", "--config", cfg]) == 2
+        status = {line.split()[0]: (line.split()[1], line.split()[-1])
+                  for line in capsys.readouterr().out.splitlines()[1:-1]}
+        assert status["convergence_order"] == ("1.594198e+01", "pass")
+        assert status["bloch_norm_preservation"][1] == status["analytic_agreement"][1] == "FAIL"
+
+    def test_far_start_order_pass_is_not_blamed_on_the_step(self, tmp_path, capsys):
+        # README's rates from t = -155 at step 0.02: the run stays in the ball,
+        # but the order's passes leave it, by rounding that the flow has grown,
+        # not by their step: from 0.1 / R = 0.088, from its half, and from the
+        # run's own step, whose half-step pass reports
+        p = TwoLevelParams(omega21=1.0, a12=0.2, gamma11=0.02, gamma12=-0.04)
+        integrate(None, p, -155.0, 20.0, 0.02)
+        cfg = write(tmp_path / "v.cfg",
+                    "mode = verify\n" + CANONICAL_DYNAMICS.replace("t_start = -20", "t_start = -155")
+                    .replace("step = 0.01", "step = 0.02"))
+        assert main(["verify", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "the flow multiplied rounding off the unit sphere by e^19.5 since t_start" in err
+        assert err.rstrip().endswith("start later") and "smaller step" not in err
 
     @pytest.mark.parametrize("t_end", ["1", "2", "4"])
     @pytest.mark.parametrize("step", ["1e-3", "1e-4"])

@@ -1,9 +1,11 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from quadbloch import BlochVector, TwoLevelParams, bloch_flow, exact_trajectory, integrate, verification
+from quadbloch.integrator import StepSizeError
 from quadbloch.twolevel import _flow_anchor, _shift
 from quadbloch.verification import _closed_form_residual, _shift_phase_mismatch, run_checks
 
@@ -224,8 +226,8 @@ def _count_rk4_steps(monkeypatch):
 
 
 @pytest.mark.parametrize("p, span, total, half_step_total", [
-    # order at span/2000: 2,000 and 4,000 steps
-    (None, (-10.0, 10.0, 2e-3), 10_000 + 2_000 + 4_000, 36_000),
+    # order at span/500: 500 and 1,000 steps (2,000 and 4,000 at span/2000)
+    (None, (-10.0, 10.0, 2e-3), 10_000 + 500 + 1_000, 36_000),
     # order at the run's own step: 400 and 800 steps
     (None, (-10.0, 10.0, 0.05), 400 + 400 + 800, 2_400),
     # round(2 span / step) = 2 round(span / step) + 1: the order's half-step pass is 2n + 1
@@ -253,7 +255,7 @@ def test_convergence_order_equals_separate_integrations(span, canonical_params):
     # twice round(span / step)
     report, _ = run_checks(canonical_params, *span)
     t_start, t_end, step = span
-    conv_step = max(step, (t_end - t_start) / 2000.0)
+    conv_step = verification._order_step(canonical_params, t_start, t_end, step)
     start, at = _flow_anchor(canonical_params, t_start)
 
     def error(width):
@@ -290,3 +292,49 @@ def test_order_skipped_when_no_step_clears_rounding():
     check = _check(report, "convergence_order")
     assert check.skipped and check.tolerance == "at rounding level"
     assert report.passed
+
+
+@pytest.mark.parametrize("p, initial", [
+    (TwoLevelParams(omega21=0.5, a12=0.2, gamma11=1.0), None),
+    (TwoLevelParams(omega21=0.01, a12=0.2), BlochVector(0.6, 0.0, 0.5)),
+    (TwoLevelParams(omega21=0.01, a12=-0.2), BlochVector(0.6, 0.0, 0.5)),
+], ids=["decay", "slow-decay-custom-start", "slow-rise-custom-start"])
+def test_order_measured_on_short_slow_runs(p, initial):
+    # from the run's step 0.002, four doublings reached 0.032 with an error
+    # still at rounding level, and the order was skipped; from span/500 they
+    # reach 0.064, whose errors clear it
+    report, _ = run_checks(p, 0.0, 2.0, 0.002, initial=initial)
+    check = _check(report, "convergence_order")
+    assert report.passed and not check.skipped
+    assert 15.8 < check.measured < 16.1
+
+
+def test_order_retreats_from_a_step_that_leaves_the_ball():
+    # a decaying flow from before t0 grows RK4's truncation off the sphere: a
+    # pass at the first order step 0.1 / R = 0.057 leaves the unit ball, and
+    # verify blamed a step that the run never took; from half of it the
+    # order is measured
+    p = TwoLevelParams(omega21=1.0, a12=1.5)
+    with pytest.raises(StepSizeError, match="smaller step"):
+        integrate(None, p, -8.0, 40.0, verification._order_step(p, -8.0, 40.0, 0.02))
+    report, _ = run_checks(p, -8.0, 40.0, 0.02)
+    check = _check(report, "convergence_order")
+    assert report.passed and not check.skipped
+    assert 15.5 < check.measured < 16.5
+
+
+def test_rate_grid_passes():
+    # every explicit-rate config of the grid PASSes; the order is skipped only
+    # where no step clears rounding (a slow, short or undamped rotation) or at
+    # a fixed point: 26 of 360, where span/2000 skipped 30
+    grid = itertools.product((0.01, 0.5, 1.0), (0.0, 0.2, -0.2, 4.0, -4.0), (0.0, 1.0), (0.5, 2.0, 20.0),
+                             (0.002, 0.01), (None, BlochVector(0.6, 0.0, 0.5)))
+    failed, skipped = [], 0
+    for omega21, a12, gamma11, t_end, step, initial in grid:
+        report, _ = run_checks(TwoLevelParams(omega21=omega21, a12=a12, gamma11=gamma11), 0.0, t_end, step,
+                               initial=initial)
+        if not report.passed:
+            failed.append((omega21, a12, gamma11, t_end, step, initial))
+        skipped += _check(report, "convergence_order").skipped
+    assert failed == []
+    assert skipped <= 26
