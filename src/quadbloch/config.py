@@ -2,8 +2,10 @@
 
 The parameter space is small and flat, so the config format is line-oriented
 ``key = value`` text with ``#`` comments; files diff cleanly under version
-control. Dynamic modes take the two-level parameters either from a level
-pair (state_a/state_b) or from explicit rates, never both.
+control. A file holds no mode: the caller names it (the CLI's subcommand),
+so one file serves ``simulate``, ``verify`` and ``shift``. Dynamic modes take
+the two-level parameters either from a level pair (state_a/state_b) or from
+explicit rates, never both.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ _GAMMA_KEYS = ("gamma11", "gamma22", "gamma12")
 _TIME_KEYS = ("t_start", "t_end", "step", "t0")
 _FLOAT_KEYS = _RATE_KEYS + _GAMMA_KEYS + _TIME_KEYS + ("k_max", "px0", "py0", "pz0")
 _PARAM_KEYS = tuple(f.name for f in fields(TwoLevelParams))
-_KNOWN_KEYS = ("mode", "state_a", "state_b", "output", "units") + _FLOAT_KEYS
+_KNOWN_KEYS = ("state_a", "state_b", "output", "units") + _FLOAT_KEYS
 
 _STATE_TOKEN = re.compile(r"^(\d+)([a-z])([+-]?\d+)?$")
 _ORBITAL_OF = {letter: l for l, letter in enumerate(_ORBITAL_LETTERS)}
@@ -104,7 +106,7 @@ def _parse_lines(text: str) -> dict[str, tuple[str, str]]:
     return raw
 
 
-def _build(raw: dict[str, tuple[str, str]], default_mode: str | None) -> RunConfig:
+def _build(raw: dict[str, tuple[str, str]], mode: str) -> RunConfig:
     def take_float(key: str):
         if key not in raw:
             return None
@@ -116,13 +118,6 @@ def _build(raw: dict[str, tuple[str, str]], default_mode: str | None) -> RunConf
         if not math.isfinite(number):
             raise ConfigError(f"{where}: key '{key}' must be finite, got {value!r}")
         return number
-
-    mode = raw.get("mode", (default_mode, "default"))[0]
-    if mode is None:
-        raise ConfigError("missing required key 'mode'")
-    if mode not in MODES:
-        where = raw["mode"][1] if "mode" in raw else "default"
-        raise ConfigError(f"{where}: mode must be one of {', '.join(MODES)}, got '{mode}'")
 
     state_a = parse_state(raw["state_a"][0]) if "state_a" in raw else None
     state_b = parse_state(raw["state_b"][0]) if "state_b" in raw else None
@@ -190,17 +185,14 @@ def _validate(cfg: RunConfig, raw: dict[str, tuple[str, str]]):
         raise ConfigError(f"key 'k_max' must be nonnegative, got {cfg.k_max}")
 
 
-def parse_config(text: str, default_mode: str | None = None) -> RunConfig:
-    """Parse and validate a configuration document."""
-    return _build(_parse_lines(text), default_mode)
-
-
-def parse_config_with_overrides(text: str, overrides: list[str],
-                                default_mode: str | None = None) -> RunConfig:
-    """Parse a document, then apply ``key=value`` override tokens and revalidate."""
+def parse_config_with_overrides(text: str, overrides: list[str], mode: str) -> RunConfig:
+    """Parse a document for the run ``mode`` (one of ``MODES``), then apply
+    ``key=value`` override tokens and validate the result."""
+    if mode not in MODES:
+        raise ConfigError(f"mode must be one of {', '.join(MODES)}, got '{mode}'")
     raw = _parse_lines(text)
     for token in overrides:
         if "=" not in token:
             raise ConfigError(f"override '{token}': expected key=value")
         _add_entry(raw, token, f"override '{token}'", replace=True)
-    return _build(raw, default_mode)
+    return _build(raw, mode)

@@ -42,10 +42,6 @@ class BoundState:
             raise ValueError(f"nuclear charge must be positive and finite, got {self.z_charge}")
 
     @property
-    def parity(self) -> int:
-        return -1 if self.l % 2 else 1
-
-    @property
     def decay_constant(self) -> float:
         """Asymptotic exponential decay rate z/n of the radial function."""
         return self.z_charge / self.n
@@ -98,7 +94,10 @@ def _solid_harmonic_chain(l, m, pts):
         cxy = c * xy
         v0, g0 = v, g
         v = cxy * v0
-        # d/dx and d/dy are c (v0 + xy g0), with i v0 for y; d/dz is (c xy) g0
+        # d/dx and d/dy are c (v0 + xy g0), with i v0 for y; d/dz is (c xy) g0.
+        # S_j^j depends on x + iy alone, so d/dz is always a signed zero; it is
+        # still multiplied, not written, because the zeros' signs follow the
+        # per-component recursion and coeffs' printed bytes depend on them.
         g = xy[..., None] * g0
         g[..., 0] += v0
         g[..., 1] += 1j * v0

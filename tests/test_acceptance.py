@@ -178,7 +178,7 @@ def test_criterion_8_reduction_consistency():
 
 
 def test_criterion_9_end_to_end_determinism(tmp_path):
-    base = ("mode = simulate\nomega21 = 1.0\na12 = 0.2\ngamma11 = 0.02\n"
+    base = ("omega21 = 1.0\na12 = 0.2\ngamma11 = 0.02\n"
             "gamma22 = 0.0\ngamma12 = -0.04\nt_start = -5\nt_end = 5\nstep = 0.001\n")
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"

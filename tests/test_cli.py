@@ -1,14 +1,18 @@
 import argparse
 import io
 import math
+import re
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from quadbloch import TwoLevelParams, analytic_bloch, constants, integrate, verification
 from quadbloch.cli import _CSV_ROWS_PER_WRITE, _write_csv_rows, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 CANONICAL_DYNAMICS = """
 omega21 = 1.0
@@ -149,7 +153,7 @@ def load_csv(path):
 
 class TestCoeffs:
     def test_lyman_alpha_table(self, tmp_path, capsys):
-        cfg = write(tmp_path / "pair.cfg", "mode = coeffs\nstate_a = 2p0\nstate_b = 1s\nk_max = 1.0\n")
+        cfg = write(tmp_path / "pair.cfg", "state_a = 2p0\nstate_b = 1s\nk_max = 1.0\n")
         assert main(["coeffs", "--config", cfg]) == 0
         out = capsys.readouterr().out
         values = {}
@@ -167,7 +171,7 @@ class TestCoeffs:
         assert "e" in values["D_z"] and len(values["D_z"].split("e")[0].lstrip("-").replace(".", "")) == 12
 
     def test_parity_forbidden_pair(self, tmp_path, capsys):
-        cfg = write(tmp_path / "pair.cfg", "mode = coeffs\nstate_a = 1s\nstate_b = 2s\n")
+        cfg = write(tmp_path / "pair.cfg", "state_a = 1s\nstate_b = 2s\n")
         assert main(["coeffs", "--config", cfg]) == 0
         out = capsys.readouterr().out
         for line in out.splitlines():
@@ -175,7 +179,7 @@ class TestCoeffs:
                 assert abs(float(line.split()[1])) < 1e-10
 
     def test_quadrupole_pair(self, tmp_path, capsys):
-        cfg = write(tmp_path / "pair.cfg", "mode = coeffs\nstate_a = 3d0\nstate_b = 1s\n")
+        cfg = write(tmp_path / "pair.cfg", "state_a = 3d0\nstate_b = 1s\n")
         assert main(["coeffs", "--config", cfg]) == 0
         out = capsys.readouterr().out
         values = {line.split()[0]: float(line.split()[1]) for line in out.splitlines() if not line.startswith("#")}
@@ -184,7 +188,7 @@ class TestCoeffs:
 
     def test_si_keeps_imaginary_dipole(self, tmp_path, capsys):
         def coeffs(units):
-            cfg = write(tmp_path / f"{units}.cfg", f"mode = coeffs\nstate_a = 2p+1\nstate_b = 1s\nunits = {units}\n")
+            cfg = write(tmp_path / f"{units}.cfg", f"state_a = 2p+1\nstate_b = 1s\nunits = {units}\n")
             assert main(["coeffs", "--config", cfg]) == 0
             out = capsys.readouterr().out
             return {line.split()[0]: complex(line.split()[1]) for line in out.splitlines() if not line.startswith("#")}
@@ -204,7 +208,7 @@ class TestCoeffs:
                 return _original(*args)
 
             monkeypatch.setattr(multipole, name, counting)
-        cfg = write(tmp_path / "pair.cfg", "mode = coeffs\nstate_a = 3d+1\nstate_b = 1s\nk_max = 2.0\n")
+        cfg = write(tmp_path / "pair.cfg", "state_a = 3d+1\nstate_b = 1s\nk_max = 2.0\n")
         assert main(["coeffs", "--config", cfg]) == 0
         # each state once on the grid factors, never pointwise on the product grid
         assert calls == ["eigenstate_factors"] * 2
@@ -213,14 +217,14 @@ class TestCoeffs:
     @pytest.mark.parametrize("state_a, state_b, expected", [("2p0", "1s", README_PAIR_TABLE),
                                                             ("77,76,0", "76,75,0", HIGH_L_PAIR_TABLE)])
     def test_table_bytes(self, tmp_path, capsys, state_a, state_b, expected):
-        cfg = write(tmp_path / "pair.cfg", f"mode = coeffs\nstate_a = {state_a}\nstate_b = {state_b}\nk_max = 1.0\n")
+        cfg = write(tmp_path / "pair.cfg", f"state_a = {state_a}\nstate_b = {state_b}\nk_max = 1.0\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["coeffs", "--config", cfg]) == 0
         assert capsys.readouterr().out == expected
 
     def test_si_table_bytes(self, tmp_path, capsys):
-        cfg = write(tmp_path / "pair.cfg", "mode = coeffs\nstate_a = 3d-2\nstate_b = 2p-1\nunits = si\nk_max = 2\n")
+        cfg = write(tmp_path / "pair.cfg", "state_a = 3d-2\nstate_b = 2p-1\nunits = si\nk_max = 2\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["coeffs", "--config", cfg]) == 0
@@ -234,7 +238,7 @@ class TestCoeffs:
     def test_state_past_float_range_is_refused(self, tmp_path, capsys, state_a, state_b, refused, cause):
         # these printed nan on every moment and rate line with exit 0, or
         # "int too large to convert to float" without naming the state
-        cfg = write(tmp_path / "pair.cfg", f"mode = coeffs\nstate_a = {state_a}\nstate_b = {state_b}\n")
+        cfg = write(tmp_path / "pair.cfg", f"state_a = {state_a}\nstate_b = {state_b}\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["coeffs", "--config", cfg]) == 1
@@ -247,7 +251,7 @@ class TestSimulate:
     def test_fixed_point_start(self, tmp_path):
         out = tmp_path / "fp.csv"
         cfg = write(tmp_path / "run.cfg",
-                    f"mode = simulate\noutput = {out}\npx0 = 0\npy0 = 0\npz0 = -1\n" + CANONICAL_DYNAMICS)
+                    f"output = {out}\npx0 = 0\npy0 = 0\npz0 = -1\n" + CANONICAL_DYNAMICS)
         assert main(["simulate", "--config", cfg]) == 0
         rows = load_csv(out)
         assert np.all(rows[:, 3] == -1.0)                      # Pz column
@@ -255,7 +259,7 @@ class TestSimulate:
 
     def test_trace_and_roundtrip_every_row(self, tmp_path):
         out = tmp_path / "run.csv"
-        cfg = write(tmp_path / "run.cfg", f"mode = simulate\noutput = {out}\n" + CANONICAL_DYNAMICS)
+        cfg = write(tmp_path / "run.cfg", f"output = {out}\n" + CANONICAL_DYNAMICS)
         assert main(["simulate", "--config", cfg]) == 0
         rows = load_csv(out)
         t, px, py, pz, r11, r22, re12, im12 = (rows[:, i] for i in range(8))
@@ -269,7 +273,7 @@ class TestSimulate:
         # run to t0 + 10/q with q = 0.1
         out = tmp_path / "run.csv"
         cfg = write(tmp_path / "run.cfg",
-                    f"mode = simulate\noutput = {out}\nomega21 = 1.0\na12 = 0.2\n"
+                    f"output = {out}\nomega21 = 1.0\na12 = 0.2\n"
                     "t_start = 0\nt_end = 100\nstep = 0.01\n")
         assert main(["simulate", "--config", cfg]) == 0
         rows = load_csv(out)
@@ -280,7 +284,7 @@ class TestSimulate:
                                 ("px0 = 0.3\npy0 = -0.2\npz0 = 0.5\n",
                                  [f"# start = {0.3:.17g}, {-0.2:.17g}, 0.5", "# start_time = -20"])):
             out = tmp_path / "run.csv"
-            cfg = write(tmp_path / "run.cfg", f"mode = simulate\noutput = {out}\n" + start + CANONICAL_DYNAMICS)
+            cfg = write(tmp_path / "run.cfg", f"output = {out}\n" + start + CANONICAL_DYNAMICS)
             main(["simulate", "--config", cfg])
             text = out.read_text()
             lines = text.splitlines()
@@ -295,7 +299,7 @@ class TestSimulate:
     def test_byte_identical_reruns(self, tmp_path):
         out_a = tmp_path / "a.csv"
         out_b = tmp_path / "b.csv"
-        base = "mode = simulate\n" + CANONICAL_DYNAMICS
+        base = CANONICAL_DYNAMICS
         cfg_a = write(tmp_path / "a.cfg", base + f"output = {out_a}\n")
         cfg_b = write(tmp_path / "b.cfg", base + f"output = {out_b}\n")
         assert main(["simulate", "--config", cfg_a]) == 0
@@ -305,7 +309,7 @@ class TestSimulate:
     def test_si_units_are_scaled_atomic_outputs(self, tmp_path):
         out_at = tmp_path / "at.csv"
         out_si = tmp_path / "si.csv"
-        base = "mode = simulate\n" + CANONICAL_DYNAMICS
+        base = CANONICAL_DYNAMICS
         cfg = write(tmp_path / "at.cfg", base + f"output = {out_at}\n")
         main(["simulate", "--config", cfg])
         cfg_si = write(tmp_path / "si.cfg", base + f"output = {out_si}\nunits = si\n")
@@ -320,14 +324,14 @@ class TestSimulate:
 
     def test_unwritable_output_fails_cleanly(self, tmp_path, capsys):
         cfg = write(tmp_path / "run.cfg",
-                    f"mode = simulate\noutput = {tmp_path}/nodir/x.csv\n" + CANONICAL_DYNAMICS)
+                    f"output = {tmp_path}/nodir/x.csv\n" + CANONICAL_DYNAMICS)
         assert main(["simulate", "--config", cfg]) == 1
         assert "error:" in capsys.readouterr().err
 
     def test_integrator_abort_propagates(self, tmp_path, capsys):
         # verify is the command that still runs RK4; simulate writes exact samples
         cfg = write(tmp_path / "run.cfg",
-                    "mode = verify\nomega21 = 5.0\na12 = 0.2\n"
+                    "omega21 = 5.0\na12 = 0.2\n"
                     "px0 = 1\npy0 = 0\npz0 = 0\nt_start = 0\nt_end = 100\nstep = 1.0\n")
         assert main(["verify", "--config", cfg]) == 1
         assert "smaller step" in capsys.readouterr().err
@@ -339,7 +343,7 @@ class TestSimulate:
         # off the sphere by e^22.5, so every step left the ball there and was
         # blamed, and step = 2 named the order check's step 1
         cfg = write(tmp_path / "run.cfg",
-                    "mode = verify\n" + CANONICAL_DYNAMICS.replace("t_start = -20", "t_start = -185"))
+                    CANONICAL_DYNAMICS.replace("t_start = -20", "t_start = -185"))
         assert main(["verify", "--config", cfg, *overrides]) == 1
         err = capsys.readouterr().err
         assert f"by e^{growth} since t_start, so no step can help: start later" in err
@@ -348,7 +352,7 @@ class TestSimulate:
     def test_overflowing_state_is_not_blamed_on_the_step(self, tmp_path, capsys):
         # README's rates with gamma12 = 1e307: the norm is nan, and no step can help
         cfg = write(tmp_path / "run.cfg",
-                    "mode = verify\nomega21 = 1.0\na12 = 0.2\ngamma11 = 0.02\ngamma12 = 1e307\n"
+                    "omega21 = 1.0\na12 = 0.2\ngamma11 = 0.02\ngamma12 = 1e307\n"
                     "t_start = -20\nt_end = 20\nstep = 0.02\n")
         assert main(["verify", "--config", cfg]) == 1
         err = capsys.readouterr().err
@@ -358,7 +362,7 @@ class TestSimulate:
         # the step that aborts RK4 above only spaces the exact samples here
         out = tmp_path / "x.csv"
         cfg = write(tmp_path / "run.cfg",
-                    f"mode = simulate\noutput = {out}\nomega21 = 5.0\na12 = 0.2\n"
+                    f"output = {out}\nomega21 = 5.0\na12 = 0.2\n"
                     "px0 = 1\npy0 = 0\npz0 = 0\nt_start = 0\nt_end = 100\nstep = 1.0\n")
         assert main(["simulate", "--config", cfg]) == 0
         rows = load_csv(out)
@@ -369,7 +373,7 @@ class TestSimulate:
 
     def test_default_start_is_closed_form(self, tmp_path):
         out = tmp_path / "run.csv"
-        cfg = write(tmp_path / "run.cfg", f"mode = simulate\noutput = {out}\n" + CANONICAL_DYNAMICS)
+        cfg = write(tmp_path / "run.cfg", f"output = {out}\n" + CANONICAL_DYNAMICS)
         assert main(["simulate", "--config", cfg]) == 0
         rows = load_csv(out)
         p = TwoLevelParams(omega21=1.0, gamma11=0.02, gamma12=-0.04, a12=0.2)
@@ -380,7 +384,7 @@ class TestSimulate:
         # level pair supplies omega21 and the relaxation rates; gammas stay explicit
         out = tmp_path / "pair.csv"
         cfg = write(tmp_path / "run.cfg",
-                    f"mode = simulate\noutput = {out}\nstate_a = 2p0\nstate_b = 1s\n"
+                    f"output = {out}\nstate_a = 2p0\nstate_b = 1s\n"
                     "gamma11 = 0.01\nt_start = 0\nt_end = 1\nstep = 0.01\n")
         assert main(["simulate", "--config", cfg]) == 0
         meta = {}
@@ -413,7 +417,7 @@ class TestCsvWriter:
 
 class TestVerify:
     def test_canonical_parameters_pass(self, tmp_path, capsys):
-        cfg = write(tmp_path / "v.cfg", "mode = verify\nstep = 0.001\n"
+        cfg = write(tmp_path / "v.cfg", "step = 0.001\n"
                     + CANONICAL_DYNAMICS.replace("step = 0.01\n", ""))
         assert main(["verify", "--config", cfg]) == 0
         out = capsys.readouterr().out
@@ -421,7 +425,7 @@ class TestVerify:
         assert out.count("pass") >= 6
 
     def test_flipped_rotation_fails_residual(self, tmp_path, capsys, flip_rotation):
-        cfg = write(tmp_path / "v.cfg", "mode = verify\nstep = 0.001\n"
+        cfg = write(tmp_path / "v.cfg", "step = 0.001\n"
                     + CANONICAL_DYNAMICS.replace("step = 0.01\n", ""))
         flip_rotation()
         assert main(["verify", "--config", cfg]) == 2
@@ -432,7 +436,7 @@ class TestVerify:
         # the dipole-only run saturates while the full one stands still; the
         # tanh-addition quotient lost all accuracy here (2.9e-02)
         cfg = write(tmp_path / "v.cfg",
-                    "mode = verify\nomega21 = 1.0\na12 = 0.25\nb12 = 0.125\ngamma11 = 0.02\n"
+                    "omega21 = 1.0\na12 = 0.25\nb12 = 0.125\ngamma11 = 0.02\n"
                     "gamma12 = -0.04\nt_start = -150\nt_end = 150\nstep = 0.01\n")
         assert main(["verify", "--config", cfg]) == 0
         line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("shift_decomposition"))
@@ -440,7 +444,7 @@ class TestVerify:
 
     def test_q_zero_runs_every_check(self, tmp_path, capsys):
         cfg = write(tmp_path / "v.cfg",
-                    "mode = verify\nomega21 = 1.0\nt_start = -10\nt_end = 10\nstep = 0.01\n")
+                    "omega21 = 1.0\nt_start = -10\nt_end = 10\nstep = 0.01\n")
         assert main(["verify", "--config", cfg]) == 0
         out = capsys.readouterr().out
         assert "skipped" not in out and "overall: PASS" in out
@@ -451,7 +455,7 @@ class TestVerify:
                              ids=["default-start", "custom-start"])
     def test_flipped_rotation_fails_residual_at_q_zero(self, tmp_path, capsys, start, flip_rotation):
         cfg = write(tmp_path / "v.cfg",
-                    "mode = verify\nomega21 = 1.0\ngamma11 = 0.1\nt_start = -10\nt_end = 10\n"
+                    "omega21 = 1.0\ngamma11 = 0.1\nt_start = -10\nt_end = 10\n"
                     "step = 0.01\n" + start)
         flip_rotation()
         assert main(["verify", "--config", cfg]) == 2
@@ -462,7 +466,7 @@ class TestVerify:
     def test_coarse_step_reports_degraded_error(self, tmp_path, capsys):
         # convergence order still holds; the agreement check reports the larger error
         cfg = write(tmp_path / "v.cfg",
-                    "mode = verify\nomega21 = 0.1\na12 = 0.1\ngamma11 = 0.01\n"
+                    "omega21 = 0.1\na12 = 0.1\ngamma11 = 0.01\n"
                     "gamma22 = 0.0\ngamma12 = -0.02\nt_start = -20\nt_end = 20\nstep = 1.0\n")
         main(["verify", "--config", cfg])
         out = capsys.readouterr().out
@@ -485,7 +489,7 @@ class TestVerify:
 
         monkeypatch.setattr(verification, "integrate", recording)
         cfg = write(tmp_path / "v.cfg",
-                    "mode = verify\nstate_a = 3d+1\nstate_b = 2p0\ngamma11 = 0.01\ngamma22 = 0.005\n"
+                    "state_a = 3d+1\nstate_b = 2p0\ngamma11 = 0.01\ngamma22 = 0.005\n"
                     f"t_start = -10\nt_end = 30\nstep = {step}\n")
         assert main(["verify", "--config", cfg]) == 0
         conv_line = next(l for l in capsys.readouterr().out.splitlines()
@@ -500,7 +504,7 @@ class TestVerify:
         # agreement tolerance, but the order passes at 0.1 / R clear of it,
         # where span/2000 = 0.07 read 3.18 and FAILed
         cfg = write(tmp_path / "v.cfg",
-                    "mode = verify\n" + CANONICAL_DYNAMICS.replace("t_start = -20", "t_start = -120"))
+                    CANONICAL_DYNAMICS.replace("t_start = -20", "t_start = -120"))
         assert main(["verify", "--config", cfg]) == 2
         status = {line.split()[0]: (line.split()[1], line.split()[-1])
                   for line in capsys.readouterr().out.splitlines()[1:-1]}
@@ -515,7 +519,7 @@ class TestVerify:
         p = TwoLevelParams(omega21=1.0, a12=0.2, gamma11=0.02, gamma12=-0.04)
         integrate(None, p, -155.0, 20.0, 0.02)
         cfg = write(tmp_path / "v.cfg",
-                    "mode = verify\n" + CANONICAL_DYNAMICS.replace("t_start = -20", "t_start = -155")
+                    CANONICAL_DYNAMICS.replace("t_start = -20", "t_start = -155")
                     .replace("step = 0.01", "step = 0.02"))
         assert main(["verify", "--config", cfg]) == 1
         err = capsys.readouterr().err
@@ -528,7 +532,7 @@ class TestVerify:
         # every q = 0 step multiplies by the same float, so RK4's rounding adds
         # up coherently, about n eps; under a random-walk floor the ratio read
         # 1.80 on [0, 2] and 1.75 on [0, 4] and FAILed
-        cfg = write(tmp_path / "v.cfg", f"mode = verify\nomega21 = 1\nt_start = 0\nt_end = {t_end}\nstep = {step}\n")
+        cfg = write(tmp_path / "v.cfg", f"omega21 = 1\nt_start = 0\nt_end = {t_end}\nstep = {step}\n")
         assert main(["verify", "--config", cfg]) == 0
         conv_line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("convergence_order"))
         assert conv_line.split()[-1] == "pass" and 15.5 < float(conv_line.split()[1]) < 16.5
@@ -537,7 +541,7 @@ class TestVerify:
         # differentiated at the sample times, the gradient's spacing products
         # underflowed at steps of 1e-301, and the phase check read nan
         cfg = write(tmp_path / "v.cfg",
-                    "mode = verify\nomega21 = 1\na12 = 0.2\nt_start = 0\nt_end = 1e-300\nstep = 1e-301\n")
+                    "omega21 = 1\na12 = 0.2\nt_start = 0\nt_end = 1e-300\nstep = 1e-301\n")
         assert main(["verify", "--config", cfg]) == 0
         line = next(l for l in capsys.readouterr().out.splitlines()
                     if l.startswith("shift_matches_trajectory_phase"))
@@ -547,7 +551,7 @@ class TestVerify:
 class TestShift:
     def test_identity_residual_and_t0_row(self, tmp_path, capsys):
         cfg = write(tmp_path / "s.cfg",
-                    "mode = shift\nomega21 = 1.0\na12 = 0.2\nb12 = 0.02\nc12 = 0.05\n"
+                    "omega21 = 1.0\na12 = 0.2\nb12 = 0.02\nc12 = 0.05\n"
                     "gamma11 = 0.02\ngamma22 = 0.0\ngamma12 = -0.04\n"
                     "t_start = -5\nt_end = 5\nstep = 0.5\n")
         assert main(["shift", "--config", cfg]) == 0
@@ -560,7 +564,7 @@ class TestShift:
 
     def test_balanced_current_rates_zero_column(self, tmp_path, capsys):
         cfg = write(tmp_path / "s.cfg",
-                    "mode = shift\nomega21 = 1.0\na12 = 0.2\nb12 = 0.03\nc12 = 0.03\n"
+                    "omega21 = 1.0\na12 = 0.2\nb12 = 0.03\nc12 = 0.03\n"
                     "gamma11 = 0.02\ngamma12 = -0.04\nt_start = -5\nt_end = 5\nstep = 1.0\n")
         assert main(["shift", "--config", cfg]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -576,7 +580,7 @@ class TestShift:
         for command in ("shift", "simulate"):
             for gammas in ("gamma11 = 0.02\ngamma12 = -0.04\n", ""):
                 cfg = write(tmp_path / "run.cfg",
-                            f"mode = {command}\noutput = {out}\nomega21 = 1.0\na12 = 0.2\n" + gammas
+                            f"output = {out}\nomega21 = 1.0\na12 = 0.2\n" + gammas
                             + "t_start = -20\nt_end = 20\nstep = 0.001\n")
                 assert main([command, "--config", cfg]) == 0
                 text = capsys.readouterr().out if command == "shift" else out.read_text()
@@ -608,14 +612,14 @@ class TestShiftFollowsTheRun:
         "a12 = 0.2\nc12 = 0.05\nt0 = -3\nunits = si\n",       # t0 != 0 in SI units
     ])
     def test_columns_are_simulate_shift_columns(self, tmp_path, capsys, rates, start):
-        cfg = write(tmp_path / "s.cfg", "mode = shift\n" + _RATES + rates + _STARTS[start]
+        cfg = write(tmp_path / "s.cfg", _RATES + rates + _STARTS[start]
                     + "t_start = -10\nt_end = 10\nstep = 0.05\n")
         assert main(["shift", "--config", cfg]) == 0
         table = _cells(capsys.readouterr().out.splitlines())
 
         def simulate(*overrides):
             out = tmp_path / "run.csv"
-            argv = ["simulate", "--config", cfg, "--set", "mode=simulate", "--set", f"output={out}"]
+            argv = ["simulate", "--config", cfg, "--set", f"output={out}"]
             for token in overrides:
                 argv += ["--set", token]
             assert main(argv) == 0
@@ -635,7 +639,7 @@ class TestParserReuse:
         from quadbloch.cli import _build_parser
 
         cfg = write(tmp_path / "s.cfg",
-                    "mode = shift\nomega21 = 1.0\na12 = 0.2\nt_start = 0\nt_end = 1\nstep = 0.1\n")
+                    "omega21 = 1.0\na12 = 0.2\nt_start = 0\nt_end = 1\nstep = 0.1\n")
 
         def rows(*overrides):
             argv = ["shift", "--config", cfg]
@@ -653,7 +657,7 @@ class TestParserReuse:
 
 class TestExitCodes:
     def test_validation_error_is_one(self, tmp_path, capsys):
-        cfg = write(tmp_path / "bad.cfg", "mode = simulate\nstep = -1\n")
+        cfg = write(tmp_path / "bad.cfg", "step = -1\n")
         assert main(["simulate", "--config", cfg]) == 1
         assert "error:" in capsys.readouterr().err
 
@@ -662,7 +666,7 @@ class TestExitCodes:
                              ids=["unknown-option", "no-config", "no-command", "invalid-command"])
     def test_usage_error_is_one(self, tmp_path, capsys, argv):
         # argparse's own code, 2, would read as a failed verification
-        cfg = write(tmp_path / "v.cfg", "mode = verify\n" + CANONICAL_DYNAMICS)
+        cfg = write(tmp_path / "v.cfg", CANONICAL_DYNAMICS)
         with pytest.raises(SystemExit) as raised:
             main([cfg if arg == "CFG" else arg for arg in argv])
         assert raised.value.code == 1
@@ -688,13 +692,14 @@ class TestExitCodes:
         assert main(["coeffs", "--config", "/nonexistent/x.cfg"]) == 1
 
     def test_mode_mismatch_is_one(self, tmp_path, capsys):
-        cfg = write(tmp_path / "m.cfg", "mode = shift\nomega21 = 1\nt_start = 0\nt_end = 1\nstep = 0.1\n")
+        # the subcommand is the run's mode; a file that names one is refused
+        cfg = write(tmp_path / "m.cfg", "omega21 = 1\nt_start = 0\nt_end = 1\nstep = 0.1\nmode = verify\n")
         assert main(["verify", "--config", cfg]) == 1
-        assert "does not match" in capsys.readouterr().err
+        assert "line 5: unknown key 'mode'" in capsys.readouterr().err
 
     def test_float_overflow_in_state_evaluation_is_one(self, tmp_path, capsys):
         # the n = 200 normalization overflows a float; reported, not a traceback
-        cfg = write(tmp_path / "n200.cfg", "mode = coeffs\nstate_a = 200,0,0\nstate_b = 199,1,0\n")
+        cfg = write(tmp_path / "n200.cfg", "state_a = 200,0,0\nstate_b = 199,1,0\n")
         assert main(["coeffs", "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
@@ -704,7 +709,7 @@ class TestExitCodes:
     def test_grid_too_large_is_one(self, tmp_path, capsys, t_end):
         # span/step is 1e300 or inf; refused before any allocation
         cfg = write(tmp_path / "g.cfg",
-                    f"mode = verify\nomega21 = 1\nt_start = 0\nt_end = {t_end}\nstep = 1e-300\n")
+                    f"omega21 = 1\nt_start = 0\nt_end = {t_end}\nstep = 1e-300\n")
         assert main(["verify", "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: step 1e-300 cuts") and "the limit is 1e+07" in err
@@ -712,7 +717,7 @@ class TestExitCodes:
     def test_verify_above_rk4_limit_is_one(self, tmp_path, capsys):
         # 2e6 + 1 steps: within time_grid's 1e7, above verify's RK4 limit,
         # refused before the 16 MB time grid or any RK4 pass is allocated
-        cfg = write(tmp_path / "v.cfg", "mode = verify\nomega21 = 1\nt_start = 0\nt_end = 2.000001\nstep = 1e-6\n")
+        cfg = write(tmp_path / "v.cfg", "omega21 = 1\nt_start = 0\nt_end = 2.000001\nstep = 1e-6\n")
         tracemalloc.start()
         try:
             assert main(["verify", "--config", cfg]) == 1
@@ -732,7 +737,7 @@ class TestExitCodes:
     def test_non_finite_table_is_one(self, tmp_path, capsys, command, rates, column, first):
         # refused before the output is opened or the header printed
         out = tmp_path / "o.csv"
-        cfg = write(tmp_path / "run.cfg", f"mode = {command}\noutput = {out}\n" + rates)
+        cfg = write(tmp_path / "run.cfg", f"output = {out}\n" + rates)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # the overflow on the way is expected
             assert main([command, "--config", cfg]) == 1
@@ -743,6 +748,28 @@ class TestExitCodes:
 
     def test_overrides_reach_validation(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
-        cfg = write(tmp_path / "run.cfg", f"mode = simulate\noutput = {out}\n" + CANONICAL_DYNAMICS)
+        cfg = write(tmp_path / "run.cfg", f"output = {out}\n" + CANONICAL_DYNAMICS)
         assert main(["simulate", "--config", cfg, "--set", "step=-0.5"]) == 1
         assert "'step' must be positive" in capsys.readouterr().err
+
+
+def test_readme_cli_block_runs_as_written(tmp_path, monkeypatch, capsys):
+    # README's four commands on README's own config files, in a fresh directory
+    text = README.read_text()
+    (ini,) = re.findall(r"^```ini\n(.*?)^```", text, flags=re.S | re.M)
+    parts = re.split(r"^# (\S+\.cfg) .*\n", ini, flags=re.M)
+    files = dict(zip(parts[1::2], parts[2::2]))
+    assert sorted(files) == ["pair.cfg", "run.cfg"]
+    monkeypatch.chdir(tmp_path)
+    for name, body in files.items():
+        write(tmp_path / name, body)
+    commands = re.findall(r"^quadbloch (\w+) +--config (\S+)", text, flags=re.M)
+    assert [command for command, _ in commands] == ["coeffs", "simulate", "verify", "shift"]
+    outputs = {}
+    for command, cfg in commands:
+        assert main([command, "--config", cfg]) == 0, (command, capsys.readouterr().err)
+        outputs[command] = capsys.readouterr().out
+    assert outputs["coeffs"] == README_PAIR_TABLE
+    assert len(_cells((tmp_path / "run.csv").read_text().splitlines())) == 40001
+    assert outputs["verify"].splitlines()[-1] == "overall: PASS"
+    assert outputs["shift"].splitlines()[0] == "t,shift_full,shift_dipole_only,additional_shift,identity_residual"

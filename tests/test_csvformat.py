@@ -107,7 +107,7 @@ def test_canonical_runs_rarely_fall_back(case, tmp_path, fallbacks, monkeypatch)
 
 def test_import_and_coeffs_do_not_build_the_tables(tmp_path):
     cfg = tmp_path / "pair.cfg"
-    cfg.write_text("mode = coeffs\nstate_a = 2p0\nstate_b = 1s\n")
+    cfg.write_text("state_a = 2p0\nstate_b = 1s\n")
     script = textwrap.dedent(f"""
         import contextlib, io
         import quadbloch.cli as cli

@@ -61,7 +61,7 @@ def test_run_checks_peak_per_step(p, span, steps, budget):
 
 def test_simulate_peak_per_step(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("mode = simulate\nomega21 = 1.0\na12 = 0.2\ngamma11 = 0.02\ngamma12 = -0.04\n"
+    cfg.write_text("omega21 = 1.0\na12 = 0.2\ngamma11 = 0.02\ngamma12 = -0.04\n"
                    f"t_start = {SPAN[0]}\nt_end = {SPAN[1]}\nstep = {SPAN[2]}\n"
                    f"output = {tmp_path / 'run.csv'}\n")
     # the first run imports and builds the formatter's tables, which are not per step

@@ -78,7 +78,7 @@ def test_columns_match_50_digit_closed_form(case, tmp_path):
     if start is not None:
         text += "".join(f"{key} = {value!r}\n" for key, value in zip(("px0", "py0", "pz0"), start))
     cfg, out = tmp_path / "run.cfg", tmp_path / "run.csv"
-    cfg.write_text("mode = simulate\n" + text + f"output = {out}\n")
+    cfg.write_text(text + f"output = {out}\n")
     assert main(["simulate", "--config", str(cfg)]) == 0
     rows = [line for line in out.read_text().splitlines() if not line.startswith("#")][1:]
     n_steps = round((t_end - t_start) / step)
@@ -111,7 +111,7 @@ def test_readme_run_at_every_dispatch_level(tmp_path):
 
     available = [feature for feature in __cpu_dispatch__ if __cpu_features__.get(feature)]
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("mode = simulate\n" + README_RUN)
+    cfg.write_text(README_RUN)
     src = str(Path(cli.__file__).resolve().parents[1])
     runs = {}
     for keep in range(len(available), -1, -1):
