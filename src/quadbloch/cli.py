@@ -6,13 +6,17 @@
     quadbloch shift    --config run.cfg  [--set key=value ...]
 
 Exit codes: 0 on success, 1 on usage, configuration or I/O errors, 2 when a
-verification report fails.
+verification report fails. A reader that closes stdout early (``| head``)
+ends the output, not the run: the command exits with the code it had
+reached, with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import os
 import sys
 from dataclasses import replace
 
@@ -20,7 +24,7 @@ import numpy as np
 
 from . import constants
 from .config import ConfigError, RunConfig, parse_config_with_overrides
-from .csvformat import format_rows
+from .csvformat import write_table
 from .hydrogenic import transition_frequency
 from .integrator import StepSizeError, Trajectory, exact_trajectory, time_grid
 from .integrator import integrate  # noqa: F401  # unused; bench/selftest.py checks the tracer rebinds it
@@ -29,11 +33,6 @@ from .twolevel import TwoLevelParams, _flow_anchor, _shift, additional_shift, bl
 from .verification import run_checks
 
 _COEFF_FMT = ".11e"        # 12 significant digits
-# 512 rows keeps each block's temporaries under glibc's mmap threshold. At
-# 1,024-4,096 rows they are mapped and unmapped on every block: a 40,001-row
-# run then takes 18k-24k minor page faults instead of 1.2k, and 87-109 ms
-# instead of 74 (medians of 7, 2-core x86-64 host).
-_CSV_ROWS_PER_WRITE = 512
 _AXES = "xyz"
 
 
@@ -99,7 +98,8 @@ def run_coeffs(cfg: RunConfig) -> int:
               f"{'C':16s} {_fmt(rates.c_rate * freq_c)}"]
     if cfg.k_max is not None:
         lines.append(f"{f'Gamma(k_max={cfg.k_max:g})':16s} {_fmt(data.gamma(cfg.k_max) * freq_c)}")
-    print("\n".join(lines))
+    with _stdout() as out:
+        print("\n".join(lines), file=out)
     return 0
 
 
@@ -128,21 +128,6 @@ def _metadata_lines(cfg: RunConfig, p: TwoLevelParams, traj: Trajectory) -> list
     return [f"# {key} = {value}" for key, value in pairs]
 
 
-def _write_csv_rows(fh, columns) -> None:
-    """Write equal-length columns as rows of ``%.16e`` numbers joined by commas.
-
-    Every cell is the same text as ``format(x, ".16e")`` with zeros unsigned:
-    ``csvformat`` formats a block of rows at once and writes a cell itself
-    only where its error bound proves the digits, handing every other cell to
-    ``format``. Rows go out a block at a time, so the whole file is never held
-    as one string.
-    """
-    for first in range(0, len(columns[0]), _CSV_ROWS_PER_WRITE):
-        block = slice(first, first + _CSV_ROWS_PER_WRITE)
-        # -0.0 + 0.0 is 0.0: the sign of a zero is not written
-        fh.write(format_rows(np.column_stack([col[block] for col in columns]) + 0.0))
-
-
 def _csv_columns(traj: Trajectory, si: bool = False) -> dict[str, np.ndarray]:
     """The CSV's columns by header name, derived from the Bloch samples.
 
@@ -158,13 +143,26 @@ def _csv_columns(traj: Trajectory, si: bool = False) -> dict[str, np.ndarray]:
             "dipole": px * d_c, "shift": _shift(p, pz) * f_c}
 
 
-def _require_finite(columns: dict[str, np.ndarray], times: np.ndarray) -> None:
-    """Refuse, before anything is written, a table with a nan or inf cell."""
+def _require_finite(columns: dict[str, np.ndarray]) -> None:
+    """Refuse, before anything is written, a table with a nan or inf cell;
+    the row is named by its own ``t`` cell, in the table's units."""
     for name, col in columns.items():
         bad = ~np.isfinite(col)
         if bad.any():
-            raise ValueError(f"column {name} is not finite at t = {times[bad.argmax()]:.17g} "
+            raise ValueError(f"column {name} is not finite at t = {columns['t'][bad.argmax()]:.17g} "
                              "(its first such row); nothing was written")
+
+
+@contextlib.contextmanager
+def _stdout():
+    """Yield stdout and flush it on exit. A reader that closed it early ends
+    the output, not the run: fd 1 is pointed at os.devnull, so the
+    interpreter's own flush at exit finds nowhere to fail."""
+    try:
+        yield sys.stdout
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def run_simulate(cfg: RunConfig) -> int:
@@ -172,19 +170,19 @@ def run_simulate(cfg: RunConfig) -> int:
     p = _resolve_params(cfg)
     traj = exact_trajectory(cfg.initial, p, cfg.t_start, cfg.t_end, cfg.step)
     columns = _csv_columns(traj, cfg.units == "si")
-    _require_finite(columns, traj.t)
+    _require_finite(columns)
     with open(cfg.output, "w", newline="") as fh:
         fh.write("# quadbloch simulate\n")
         for line in _metadata_lines(cfg, p, traj):
             fh.write(line + "\n")
-        fh.write(",".join(columns) + "\n")
-        _write_csv_rows(fh, list(columns.values()))
+        write_table(fh, columns)
     return 0
 
 
 def run_verify(cfg: RunConfig) -> int:
     report, _ = run_checks(_resolve_params(cfg), cfg.t_start, cfg.t_end, cfg.step, initial=cfg.initial)
-    print(report.format())
+    with _stdout() as out:
+        print(report.format(), file=out)
     return 0 if report.passed else 2
 
 
@@ -201,9 +199,9 @@ def run_shift(cfg: RunConfig) -> int:
     extra = additional_shift(times, p, *start)
     columns = {"t": times * t_c, "shift_full": full * freq_c, "shift_dipole_only": base * freq_c,
                "additional_shift": extra * freq_c, "identity_residual": (full - base - extra) * freq_c}
-    _require_finite(columns, times)
-    print(",".join(columns))
-    _write_csv_rows(sys.stdout, list(columns.values()))
+    _require_finite(columns)
+    with _stdout() as out:
+        write_table(out, columns)
     return 0
 
 

@@ -1,7 +1,10 @@
 import argparse
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -9,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quadbloch import TwoLevelParams, analytic_bloch, constants, integrate, verification
-from quadbloch.cli import _CSV_ROWS_PER_WRITE, _write_csv_rows, main
+from quadbloch import TwoLevelParams, analytic_bloch, cli, constants, integrate, verification
+from quadbloch.cli import main
+from quadbloch.csvformat import _CELLS_PER_WRITE, write_table
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -397,22 +401,42 @@ class TestSimulate:
         assert float(meta["b12"]) == 0.0 and float(meta["c12"]) == 0.0
 
 
+def expected_table(columns):
+    """The table's contract: the names, then ``format(x, ".16e")`` cells with zeros unsigned."""
+    n = len(next(iter(columns.values())))
+    return ",".join(columns) + "\n" + "".join(
+        ",".join(format(float(col[k]) + 0.0, ".16e") for col in columns.values()) + "\n" for k in range(n))
+
+
 class TestCsvWriter:
+    SPECIAL = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-310, math.inf, -math.inf,
+               math.nan, 1.0, -1.0 / 3.0, 1.7976931348623157e308, 123456789.0]
+
     def test_bytes_match_per_cell_format(self):
         # more rows than one write holds, with every special value in one column
-        special = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-310, math.inf, -math.inf,
-                   math.nan, 1.0, -1.0 / 3.0, 1.7976931348623157e308, 123456789.0]
         rng = np.random.default_rng(7)
-        n = 2 * _CSV_ROWS_PER_WRITE + 5
-        columns = [rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n), np.resize(special, n),
-                   np.arange(n, dtype=float) * 1e-3]
+        n = 2 * (_CELLS_PER_WRITE // 3) + 5
+        columns = {"wide": rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+                   "special": np.resize(self.SPECIAL, n), "ramp": np.arange(n, dtype=float) * 1e-3}
         buffer = io.StringIO()
-        _write_csv_rows(buffer, columns)
-        # the contract: format(x, ".16e") with zeros unsigned
-        expected = "".join(",".join(format(float(col[k]) + 0.0, ".16e") for col in columns) + "\n"
-                           for k in range(n))
-        assert buffer.getvalue() == expected
+        write_table(buffer, columns)
+        assert buffer.getvalue() == expected_table(columns)
         assert "-0.0000000000000000e+00" not in buffer.getvalue()
+
+    @pytest.mark.parametrize("cols", [1, 3, 5, 11, 12])
+    @pytest.mark.parametrize("extra", ["one", "rows-1", "rows", "rows+1", "2rows+3"])
+    def test_blocks_are_sized_by_cells(self, cols, extra):
+        # row counts on either side of a block of _CELLS_PER_WRITE // cols rows
+        rows = _CELLS_PER_WRITE // cols
+        n = {"one": 1, "rows-1": rows - 1, "rows": rows, "rows+1": rows + 1, "2rows+3": 2 * rows + 3}[extra]
+        rng = np.random.default_rng(cols)
+        pool = np.concatenate([self.SPECIAL, rng.standard_normal(29) * 10.0 ** rng.integers(-300, 300, 29)])
+        columns = {f"c{i}": np.resize(np.roll(pool, 7 * i), n) for i in range(cols)}
+        buffer = io.StringIO()
+        write_table(buffer, columns)
+        text = buffer.getvalue()
+        assert text.split("\n", 1)[0] == ",".join(f"c{i}" for i in range(cols))
+        assert text == expected_table(columns)
 
 
 class TestVerify:
@@ -733,7 +757,11 @@ class TestExitCodes:
         ("shift", OVERFLOWING_RATES, "shift_full", "13.5"),
         ("simulate", FAR_OVERFLOWING_RATES, "Px", "9.9999999999999998e+146"),
         ("shift", FAR_OVERFLOWING_RATES, "additional_shift", "9.9999999999999998e+146"),
-    ], ids=["simulate", "shift", "simulate-far", "shift-far"])
+        # the row is named by its own t cell, in seconds; the SI factor takes
+        # shift_full past the largest double from the first row on
+        ("simulate", OVERFLOWING_RATES + "units = si\n", "Px", f"{-50 * constants.ATOMIC_TIME_S:.17g}"),
+        ("shift", OVERFLOWING_RATES + "units = si\n", "shift_full", f"{-50 * constants.ATOMIC_TIME_S:.17g}"),
+    ], ids=["simulate", "shift", "simulate-far", "shift-far", "simulate-si", "shift-si"])
     def test_non_finite_table_is_one(self, tmp_path, capsys, command, rates, column, first):
         # refused before the output is opened or the header printed
         out = tmp_path / "o.csv"
@@ -753,16 +781,21 @@ class TestExitCodes:
         assert "'step' must be positive" in capsys.readouterr().err
 
 
-def test_readme_cli_block_runs_as_written(tmp_path, monkeypatch, capsys):
-    # README's four commands on README's own config files, in a fresh directory
-    text = README.read_text()
-    (ini,) = re.findall(r"^```ini\n(.*?)^```", text, flags=re.S | re.M)
+def write_readme_configs(directory):
+    """README's ``pair.cfg`` and ``run.cfg``, written into ``directory``."""
+    (ini,) = re.findall(r"^```ini\n(.*?)^```", README.read_text(), flags=re.S | re.M)
     parts = re.split(r"^# (\S+\.cfg) .*\n", ini, flags=re.M)
     files = dict(zip(parts[1::2], parts[2::2]))
     assert sorted(files) == ["pair.cfg", "run.cfg"]
-    monkeypatch.chdir(tmp_path)
     for name, body in files.items():
-        write(tmp_path / name, body)
+        write(directory / name, body)
+
+
+def test_readme_cli_block_runs_as_written(tmp_path, monkeypatch, capsys):
+    # README's four commands on README's own config files, in a fresh directory
+    text = README.read_text()
+    monkeypatch.chdir(tmp_path)
+    write_readme_configs(tmp_path)
     commands = re.findall(r"^quadbloch (\w+) +--config (\S+)", text, flags=re.M)
     assert [command for command, _ in commands] == ["coeffs", "simulate", "verify", "shift"]
     outputs = {}
@@ -773,3 +806,16 @@ def test_readme_cli_block_runs_as_written(tmp_path, monkeypatch, capsys):
     assert len(_cells((tmp_path / "run.csv").read_text().splitlines())) == 40001
     assert outputs["verify"].splitlines()[-1] == "overall: PASS"
     assert outputs["shift"].splitlines()[0] == "t,shift_full,shift_dipole_only,additional_shift,identity_residual"
+
+
+def test_closed_stdout_ends_the_output_not_the_run(tmp_path):
+    # ``quadbloch shift --config run.cfg | head -1``: the table (4.8 MB) is
+    # far above a pipe buffer, so the writer meets the closed pipe mid-table
+    write_readme_configs(tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    with subprocess.Popen([sys.executable, "-m", "quadbloch.cli", "shift", "--config", "run.cfg"],
+                          cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"t,shift_full,shift_dipole_only,additional_shift,identity_residual\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 0
+        assert proc.stderr.read() == b""

@@ -97,7 +97,7 @@ def test_canonical_runs_rarely_fall_back(case, tmp_path, fallbacks, monkeypatch)
         cells[0] += block.size
         return format_rows(block)
 
-    monkeypatch.setattr(cli, "format_rows", counting)
+    monkeypatch.setattr(csvformat, "format_rows", counting)
     assert cli.main(["simulate", "--config", str(cfg)]) == 0
     with redirect_stdout(io.StringIO()):
         assert cli.main(["shift", "--config", str(cfg)]) == 0

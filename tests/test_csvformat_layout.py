@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from quadbloch import csvformat
-from quadbloch.cli import _CSV_ROWS_PER_WRITE, _write_csv_rows
 
 # cells ``format`` writes: nan, +-inf, subnormals, and a decade edge where
 # log10 rounds up to 15; then 3-digit exponents, which take the fast path
@@ -60,13 +59,13 @@ def test_layout_edges_in_first_and_last_column(shape):
 
 
 def test_writer_rows_not_a_multiple_of_the_write_block():
-    n = 2 * _CSV_ROWS_PER_WRITE + 3
+    n = 2 * (csvformat._CELLS_PER_WRITE // 3) + 3
     rng = np.random.default_rng(16)
-    columns = [np.resize(FALLBACK + WIDE_EXPONENTS, n), rng.standard_normal(n),
-               np.resize(WIDE_EXPONENTS + FALLBACK, n)]
+    columns = {"a": np.resize(FALLBACK + WIDE_EXPONENTS, n), "b": rng.standard_normal(n),
+               "c": np.resize(WIDE_EXPONENTS + FALLBACK, n)}
     buffer = io.StringIO()
-    _write_csv_rows(buffer, columns)
-    assert buffer.getvalue() == expected_text(np.column_stack(columns))
+    csvformat.write_table(buffer, columns)
+    assert buffer.getvalue() == "a,b,c\n" + expected_text(np.column_stack(list(columns.values())))
 
 
 # Inputs for the dispatch-level test: bit patterns and Python literals only.
