@@ -9,10 +9,10 @@ in Hartree atomic units; the CLI converts to SI on request.
 """
 
 from .constants import SPEED_OF_LIGHT
-from .hydrogenic import BoundState, bound_energy, eigenstate_eval, radial_wavefunction, transition_frequency
+from .hydrogenic import BoundState, bound_energy, transition_frequency
 from .integrator import StepSizeError, Trajectory, exact_trajectory, integrate
 from .multilevel import NLevelSystem, frequency_shift_general, multilevel_rhs
-from .multipole import CouplingRates, MultipoleData, current_kernel, overlap, transition_multipoles
+from .multipole import CouplingRates, MultipoleData, overlap, transition_multipoles
 from .quadrature import grid_for_pair
 from .twolevel import (
     BlochVector,
@@ -45,8 +45,6 @@ __all__ = [
     "bloch_rhs",
     "bloch_to_density",
     "bound_energy",
-    "current_kernel",
-    "eigenstate_eval",
     "exact_trajectory",
     "frequency_shift",
     "frequency_shift_general",
@@ -54,7 +52,6 @@ __all__ = [
     "integrate",
     "multilevel_rhs",
     "overlap",
-    "radial_wavefunction",
     "transition_frequency",
     "transition_multipoles",
 ]

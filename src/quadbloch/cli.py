@@ -52,7 +52,7 @@ def _resolve_params(cfg: RunConfig) -> TwoLevelParams:
 
 
 def _fmt(value: float) -> str:
-    return format(value, _COEFF_FMT)
+    return format(value + 0.0, _COEFF_FMT)    # -0.0 + 0.0 is 0.0: the sign of a zero is not written
 
 
 def _fmt_complex(value: complex, factor: float = 1.0) -> str:
@@ -64,8 +64,8 @@ def _fmt_complex(value: complex, factor: float = 1.0) -> str:
     # drops the factor's zero imaginary part, which can flip the sign of a zero
     scaled = value * complex(factor)
     if abs(value.imag) > 1e-12 * (1.0 + abs(value.real)):
-        return f"{scaled.real:{_COEFF_FMT}}{scaled.imag:+{_COEFF_FMT}}j"
-    return format(scaled.real, _COEFF_FMT)
+        return f"{_fmt(scaled.real)}{scaled.imag:+{_COEFF_FMT}}j"
+    return _fmt(scaled.real)
 
 
 def run_coeffs(cfg: RunConfig) -> int:
@@ -97,7 +97,7 @@ def run_coeffs(cfg: RunConfig) -> int:
               f"{'B':16s} {_fmt(rates.b_rate * freq_c)}",
               f"{'C':16s} {_fmt(rates.c_rate * freq_c)}"]
     if cfg.k_max is not None:
-        lines.append(f"{f'Gamma(k_max={cfg.k_max:g})':16s} {_fmt(data.gamma(cfg.k_max) * freq_c)}")
+        lines.append(f"{f'Gamma(k_max={cfg.k_max + 0.0:g})':16s} {_fmt(data.gamma(cfg.k_max) * freq_c)}")
     with _stdout() as out:
         print("\n".join(lines), file=out)
     return 0
@@ -162,7 +162,9 @@ def _stdout():
         yield sys.stdout
         sys.stdout.flush()
     except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def run_simulate(cfg: RunConfig) -> int:

@@ -73,13 +73,13 @@ def _tables() -> tuple[np.ndarray, ...]:
     ``e-ddd`` with ',' as their sixth byte, followed by the same words with
     '\\n'. Then the head words of a cell, indexed by 10 * negative + lead
     digit, and the 4-digit groups 0000..9999."""
-    from fractions import Fraction     # here, not at import: it pulls in decimal
-
     hi, lo = [], []
     for k in range(-_K_LIMIT, _K_LIMIT + 1):
-        scale = Fraction(10) ** (16 - k)
-        hi.append(float(scale))                    # correctly rounded
-        lo.append(float(scale - Fraction(hi[-1])))
+        # 10^s = num / den and hi = m / e exactly; int / int is correctly rounded
+        num, den = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
+        hi.append(num / den)
+        m, e = hi[-1].as_integer_ratio()
+        lo.append((num * e - m * den) / (den * e))
     hi, lo = np.array(hi), np.array(lo)
     scales = np.array([hi, lo, *_split(hi), np.where(lo == 0.0, 0.0, _TIE_MARGIN)])
     exponents = np.array([(b"e%+03d" % k).ljust(5, b"\0") + sep + b"\0\0" for sep in (b",", b"\n")

@@ -177,17 +177,6 @@ def _radial_envelope(state: BoundState, r):
     return g, gp
 
 
-def radial_wavefunction(state: BoundState, r):
-    """Radial function R_nl(r) and dR_nl/dr (normalized: int R^2 r^2 dr = 1)."""
-    r = np.asarray(r, dtype=float)
-    g, gp = _radial_envelope(state, r)
-    l = state.l
-    if l == 0:
-        return g, gp
-    rl = r**l
-    return g * rl, gp * rl + l * g * r ** (l - 1)
-
-
 def eigenstate_factors(state: BoundState, r, unit):
     """The state's radial and angular factors on a product grid r_i n_j.
 
@@ -210,33 +199,3 @@ def eigenstate_factors(state: BoundState, r, unit):
     sval, sgrad = solid_harmonic(l, state.m, unit)
     angular = np.concatenate([sval[None, :], sval * unit.T, sgrad.T])
     return radial, angular
-
-
-def eigenstate_eval(state: BoundState, point):
-    """Wavefunction value and analytic Cartesian gradient at ``point``.
-
-    ``point`` is an array of shape (..., 3) in Bohr radii; returns a complex
-    array of shape (...,) and a complex gradient of shape (..., 3). The
-    gradient combines the closed-form radial derivative with the solid
-    harmonic gradient. At the exact origin the s-state gradient direction is
-    undefined (Coulomb cusp); the radial term is dropped there.
-    """
-    pts = np.asarray(point, dtype=float)
-    if pts.shape[-1] != 3:
-        raise ValueError("point must have shape (..., 3)")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("point must be finite")
-    scalar = pts.ndim == 1
-
-    r = np.sqrt(np.sum(pts * pts, axis=-1))
-    g, gp = _radial_envelope(state, r)
-    sval, sgrad = solid_harmonic(state.l, state.m, pts)
-
-    psi = g * sval
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rhat = np.where(r[..., None] > 0.0, pts / np.where(r[..., None] > 0.0, r[..., None], 1.0), 0.0)
-    grad = gp[..., None] * rhat * sval[..., None] + g[..., None] * sgrad
-
-    if scalar:
-        return psi[()], grad
-    return psi, grad

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .hydrogenic import BoundState, eigenstate_eval, eigenstate_factors, transition_frequency
+from .hydrogenic import BoundState, eigenstate_factors, transition_frequency
 from .quadrature import grid_for_pair
 
 
@@ -139,18 +139,6 @@ def overlap(a: BoundState, b: BoundState) -> complex:
     """<psi_a | psi_b> on the pair grid (orthonormality diagnostic)."""
     radial, t = _pair_gram(a, b)
     return complex(radial[0, 0, 0] * np.conj(t[0, 0]))
-
-
-def current_kernel(a: BoundState, b: BoundState, point) -> np.ndarray:
-    """Transition current density Jbar_ab at ``point``; real 3-vector(s).
-
-    The bracket conj(psi_b) grad(psi_a) - psi_b conj(grad psi_a) is twice the
-    imaginary part of its first term, so Jbar = Im(conj(psi_b) grad psi_a)
-    exactly. It vanishes identically for real wavefunction pairs.
-    """
-    _, grad_a = eigenstate_eval(a, point)
-    psi_b, _ = eigenstate_eval(b, point)
-    return np.imag(np.conj(psi_b)[..., None] * grad_a)
 
 
 def transition_multipoles(a: BoundState, b: BoundState) -> MultipoleData:

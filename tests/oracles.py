@@ -1,5 +1,5 @@
 """Independent references for the tests: right-hand sides, the solid-harmonic
-recursion, and one RK4 loop.
+recursion, one RK4 loop and the pointwise states.
 
 The package has one two-level right-hand side, ``bloch_rhs`` on the Poincare
 vector. The density-matrix form below is written from the population and
@@ -15,13 +15,20 @@ must match the table to the bit.
 ``rk4_density_path`` is the classical RK4 loop over ``multilevel_rhs`` that
 the long-integration tests share; its step is the one the ``nlevel-drive``
 benchmark workload takes.
+
+``eigenstate_eval`` and ``radial_wavefunction`` evaluate a state pointwise,
+at arbitrary points or radii, from the package's radial envelope and solid
+harmonics. The package evaluates states only as radial and angular factors
+on a pair's product grid (``eigenstate_factors``); the pointwise path is the
+reference those factors' Gram regrouping is checked against.
 """
 
 import math
 
 import numpy as np
 
-from quadbloch import DensityMatrix2, NLevelSystem, TwoLevelParams, multilevel_rhs
+from quadbloch import BoundState, DensityMatrix2, NLevelSystem, TwoLevelParams, multilevel_rhs
+from quadbloch.hydrogenic import _radial_envelope, solid_harmonic
 
 
 def density_rhs_two_level(rho: DensityMatrix2, p: TwoLevelParams) -> DensityMatrix2:
@@ -93,3 +100,44 @@ def solid_harmonic_table(l_max, pts):
             grads[(l, m)] = g
 
     return vals, grads
+
+
+def radial_wavefunction(state: BoundState, r):
+    """Radial function R_nl(r) and dR_nl/dr (normalized: int R^2 r^2 dr = 1)."""
+    r = np.asarray(r, dtype=float)
+    g, gp = _radial_envelope(state, r)
+    l = state.l
+    if l == 0:
+        return g, gp
+    rl = r**l
+    return g * rl, gp * rl + l * g * r ** (l - 1)
+
+
+def eigenstate_eval(state: BoundState, point):
+    """Wavefunction value and analytic Cartesian gradient at ``point``.
+
+    ``point`` is an array of shape (..., 3) in Bohr radii; returns a complex
+    array of shape (...,) and a complex gradient of shape (..., 3). The
+    gradient combines the closed-form radial derivative with the solid
+    harmonic gradient. At the exact origin the s-state gradient direction is
+    undefined (Coulomb cusp); the radial term is dropped there.
+    """
+    pts = np.asarray(point, dtype=float)
+    if pts.shape[-1] != 3:
+        raise ValueError("point must have shape (..., 3)")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("point must be finite")
+    scalar = pts.ndim == 1
+
+    r = np.sqrt(np.sum(pts * pts, axis=-1))
+    g, gp = _radial_envelope(state, r)
+    sval, sgrad = solid_harmonic(state.l, state.m, pts)
+
+    psi = g * sval
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rhat = np.where(r[..., None] > 0.0, pts / np.where(r[..., None] > 0.0, r[..., None], 1.0), 0.0)
+    grad = gp[..., None] * rhat * sval[..., None] + g[..., None] * sgrad
+
+    if scalar:
+        return psi[()], grad
+    return psi, grad

@@ -206,16 +206,33 @@ class TestCoeffs:
         from quadbloch import multipole
 
         calls = []
-        for name in ("eigenstate_factors", "eigenstate_eval"):
-            def counting(*args, _name=name, _original=getattr(multipole, name)):
-                calls.append(_name)
-                return _original(*args)
+        original = multipole.eigenstate_factors
 
-            monkeypatch.setattr(multipole, name, counting)
+        def counting(state, *args):
+            calls.append(state.label())
+            return original(state, *args)
+
+        monkeypatch.setattr(multipole, "eigenstate_factors", counting)
         cfg = write(tmp_path / "pair.cfg", "state_a = 3d+1\nstate_b = 1s\nk_max = 2.0\n")
         assert main(["coeffs", "--config", cfg]) == 0
-        # each state once on the grid factors, never pointwise on the product grid
-        assert calls == ["eigenstate_factors"] * 2
+        # each state once, on the grid's factors
+        assert sorted(calls) == ["1s", "3d+1"]
+
+    def test_zeros_print_unsigned(self, tmp_path, capsys):
+        # 14 of the 182 ordered pairs of distinct n <= 3 states have a -0.0
+        # among their fields (B and C on 1s -> 2s; Delta too on 2p0 -> 3s)
+        states = [f"{n},{l},{m}" for n in range(1, 4) for l in range(n) for m in range(-l, l + 1)]
+        cfg = write(tmp_path / "pair.cfg", "state_a = 1s\nstate_b = 2p0\nk_max = 1.0\n")
+        for units in ("atomic", "si"):
+            for a in states:
+                for b in states:
+                    assert main(["coeffs", "--config", cfg, "--set", f"state_a={a}", "--set", f"state_b={b}",
+                                 "--set", f"units={units}"]) == 0
+        assert main(["coeffs", "--config", cfg, "--set", "k_max=-0"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("# pair:") == 2 * 14 * 14 + 1
+        assert not re.search(r"-0\.0+e\+00", out)
+        assert "Gamma(k_max=0)   0.00000000000e+00\n" in out
 
 
     @pytest.mark.parametrize("state_a, state_b, expected", [("2p0", "1s", README_PAIR_TABLE),
@@ -819,3 +836,19 @@ def test_closed_stdout_ends_the_output_not_the_run(tmp_path):
         proc.stdout.close()
         assert proc.wait(timeout=120) == 0
         assert proc.stderr.read() == b""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc/self/fd")
+def test_closed_stdout_leaves_no_descriptor_open(tmp_path, monkeypatch):
+    # in process, as the tests and the benchmark call main: each exit on a
+    # closed stdout points its descriptor at os.devnull and keeps no other open
+    write_readme_configs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    for _ in range(3):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            before = len(os.listdir("/proc/self/fd"))
+            assert main(["coeffs", "--config", "pair.cfg"]) == 0
+            assert len(os.listdir("/proc/self/fd")) == before

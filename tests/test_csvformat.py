@@ -1,5 +1,6 @@
 """The block CSV formatter against ``format(x, ".16e")``, how often it has to
-fall back to ``format``, and that importing the CLI does not build its tables."""
+fall back to ``format``, its scale tables against an exact-fraction build, and
+that importing the CLI does not build its tables."""
 
 import io
 import math
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +105,19 @@ def test_canonical_runs_rarely_fall_back(case, tmp_path, fallbacks, monkeypatch)
         assert cli.main(["shift", "--config", str(cfg)]) == 0
     assert cells[0] == 40001 * (11 + 5)
     assert fallbacks[0] < 1e-3 * cells[0]
+
+
+def test_scale_tables_equal_the_fraction_build():
+    # the reference: 10^s as an exact fraction, hi its correctly rounded
+    # double and lo the correctly rounded remainder, for s = 16 - k
+    hi, lo = [], []
+    for k in range(-csvformat._K_LIMIT, csvformat._K_LIMIT + 1):
+        scale = Fraction(10) ** (16 - k)
+        hi.append(float(scale))
+        lo.append(float(scale - Fraction(hi[-1])))
+    scales = csvformat._tables()[0]
+    assert scales[0].view(np.uint64).tolist() == np.array(hi).view(np.uint64).tolist()
+    assert scales[1].view(np.uint64).tolist() == np.array(lo).view(np.uint64).tolist()
 
 
 def test_import_and_coeffs_do_not_build_the_tables(tmp_path):

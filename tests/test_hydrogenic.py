@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from quadbloch import BoundState, bound_energy, eigenstate_eval, radial_wavefunction, transition_frequency
+from quadbloch import BoundState, bound_energy, transition_frequency
 from quadbloch.hydrogenic import _laguerre, _solid_harmonic_chain, solid_harmonic
 
-from oracles import solid_harmonic_table
+from oracles import eigenstate_eval, radial_wavefunction, solid_harmonic_table
 
 
 

@@ -318,6 +318,7 @@ class TestRepresentationEquivariance:
 
 
 class TestDensityTraceMillionSteps:
+    @pytest.mark.slow
     def test_trace_conserved_over_1e6_steps(self, canonical_params):
         p = canonical_params
         h = 4e-5

@@ -314,6 +314,7 @@ class TestMultilevelRhs:
                         abs(d_multi[0, 1] - d_two.rho12))
         assert worst < 1e-12
 
+    @pytest.mark.slow
     def test_trace_conserved_over_long_integration(self, rng):
         # RK4 over 1e5 steps; antisymmetric rates make the trace a linear invariant
         sysm = random_system(rng, 3)

@@ -5,7 +5,8 @@ integrals go through adaptive Gauss-Kronrod quadrature of textbook radial
 functions, and the 3D current-moment oracle uses its own spherical-harmonic
 wavefunction on a dense Gauss-Legendre tensor grid with finite-difference
 gradients. ``reference_multipoles`` is the pointwise product-grid path the
-package's radial x angular Gram form regroups.
+package's radial x angular Gram form regroups, with both states evaluated
+point by point by ``oracles.eigenstate_eval``.
 """
 
 import json
@@ -17,16 +18,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import eval_genlaguerre, sph_harm_y
 
-from quadbloch import (
-    BoundState,
-    current_kernel,
-    eigenstate_eval,
-    grid_for_pair,
-    overlap,
-    transition_frequency,
-    transition_multipoles,
-)
+from quadbloch import BoundState, grid_for_pair, overlap, transition_frequency, transition_multipoles
 from quadbloch.constants import ATOMIC_TIME_S
+
+from oracles import eigenstate_eval
 
 S1S = BoundState(1, 0, 0)
 S2S = BoundState(2, 0, 0)
@@ -201,34 +196,13 @@ class TestGramForm:
 
 
 class TestCurrentKernel:
-    def test_vanishes_for_identical_real_state(self, rng):
-        pts = rng.normal(size=(20, 3))
-        assert np.max(np.abs(current_kernel(S1S, S1S, pts))) == 0.0
-
-    def test_matches_definition_recomposition(self, rng):
-        pts = rng.normal(size=(20, 3)) * 2.0
-        kernel = current_kernel(S2P1, S1S, pts)
-        psi_a, grad_a = eigenstate_eval(S2P1, pts)
-        psi_b, _ = eigenstate_eval(S1S, pts)
-        bracket = np.conj(psi_b)[:, None] * grad_a - psi_b[:, None] * np.conj(grad_a)
-        assert np.max(np.abs(bracket.real)) < 1e-12   # bracket is purely imaginary
-        recomposed = (bracket / 2j).real
-        assert np.max(np.abs(kernel - recomposed)) < 1e-12
-
-    def test_symmetric_under_swap_for_real_pairs(self, rng):
-        # real eigenfunctions: both orderings give the identically-zero kernel
-        pts = rng.normal(size=(30, 3)) * 1.5
-        forward = current_kernel(S2P0, S3D0, pts)
-        backward = current_kernel(S3D0, S2P0, pts)
-        assert np.max(np.abs(forward - backward)) == 0.0
-        assert np.max(np.abs(forward)) == 0.0
-
     def test_velocity_form_consistent_with_dipole(self):
-        # int Jbar d3x = Omega_ab Im(D_ab): length form vs velocity form
-        from quadbloch import grid_for_pair
-
+        # int Jbar d3x = Omega_ab Im(D_ab): length form vs velocity form, with
+        # Jbar_ab = Im(conj(psi_b) grad psi_a) summed pointwise on the pair grid
         grid = grid_for_pair(S2P1, S1S)
-        kernel = current_kernel(S2P1, S1S, grid.points)
+        _, grad_a = eigenstate_eval(S2P1, grid.points)
+        psi_b, _ = eigenstate_eval(S1S, grid.points)
+        kernel = np.imag(np.conj(psi_b)[:, None] * grad_a)
         integral = np.tensordot(grid.weights, kernel, axes=(0, 0))
         expected = transition_frequency(S2P1, S1S) * np.imag(transition_multipoles(S2P1, S1S).dipole)
         assert np.max(np.abs(integral - expected)) / np.max(np.abs(expected)) < 1e-6
@@ -250,6 +224,7 @@ class TestCurrentIntegrals:
         assert np.max(np.abs(dt - ot)) < 1e-6
         assert np.max(np.abs(dv)) < 1e-12
 
+    @pytest.mark.slow
     def test_complex_pair_2p1_1s_vector_matches_oracle(self):
         dv = transition_multipoles(S2P1, S1S).delta_vec
         ov, _ = oracle_current_moments(S2P1, S1S)
@@ -258,6 +233,7 @@ class TestCurrentIntegrals:
         assert dv[1] == pytest.approx(-80.0 / 243.0, rel=1e-10)
         assert abs(dv[0]) < 1e-12 and abs(dv[2]) < 1e-12
 
+    @pytest.mark.slow
     def test_complex_pair_3d1_1s_tensor_matches_oracle(self):
         dt = transition_multipoles(S3D1, S1S).delta_tensor
         _, ot = oracle_current_moments(S3D1, S1S)

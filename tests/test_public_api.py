@@ -50,8 +50,6 @@ def test_all_is_the_pinned_public_api():
         "bloch_rhs",
         "bloch_to_density",
         "bound_energy",
-        "current_kernel",
-        "eigenstate_eval",
         "exact_trajectory",
         "frequency_shift",
         "frequency_shift_general",
@@ -59,7 +57,6 @@ def test_all_is_the_pinned_public_api():
         "integrate",
         "multilevel_rhs",
         "overlap",
-        "radial_wavefunction",
         "transition_frequency",
         "transition_multipoles",
     ]
