@@ -60,9 +60,7 @@ def _fmt_complex(value: complex, factor: float = 1.0) -> str:
     significant in atomic units. The cut-off 1e-12 (1 + |re|) is set for
     moments of order one, so it is applied before the unit factor: an SI
     moment is far below it."""
-    # complex by complex, as numpy multiplies: from Python 3.14 complex * float
-    # drops the factor's zero imaginary part, which can flip the sign of a zero
-    scaled = value * complex(factor)
+    scaled = value * factor
     if abs(value.imag) > 1e-12 * (1.0 + abs(value.real)):
         return f"{_fmt(scaled.real)}{scaled.imag:+{_COEFF_FMT}}j"
     return _fmt(scaled.real)
@@ -85,19 +83,23 @@ def run_coeffs(cfg: RunConfig) -> int:
     delta_vec = data.delta_vec.tolist()
     delta_tensor = data.delta_tensor.tolist()
 
-    lines = [f"# pair: {cfg.state_a.label()} -> {cfg.state_b.label()}   units: {cfg.units}",
-             f"{'omega':16s} {_fmt(data.omega * freq_c)}"]
-    lines += [f"{'D_' + axis:16s} {_fmt_complex(value, dip_c)}" for axis, value in zip(_AXES, dipole)]
-    lines += [f"{'Q_' + _AXES[i] + _AXES[j]:16s} {_fmt_complex(quadrupole[i][j], quad_c)}"
-              for i in range(3) for j in range(i, 3)]
-    lines += [f"{'Delta_' + axis:16s} {_fmt(value * dvec_c)}" for axis, value in zip(_AXES, delta_vec)]
-    lines += [f"{'delta_' + _AXES[k] + _AXES[i]:16s} {_fmt(delta_tensor[k][i] * dten_c)}"
-              for k in range(3) for i in range(3)]
-    lines += [f"{'A':16s} {_fmt(rates.a_rate * freq_c)}",
-              f"{'B':16s} {_fmt(rates.b_rate * freq_c)}",
-              f"{'C':16s} {_fmt(rates.c_rate * freq_c)}"]
+    rows = [("omega", _fmt(data.omega * freq_c))]
+    rows += [("D_" + axis, _fmt_complex(value, dip_c)) for axis, value in zip(_AXES, dipole)]
+    rows += [("Q_" + _AXES[i] + _AXES[j], _fmt_complex(quadrupole[i][j], quad_c))
+             for i in range(3) for j in range(i, 3)]
+    rows += [("Delta_" + axis, _fmt(value * dvec_c)) for axis, value in zip(_AXES, delta_vec)]
+    rows += [("delta_" + _AXES[k] + _AXES[i], _fmt(delta_tensor[k][i] * dten_c))
+             for k in range(3) for i in range(3)]
+    rows += [("A", _fmt(rates.a_rate * freq_c)), ("B", _fmt(rates.b_rate * freq_c)),
+             ("C", _fmt(rates.c_rate * freq_c))]
     if cfg.k_max is not None:
-        lines.append(f"{f'Gamma(k_max={cfg.k_max + 0.0:g})':16s} {_fmt(data.gamma(cfg.k_max) * freq_c)}")
+        rows.append((f"Gamma(k_max={cfg.k_max + 0.0:g})", _fmt(data.gamma(cfg.k_max) * freq_c)))
+    for label, text in rows:
+        # a finite float formats as digits, sign, point and exponent: "inf" or "nan" is the only word
+        if "inf" in text or "nan" in text:
+            raise ValueError(f"line {label} is {text} in {cfg.units} units; nothing was written")
+    lines = [f"# pair: {cfg.state_a.label()} -> {cfg.state_b.label()}   units: {cfg.units}"]
+    lines += [f"{label:16s} {text}" for label, text in rows]
     with _stdout() as out:
         print("\n".join(lines), file=out)
     return 0
@@ -132,15 +134,17 @@ def _csv_columns(traj: Trajectory, si: bool = False) -> dict[str, np.ndarray]:
     """The CSV's columns by header name, derived from the Bloch samples.
 
     The energy zero lies midway between the levels (E2 = -E1 = omega21/2),
-    and the dipole is Px, the projection on a unit transition dipole.
+    and the dipole is Px, the projection on a unit transition dipole. A unit
+    factor may overflow a cell to inf; ``_require_finite`` refuses it.
     """
     t_c, e_c, d_c, f_c = ((constants.ATOMIC_TIME_S, constants.HARTREE_J, constants.DIPOLE_CM,
                            constants.PER_ATOMIC_TIME_S) if si else (1.0, 1.0, 1.0, 1.0))
     p, (px, py, pz) = traj.params, traj.bloch.T
     rho11, rho22, rho12 = bloch_to_density(traj.bloch.T)
-    return {"t": traj.t * t_c, "Px": px, "Py": py, "Pz": pz, "rho11": rho11, "rho22": rho22,
-            "re_rho12": rho12.real, "im_rho12": rho12.imag, "energy": (-0.5 * p.omega21 * pz) * e_c,
-            "dipole": px * d_c, "shift": _shift(p, pz) * f_c}
+    with np.errstate(over="ignore"):
+        return {"t": traj.t * t_c, "Px": px, "Py": py, "Pz": pz, "rho11": rho11, "rho22": rho22,
+                "re_rho12": rho12.real, "im_rho12": rho12.imag, "energy": (-0.5 * p.omega21 * pz) * e_c,
+                "dipole": px * d_c, "shift": _shift(p, pz) * f_c}
 
 
 def _require_finite(columns: dict[str, np.ndarray]) -> None:
@@ -199,8 +203,9 @@ def run_shift(cfg: RunConfig) -> int:
     full = frequency_shift(times, p, *start)
     base = frequency_shift(times, dipole_only, *start)
     extra = additional_shift(times, p, *start)
-    columns = {"t": times * t_c, "shift_full": full * freq_c, "shift_dipole_only": base * freq_c,
-               "additional_shift": extra * freq_c, "identity_residual": (full - base - extra) * freq_c}
+    with np.errstate(over="ignore"):    # an SI cell past float range is refused just below
+        columns = {"t": times * t_c, "shift_full": full * freq_c, "shift_dipole_only": base * freq_c,
+                   "additional_shift": extra * freq_c, "identity_residual": (full - base - extra) * freq_c}
     _require_finite(columns)
     with _stdout() as out:
         write_table(out, columns)

@@ -134,6 +134,12 @@ def _build(raw: dict[str, tuple[str, str]], mode: str) -> RunConfig:
     if initial_keys and len(initial_keys) != 3:
         raise ConfigError("px0, py0, pz0 must be given together")
     initial = BlochVector(floats["px0"], floats["py0"], floats["pz0"]) if len(initial_keys) == 3 else None
+    if initial is not None:
+        norm = initial.norm()
+        if 1.0 < norm <= 1.0 + BALL_SLACK:
+            # onto the sphere, so that the flow and RK4 start from the same pole:
+            # the flow holds |Pz0| >= 1 fixed, RK4 moves Pz0 > 1 by q (Pz^2 - 1)
+            initial = BlochVector(*(v / norm for v in initial))
 
     cfg = RunConfig(
         mode=mode,
@@ -177,7 +183,7 @@ def _validate(cfg: RunConfig, raw: dict[str, tuple[str, str]]):
         if cfg.mode == "simulate" and cfg.output is None:
             raise ConfigError("simulate mode requires key 'output'")
         if cfg.initial is not None:
-            norm = math.sqrt(sum(v * v for v in cfg.initial))
+            norm = cfg.initial.norm()
             if not norm <= 1.0 + BALL_SLACK:
                 raise ConfigError(f"initial state (px0, py0, pz0) has norm {norm:.17g}, "
                                   f"outside the Bloch ball |P| <= 1 + {BALL_SLACK:g}")

@@ -96,8 +96,8 @@ def _solid_harmonic_chain(l, m, pts):
         v = cxy * v0
         # d/dx and d/dy are c (v0 + xy g0), with i v0 for y; d/dz is (c xy) g0.
         # S_j^j depends on x + iy alone, so d/dz is always a signed zero; it is
-        # still multiplied, not written, because the zeros' signs follow the
-        # per-component recursion and coeffs' printed bytes depend on them.
+        # still multiplied, not written, so that the zeros' signs follow the
+        # per-component recursion, which tests compare with the chain bit for bit.
         g = xy[..., None] * g0
         g[..., 0] += v0
         g[..., 1] += 1j * v0

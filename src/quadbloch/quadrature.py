@@ -13,7 +13,7 @@ the angular product integrates Y_lm exactly for l <= angular_order (Golub &
 Welsch, Math. Comp. 23, 1969). So ``grid_for_pair`` builds the smallest
 exact grid,
 
-    radial_node_count = max(16, ceil((n_a + n_b + 3) / 2))
+    radial_node_count = ceil((n_a + n_b + 3) / 2) = (n_a + n_b + 4) // 2
     angular_order     = l_a + l_b + 2,
 
 and that rule is the only way a pair grid is sized.
@@ -33,9 +33,6 @@ from functools import lru_cache
 import numpy as np
 
 from .hydrogenic import BoundState
-
-
-_MIN_RADIAL_NODES = 16
 
 
 @lru_cache(maxsize=None)
@@ -139,5 +136,5 @@ def grid_for_pair(a: BoundState, b: BoundState) -> Grid:
     """Smallest product grid exact for every pair integral of (a, b) (see
     the module note): radial degree n_a + n_b + 2 at the pair's decay, and
     angular order l_a + l_b + 2."""
-    count = max(_MIN_RADIAL_NODES, (a.n + b.n + 4) // 2)     # 2 count - 1 >= n_a + n_b + 2
+    count = (a.n + b.n + 4) // 2       # 2 count - 1 >= n_a + n_b + 2
     return _product_grid(a.decay_constant + b.decay_constant, count, a.l + b.l + 2)

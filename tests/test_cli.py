@@ -267,6 +267,16 @@ class TestCoeffs:
         assert captured.out == ""
         assert captured.err.startswith(f"error: state {refused}: ") and cause in captured.err
 
+    def test_si_line_past_float_range_is_refused(self, tmp_path, capsys):
+        # Gamma is 1.8e294 in atomic units; the SI factor 4.13e16 takes it past the largest double
+        cfg = write(tmp_path / "pair.cfg", "state_a = 2p0\nstate_b = 1s\nk_max = 1e300\nunits = si\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["coeffs", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line Gamma(k_max=1e+300) is inf in si units; nothing was written\n"
+
 
 class TestSimulate:
     def test_fixed_point_start(self, tmp_path):
@@ -464,6 +474,16 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "overall: PASS" in out
         assert out.count("pass") >= 6
+
+    @pytest.mark.parametrize("pz0", ["1.0000005", "-1.0000005"])
+    def test_start_inside_the_slack_is_a_fixed_point(self, tmp_path, capsys, pz0):
+        # the start is put on the pole, where RK4 and the flow both stay
+        cfg = write(tmp_path / "v.cfg", f"px0 = 0\npy0 = 0\npz0 = {pz0}\n"
+                    + CANONICAL_DYNAMICS.replace("t_start = -20\nt_end = 20\n", "t_start = -1\nt_end = 1\n"))
+        assert main(["verify", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"convergence_order +- +exact \(fixed point\) +skipped", out)
+        assert "overall: PASS" in out
 
     def test_flipped_rotation_fails_residual(self, tmp_path, capsys, flip_rotation):
         cfg = write(tmp_path / "v.cfg", "step = 0.001\n"
@@ -789,6 +809,19 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err == (f"error: column {column} is not finite at t = {first} "
                                 "(its first such row); nothing was written\n")
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("command, column", [("simulate", "shift"), ("shift", "shift_full")])
+    def test_si_scaling_overflow_is_one_without_a_warning(self, tmp_path, capsys, command, column):
+        # finite in atomic units (shift ~ -1e300); the SI factor overflows it
+        out = tmp_path / "o.csv"
+        cfg = write(tmp_path / "run.cfg", f"output = {out}\nomega21 = 1\na12 = 0.2\ngamma11 = 1e300\n"
+                    "units = si\nt_start = -1\nt_end = 1\nstep = 0.5\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: column {column} is not finite at t = ")
         assert captured.out == "" and not out.exists()
 
     def test_overrides_reach_validation(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -176,9 +177,13 @@ class TestParseConfig:
             parse_config_with_overrides(MINIMAL_SIMULATE + "px0 = 0.1\npy0 = 0\npz0 = 1\n", [], "simulate")
         with pytest.raises(ConfigError, match="'px0' must be finite"):
             parse_config_with_overrides(MINIMAL_SIMULATE + "px0 = nan\npy0 = 0\npz0 = 0\n", [], "simulate")
-        # within the integrator's 1e-6 slack the start is kept as given
+        # within the 1e-6 slack the start is divided by its norm, onto the sphere
         cfg = parse_config_with_overrides(MINIMAL_SIMULATE + "px0 = 0\npy0 = 0\npz0 = -1.0000005\n", [], "simulate")
-        assert cfg.initial == (0.0, 0.0, -1.0000005)
+        assert cfg.initial == (0.0, 0.0, -1.0)
+        cfg = parse_config_with_overrides(MINIMAL_SIMULATE + "px0 = 0.6\npy0 = 0\npz0 = 0.8000004\n", [], "simulate")
+        px, py, pz = cfg.initial
+        assert py == 0.0 and px / pz == pytest.approx(0.6 / 0.8000004, rel=1e-15)
+        assert math.sqrt(px * px + pz * pz) == pytest.approx(1.0, abs=2e-16)
 
 
 class TestOverrides:

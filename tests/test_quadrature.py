@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from quadbloch import BoundState, grid_for_pair, overlap, transition_multipoles
+from quadbloch import BoundState, grid_for_pair, multipole, overlap, transition_multipoles
 from quadbloch.quadrature import _angular_rule, _product_grid, _radial_rule
 from test_multipole import reference_multipoles
 
@@ -87,7 +87,7 @@ class TestStateResolution:
         assert worst < 1e-8
 
     def test_doubling_nodes_changes_nothing(self):
-        # each pair's 16-node grid against 200 and 400 nodes at angular order 35
+        # each pair's own grid (3, 4 and 5 nodes) against 200 and 400 nodes at angular order 35
         pairs = [
             (BoundState(1, 0, 0), BoundState(2, 1, 0)),
             (BoundState(1, 0, 0), BoundState(3, 2, 0)),
@@ -103,7 +103,7 @@ class TestStateResolution:
         assert np.all(np.isfinite(g.points))
         assert g.radial_scale == pytest.approx(1.0 + 0.25)
 
-    # None is the 3d+1, 2p0 pair (16 nodes, order 5); the other has 17 nodes, order 3
+    # None is the 3d+1, 2p0 pair (4 nodes, order 5); the other has 17 nodes, order 3
     @pytest.mark.parametrize("pair", [None, (BoundState(15, 0, 0), BoundState(15, 1, 0))])
     def test_points_and_weights_are_the_product_of_the_factors(self, pair):
         g = grid_for_pair(*(pair or (BoundState(3, 2, 1), BoundState(2, 1, 0))))
@@ -120,7 +120,9 @@ class TestStateResolution:
 
 S3P0 = BoundState(3, 1, 0)
 S2P0 = BoundState(2, 1, 0)
+S1S = BoundState(1, 0, 0)
 Q_ZZ_3P0_2P0 = -1327104.0 / 390625.0     # exact, from tests/exact_moments.json
+D_Z_2P0_1S = 128.0 * math.sqrt(2.0) / 243.0
 S15P0 = BoundState(15, 1, 0)
 # <r^2> = n^2 (5 n^2 + 1 - 3 l (l + 1)) / 2 = 126000 times <(cos^2 - 1/3) / 2> = 2/15
 Q_ZZ_15P0 = 16800.0
@@ -128,16 +130,27 @@ Q_ZZ_15P0 = 16800.0
 
 class TestExactness:
     def test_default_grid_is_smallest_exact(self):
+        # radial degree n_a + n_b + 2 = 7 needs 4 nodes; order 4 needs 3 x 5 directions
         g = grid_for_pair(S3P0, S2P0)
-        assert (g.radial_nodes.size, g.angular_degree) == (16, 4)
-        assert (g.radial_degree, g.angular_degree) == (31, 4)
-        assert len(g.weights) == 16 * 3 * 5
+        assert (g.radial_nodes.size, g.angular_degree) == (4, 4)
+        assert (g.radial_degree, g.angular_degree) == (7, 4)
+        assert len(g.weights) == 4 * 3 * 5
+
+    def test_radial_count_is_the_degree_rule_alone(self, states_n_le_4):
+        for a in states_n_le_4:
+            for b in states_n_le_4:
+                if a == b:
+                    continue
+                g = grid_for_pair(a, b)
+                assert g.radial_nodes.size == (a.n + b.n + 4) // 2, (a, b)
+                assert g.radial_degree in (a.n + b.n + 2, a.n + b.n + 3), (a, b)
+                assert g.angular_degree == a.l + b.l + 2, (a, b)
 
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_angular_order_rule_is_tight(self, order):
         # Q_zz carries a cos^4 term: order 4 = l_a + l_b + 2 integrates it,
         # orders 2 and 3 give 0 instead of -3.397
-        q_zz = reference_multipoles(S3P0, S2P0, pair_grid(S3P0, S2P0, 16, order))[0]["quadrupole"][2, 2]
+        q_zz = reference_multipoles(S3P0, S2P0, pair_grid(S3P0, S2P0, 4, order))[0]["quadrupole"][2, 2]
         if order < 4:
             assert abs(q_zz - Q_ZZ_3P0_2P0) > 3.0
         else:
@@ -147,16 +160,27 @@ class TestExactness:
         g = grid_for_pair(BoundState(15, 0, 0), BoundState(15, 1, 0))
         assert g.radial_nodes.size == 17 and g.radial_degree == 33
 
-    @pytest.mark.parametrize("count", [16, 17])
-    def test_radial_node_rule_is_tight(self, count):
-        # the 15p0 Q_zz integrand has radial degree 32: 17 nodes integrate
-        # it, 16 nodes (degree 31) give 15960 instead of 16800
-        assert grid_for_pair(S15P0, S15P0).radial_nodes.size == 17
-        q_zz = reference_multipoles(S15P0, S15P0, pair_grid(S15P0, S15P0, count, 4))[0]["quadrupole"][2, 2]
-        if count < 17:
-            assert abs(q_zz - Q_ZZ_15P0) > 100.0
-        else:
-            assert q_zz.real == pytest.approx(Q_ZZ_15P0, rel=1e-12)
+    @pytest.mark.parametrize("a,b,field,index,exact,coarse_error", [
+        # radial degree 32: 16 nodes (degree 31) give 15960, the rule's 17 integrate it
+        (S15P0, S15P0, "quadrupole", (2, 2), Q_ZZ_15P0, 0.04),
+        # degree 7: 3 nodes give -1.699, the rule's 4 integrate it
+        (S3P0, S2P0, "quadrupole", (2, 2), Q_ZZ_3P0_2P0, 0.4),
+        # degree 5: 2 nodes put D_z 17% off, the rule's 3 integrate it
+        (S2P0, S1S, "dipole", (2,), D_Z_2P0_1S, 0.1),
+    ], ids=["15p0-15p0", "3p0-2p0", "2p0-1s"])
+    def test_radial_node_rule_is_tight(self, monkeypatch, a, b, field, index, exact, coarse_error):
+        # the library path on a grid one radial node short of the rule, then at the rule
+        count = grid_for_pair(a, b).radial_nodes.size
+        assert count == (a.n + b.n + 4) // 2
+        for nodes in (count - 1, count):
+            monkeypatch.setattr(multipole, "grid_for_pair",
+                                lambda a, b: pair_grid(a, b, nodes, a.l + b.l + 2))
+            value = getattr(transition_multipoles(a, b), field)[index]
+            if nodes < count:
+                assert abs(value - exact) / abs(exact) > coarse_error, nodes
+            else:
+                assert value.real == pytest.approx(exact, rel=1e-13)
+                assert value.imag == 0.0
 
     def test_default_path_quadrupole_3p0_2p0(self):
         assert transition_multipoles(S3P0, S2P0).quadrupole[2, 2].real == pytest.approx(Q_ZZ_3P0_2P0, rel=1e-12)
