@@ -141,10 +141,9 @@ def _csv_columns(traj: Trajectory, si: bool = False) -> dict[str, np.ndarray]:
                            constants.PER_ATOMIC_TIME_S) if si else (1.0, 1.0, 1.0, 1.0))
     p, (px, py, pz) = traj.params, traj.bloch.T
     rho11, rho22, rho12 = bloch_to_density(traj.bloch.T)
-    with np.errstate(over="ignore"):
-        return {"t": traj.t * t_c, "Px": px, "Py": py, "Pz": pz, "rho11": rho11, "rho22": rho22,
-                "re_rho12": rho12.real, "im_rho12": rho12.imag, "energy": (-0.5 * p.omega21 * pz) * e_c,
-                "dipole": px * d_c, "shift": _shift(p, pz) * f_c}
+    return {"t": traj.t * t_c, "Px": px, "Py": py, "Pz": pz, "rho11": rho11, "rho22": rho22,
+            "re_rho12": rho12.real, "im_rho12": rho12.imag, "energy": (-0.5 * p.omega21 * pz) * e_c,
+            "dipole": px * d_c, "shift": _shift(p, pz) * f_c}
 
 
 def _require_finite(columns: dict[str, np.ndarray]) -> None:
@@ -174,8 +173,10 @@ def _stdout():
 def run_simulate(cfg: RunConfig) -> int:
     """Write the exact flow sampled every ~``step`` (no numeric integration)."""
     p = _resolve_params(cfg)
-    traj = exact_trajectory(cfg.initial, p, cfg.t_start, cfg.t_end, cfg.step)
-    columns = _csv_columns(traj, cfg.units == "si")
+    # a cell past float range (inf, or nan from inf - inf) is refused just below
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = exact_trajectory(cfg.initial, p, cfg.t_start, cfg.t_end, cfg.step)
+        columns = _csv_columns(traj, cfg.units == "si")
     _require_finite(columns)
     with open(cfg.output, "w", newline="") as fh:
         fh.write("# quadbloch simulate\n")
@@ -200,10 +201,11 @@ def run_shift(cfg: RunConfig) -> int:
 
     start = (cfg.initial, cfg.t_start)
     times, _ = time_grid(cfg.t_start, cfg.t_end, cfg.step)
-    full = frequency_shift(times, p, *start)
-    base = frequency_shift(times, dipole_only, *start)
-    extra = additional_shift(times, p, *start)
-    with np.errstate(over="ignore"):    # an SI cell past float range is refused just below
+    # a cell past float range (inf, or nan from inf - inf) is refused just below
+    with np.errstate(over="ignore", invalid="ignore"):
+        full = frequency_shift(times, p, *start)
+        base = frequency_shift(times, dipole_only, *start)
+        extra = additional_shift(times, p, *start)
         columns = {"t": times * t_c, "shift_full": full * freq_c, "shift_dipole_only": base * freq_c,
                    "additional_shift": extra * freq_c, "identity_residual": (full - base - extra) * freq_c}
     _require_finite(columns)

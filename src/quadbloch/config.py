@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, fields
 
 from .hydrogenic import _ORBITAL_LETTERS, BoundState
-from .twolevel import BALL_SLACK, BlochVector, TwoLevelParams
+from .twolevel import BALL_SLACK, BlochVector, TwoLevelParams, _onto_sphere
 
 MODES = ("coeffs", "simulate", "verify", "shift")
 
@@ -133,13 +133,7 @@ def _build(raw: dict[str, tuple[str, str]], mode: str) -> RunConfig:
     initial_keys = [k for k in ("px0", "py0", "pz0") if floats[k] is not None]
     if initial_keys and len(initial_keys) != 3:
         raise ConfigError("px0, py0, pz0 must be given together")
-    initial = BlochVector(floats["px0"], floats["py0"], floats["pz0"]) if len(initial_keys) == 3 else None
-    if initial is not None:
-        norm = initial.norm()
-        if 1.0 < norm <= 1.0 + BALL_SLACK:
-            # onto the sphere, so that the flow and RK4 start from the same pole:
-            # the flow holds |Pz0| >= 1 fixed, RK4 moves Pz0 > 1 by q (Pz^2 - 1)
-            initial = BlochVector(*(v / norm for v in initial))
+    initial = _onto_sphere(BlochVector(floats["px0"], floats["py0"], floats["pz0"])) if initial_keys else None
 
     cfg = RunConfig(
         mode=mode,

@@ -206,6 +206,20 @@ def _flow_rounding(p: TwoLevelParams, at: float, t_start: float, t_end: float) -
     return _FLOW_ROUNDING * np.finfo(float).eps * (1.0 + _rate_bound(p) * span)
 
 
+def _onto_sphere(initial):
+    """``initial`` divided by its norm when that norm is in (1, 1 + BALL_SLACK],
+    so that the flow and RK4 start from the same pole: the flow holds
+    |Pz0| >= 1 fixed, RK4 moves Pz0 > 1 by q (Pz^2 - 1). Any other start, and
+    None, is returned as given."""
+    if initial is None:
+        return None
+    start = BlochVector(*(float(v) for v in initial))
+    norm = start.norm()
+    if 1.0 < norm <= 1.0 + BALL_SLACK:
+        return BlochVector(*(v / norm for v in start))
+    return initial
+
+
 def _flow_anchor(p: TwoLevelParams, t_start: float, initial=None) -> tuple[tuple, float]:
     """(start, at) of a run from t_start: ``initial`` at t_start, or by default
     (1, 0, 0) at t0, or at t_start when q = 0, which has no t0."""

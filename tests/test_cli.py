@@ -485,6 +485,18 @@ class TestVerify:
         assert re.search(r"convergence_order +- +exact \(fixed point\) +skipped", out)
         assert "overall: PASS" in out
 
+    @pytest.mark.parametrize("pz0", [1.0000005, -1.0000005])
+    def test_library_start_inside_the_slack_matches_the_cli(self, tmp_path, capsys, pz0):
+        # run_checks puts the start on the sphere by the config's rule; it read a
+        # convergence_order FAIL at 1.0 when RK4 started off the pole
+        p = TwoLevelParams(omega21=1.0, a12=0.2, gamma11=0.02, gamma12=-0.04)
+        report, _ = verification.run_checks(p, -1.0, 1.0, 0.01, initial=(0.0, 0.0, pz0))
+        assert report.passed
+        cfg = write(tmp_path / "v.cfg", f"px0 = 0\npy0 = 0\npz0 = {pz0!r}\n"
+                    + CANONICAL_DYNAMICS.replace("t_start = -20\nt_end = 20\n", "t_start = -1\nt_end = 1\n"))
+        assert main(["verify", "--config", cfg]) == 0
+        assert capsys.readouterr().out == report.format() + "\n"
+
     def test_flipped_rotation_fails_residual(self, tmp_path, capsys, flip_rotation):
         cfg = write(tmp_path / "v.cfg", "step = 0.001\n"
                     + CANONICAL_DYNAMICS.replace("step = 0.01\n", ""))
@@ -803,9 +815,7 @@ class TestExitCodes:
         # refused before the output is opened or the header printed
         out = tmp_path / "o.csv"
         cfg = write(tmp_path / "run.cfg", f"output = {out}\n" + rates)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow on the way is expected
-            assert main([command, "--config", cfg]) == 1
+        assert main([command, "--config", cfg]) == 1
         captured = capsys.readouterr()
         assert captured.err == (f"error: column {column} is not finite at t = {first} "
                                 "(its first such row); nothing was written\n")

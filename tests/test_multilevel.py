@@ -14,6 +14,7 @@ from quadbloch import (
     frequency_shift_general,
     multilevel_rhs,
 )
+import quadbloch.multilevel as multilevel_module
 from quadbloch.constants import SPEED_OF_LIGHT
 
 from oracles import density_rhs_two_level, rk4_density_path
@@ -347,6 +348,98 @@ class TestMultilevelRhs:
                 pass
             assert abs(np.trace(rho) - 1.0) <= 1e-10
             assert np.max(np.abs(rho - rho.conj().T)) <= 1e-10
+
+
+def exactly_hermitian_density(rng, n):
+    rho = random_hermitian_density(rng, n)
+    # entry ba is (r_ba + conj(r_ab)) / 2, the conjugate of entry ab bit for bit
+    return 0.5 * (rho + rho.conj().T)
+
+
+@pytest.fixture
+def full_tests(monkeypatch):
+    """Counts of the entrywise finiteness and Hermiticity reductions that
+    multilevel_rhs falls back to when its sums of squares cannot decide."""
+    calls = {"finite": 0, "hermitian": 0}
+
+    def counted(key, reduce):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return reduce(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(multilevel_module, "_all", counted("finite", multilevel_module._all))
+    monkeypatch.setattr(multilevel_module, "_max", counted("hermitian", multilevel_module._max))
+    return calls
+
+
+class TestInputChecks:
+    """Each check passes on a sum of squares where it can; the entrywise test
+    decides the rest, so the accepted set and the messages are the entrywise
+    tests'. The suite turns every RuntimeWarning into an error."""
+
+    def test_exactly_hermitian_passes_on_the_sums(self, rng, full_tests):
+        sysm = random_system(rng, 6, drive=lambda t: np.array([0.3, -0.2, 0.1]))
+        rho = exactly_hermitian_density(rng, 6)
+        assert np.array_equal(rho, rho.conj().T)
+        ddt = multilevel_rhs(rho, sysm)
+        assert np.array_equal(ddt, ddt.conj().T)
+        assert full_tests == {"finite": 0, "hermitian": 0}
+
+    def test_every_coherence_at_nine_tenths_of_tol_accepted_by_the_full_test(self, rng, full_tests):
+        # 30 entries of |d| = 0.9e-9: sum |d|^2 = 2.43e-17, past (tol/2)^2, max |d| within tol
+        n = 6
+        rho = exactly_hermitian_density(rng, n) + 0.45e-9j * (np.ones((n, n)) - np.eye(n))
+        d = np.abs(rho - rho.conj().T)[~np.eye(n, dtype=bool)]
+        assert np.allclose(d, 0.9e-9, rtol=1e-6, atol=0.0)
+        multilevel_rhs(rho, random_system(rng, n))
+        assert full_tests == {"finite": 0, "hermitian": 1}
+
+    def test_just_past_tol_refused(self, rng, full_tests):
+        rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
+        rho[0, 1] = 1.0000001e-9       # d_01 = -d_10 = 1.0000001e-9 exactly
+        with pytest.raises(ValueError, match=r"^rho must be Hermitian \(tolerance 1e-9\)$"):
+            multilevel_rhs(rho, random_system(rng, 3))
+        assert full_tests == {"finite": 0, "hermitian": 1}
+
+    @pytest.mark.parametrize("delta", [0.5e-9, 0.999e-9, 1e-9, 1.001e-9, 2e-9])
+    def test_accepted_set_is_the_entrywise_rule(self, rng, delta):
+        n = 4
+        skew = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        skew = skew - skew.conj().T
+        np.fill_diagonal(skew, 0.0)
+        rho = np.diag([0.4, 0.3, 0.2, 0.1]) + 0.5 * delta / np.max(np.abs(skew)) * skew
+        sysm = random_system(rng, n)
+        if np.max(np.abs(rho - rho.conj().T)) <= 1e-9:
+            multilevel_rhs(rho, sysm)
+        else:
+            with pytest.raises(ValueError, match="Hermitian"):
+                multilevel_rhs(rho, sysm)
+
+    def test_huge_finite_entries_reach_the_full_finiteness_test(self, rng, full_tests):
+        # |rho|^2 sums past the largest double, so only the entrywise test can
+        # pass rho as finite; Hermitian exactly, it is then refused by its trace
+        rho = 1e160 * exactly_hermitian_density(rng, 3)
+        assert not np.isfinite(np.vdot(rho, rho).real) and np.isfinite(rho).all()
+        with pytest.raises(ValueError, match=r"^rho must have unit trace \(tolerance 1e-9\)$"):
+            multilevel_rhs(rho, random_system(rng, 3))
+        assert full_tests == {"finite": 1, "hermitian": 0}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(np.nan, 1.0)])
+    @pytest.mark.parametrize("placement", ["population", "coherence", "hermitian-pair"])
+    def test_non_finite_refused_at_every_placement(self, rng, bad, placement):
+        n = 3
+        sysm = random_system(rng, n)
+        for i in range(n):
+            for j in range(n):
+                if (placement == "population") != (i == j) or (placement == "hermitian-pair" and i > j):
+                    continue
+                rho = exactly_hermitian_density(rng, n)
+                rho[i, j] = bad
+                if placement == "hermitian-pair":
+                    rho[j, i] = np.conj(bad)
+                with pytest.raises(ValueError, match=r"^rho must be Hermitian \(tolerance 1e-9\)$"):
+                    multilevel_rhs(rho, sysm)
 
 
 class TestFrequencyShiftGeneral:
