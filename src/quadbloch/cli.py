@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import functools
 import os
+import stat
 import sys
 from dataclasses import replace
 
@@ -170,6 +171,12 @@ def _stdout():
         os.close(devnull)
 
 
+def _open_in_place(path, flags: int) -> int:
+    """``open``'s opener without ``O_TRUNC``: an existing file keeps its
+    inode, links, owner and mode, and the caller cuts it to length."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def run_simulate(cfg: RunConfig) -> int:
     """Write the exact flow sampled every ~``step`` (no numeric integration)."""
     p = _resolve_params(cfg)
@@ -178,11 +185,22 @@ def run_simulate(cfg: RunConfig) -> int:
         traj = exact_trajectory(cfg.initial, p, cfg.t_start, cfg.t_end, cfg.step)
         columns = _csv_columns(traj, cfg.units == "si")
     _require_finite(columns)
-    with open(cfg.output, "w", newline="") as fh:
-        fh.write("# quadbloch simulate\n")
-        for line in _metadata_lines(cfg, p, traj):
-            fh.write(line + "\n")
-        write_table(fh, columns)
+    # an existing output is overwritten in place and then cut to the table's
+    # length, not truncated to zero first: on ext4 that truncation frees the
+    # file's blocks and page cache and flushes the rewrite on close
+    # (auto_da_alloc; inferred from timings, not traced), 2.6-3.6 ms of a
+    # 10 MB rerun's open
+    with open(cfg.output, "w", newline="", opener=_open_in_place) as fh:
+        try:
+            fh.write("# quadbloch simulate\n")
+            for line in _metadata_lines(cfg, p, traj):
+                fh.write(line + "\n")
+            write_table(fh, columns)
+        finally:
+            # after an error too, so no tail of the old table follows the new
+            # bytes; a device, FIFO or pipe has no length to cut
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
     return 0
 
 

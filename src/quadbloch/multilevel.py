@@ -128,13 +128,16 @@ class NLevelSystem:
         object.__setattr__(self, name, arr)
         return arr
 
-    @property
-    def level_count(self) -> int:
-        return self.energies.shape[0]
-
     def omega_matrix(self) -> np.ndarray:
         """Transition frequencies Omega_ab = E_a - E_b."""
         return self.energies[:, None] - self.energies[None, :]
+
+
+def _hermitian(rho: np.ndarray) -> bool:
+    """max |rho - rho^H| <= 1e-9, from the sum of squares when that decides
+    it; False when d holds a nan."""
+    d = rho - rho.conj().T
+    return _vdot(d, d).real <= _HERMITIAN_SUMSQ or _max(np.abs(d), axis=None) <= _INPUT_TOL
 
 
 def multilevel_rhs(rho: np.ndarray, system: NLevelSystem, t: float = 0.0) -> np.ndarray:
@@ -151,11 +154,17 @@ def multilevel_rhs(rho: np.ndarray, system: NLevelSystem, t: float = 0.0) -> np.
     # a finite sum of squares passes; only a sum that overflows or is not a
     # number falls to the entrywise test. Finite first, so that inf - inf in
     # the difference cannot warn
-    if not (math.isfinite(_vdot(rho, rho).real) or _all(np.isfinite(rho), axis=None)):
-        raise ValueError("rho must be Hermitian (tolerance 1e-9)")
-    d = rho - rho.conj().T
-    # "not <=" so nan fails
-    if not (_vdot(d, d).real <= _HERMITIAN_SUMSQ or _max(np.abs(d), axis=None) <= _INPUT_TOL):
+    if math.isfinite(_vdot(rho, rho).real):
+        # the sum bounds every |entry| below 1.4e154, so nothing in the test overflows
+        hermitian = _hermitian(rho)
+    elif _all(np.isfinite(rho), axis=None):
+        # finite entries near the float limit: d or |d| can pass it, and the
+        # resulting inf is refused as not Hermitian
+        with np.errstate(over="ignore"):
+            hermitian = _hermitian(rho)
+    else:
+        hermitian = False
+    if not hermitian:
         raise ValueError("rho must be Hermitian (tolerance 1e-9)")
     diag = rho.diagonal()
     # Python complex scalars: cheaper than ndarray.sum at a few levels, and an

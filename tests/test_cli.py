@@ -3,6 +3,7 @@ import io
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -428,6 +429,78 @@ class TestSimulate:
         assert float(meta["b12"]) == 0.0 and float(meta["c12"]) == 0.0
 
 
+class TestOutputRewrite:
+    """An existing output is overwritten in place and cut to the table's length."""
+
+    @staticmethod
+    def simulate(tmp_path, out, step="0.5"):
+        cfg = write(tmp_path / "run.cfg", f"output = {out}\n" + CANONICAL_DYNAMICS)
+        return main(["simulate", "--config", cfg, "--set", f"step={step}"])
+
+    def fresh_bytes(self, tmp_path, step="0.5"):
+        fresh = tmp_path / "fresh.csv"
+        assert self.simulate(tmp_path, fresh, step) == 0
+        return fresh.read_bytes()
+
+    @pytest.mark.parametrize("old_step", ["0.25", None], ids=["longer", "shorter"])
+    def test_rerun_keeps_the_file_and_writes_a_fresh_runs_bytes(self, tmp_path, old_step):
+        out = tmp_path / "out.csv"
+        if old_step is None:
+            out.write_bytes(b"x" * 1000)
+        else:
+            assert self.simulate(tmp_path, out, old_step) == 0
+        os.chmod(out, 0o600)
+        inode = os.stat(out).st_ino
+        assert self.simulate(tmp_path, out) == 0
+        assert os.stat(out).st_ino == inode and stat.S_IMODE(os.stat(out).st_mode) == 0o600
+        assert out.read_bytes() == self.fresh_bytes(tmp_path)
+
+    def test_new_output_takes_its_mode_from_the_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            assert self.simulate(tmp_path, tmp_path / "new.csv") == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(tmp_path / "new.csv").st_mode) == 0o640
+
+    def test_symlink_stays_a_link_and_its_target_gets_the_table(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"x" * 100_000)
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert self.simulate(tmp_path, link) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == self.fresh_bytes(tmp_path)
+
+    def test_hard_linked_file_is_rewritten_through_both_names(self, tmp_path):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"x" * 100_000)
+        alias = tmp_path / "alias.csv"
+        os.link(out, alias)
+        assert self.simulate(tmp_path, out) == 0
+        assert os.stat(out).st_ino == os.stat(alias).st_ino and os.stat(out).st_nlink == 2
+        assert out.read_bytes() == alias.read_bytes() == self.fresh_bytes(tmp_path)
+
+    def test_device_is_written_and_not_cut(self, tmp_path):
+        # ftruncate on a character device fails: only a regular file is cut
+        assert self.simulate(tmp_path, os.devnull) == 0
+
+    def test_error_mid_table_leaves_no_tail_of_the_old_one(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"~" * 100_000)
+
+        def full_disk(fh, columns):
+            fh.write("t,Px\n")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_table", full_disk)
+        assert self.simulate(tmp_path, out) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        written = out.read_bytes()
+        assert written.startswith(b"# quadbloch simulate\n") and written.endswith(b"\nt,Px\n")
+        assert b"~" not in written
+
+
 def expected_table(columns):
     """The table's contract: the names, then ``format(x, ".16e")`` cells with zeros unsigned."""
     n = len(next(iter(columns.values())))
@@ -820,6 +893,15 @@ class TestExitCodes:
         assert captured.err == (f"error: column {column} is not finite at t = {first} "
                                 "(its first such row); nothing was written\n")
         assert captured.out == "" and not out.exists()
+
+    def test_non_finite_table_leaves_an_existing_output(self, tmp_path, capsys):
+        # the refusal comes before the old output is replaced or truncated
+        out = tmp_path / "o.csv"
+        out.write_bytes(b"previous table\n")
+        cfg = write(tmp_path / "run.cfg", f"output = {out}\n" + OVERFLOWING_RATES)
+        assert main(["simulate", "--config", cfg]) == 1
+        assert "nothing was written" in capsys.readouterr().err
+        assert out.read_bytes() == b"previous table\n"
 
     @pytest.mark.parametrize("command, column", [("simulate", "shift"), ("shift", "shift_full")])
     def test_si_scaling_overflow_is_one_without_a_warning(self, tmp_path, capsys, command, column):

@@ -425,6 +425,17 @@ class TestInputChecks:
             multilevel_rhs(rho, random_system(rng, 3))
         assert full_tests == {"finite": 1, "hermitian": 0}
 
+    @pytest.mark.parametrize("rho", [
+        [[0.5, 1e308], [-1e308, 0.5]],            # d = rho - rho^H overflows
+        [[0.5, 1.5e308 + 1.5e308j], [0.0, 0.5]],  # d is finite, |d| overflows
+    ], ids=["difference", "modulus"])
+    def test_pair_near_the_float_limit_refused(self, rng, full_tests, rho):
+        # finite entries whose Hermiticity test passes the float limit: refused
+        # as not Hermitian, with no overflow warning on the way
+        with pytest.raises(ValueError, match=r"^rho must be Hermitian \(tolerance 1e-9\)$"):
+            multilevel_rhs(rho, random_system(rng, 2))
+        assert full_tests == {"finite": 1, "hermitian": 1}
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(np.nan, 1.0)])
     @pytest.mark.parametrize("placement", ["population", "coherence", "hermitian-pair"])
     def test_non_finite_refused_at_every_placement(self, rng, bad, placement):
