@@ -33,20 +33,20 @@ Every entry of the result lies within
 of the exact derivative at H, plus rounding, where ||V|| is the largest sum
 of |V_ab| over a row.
 
-``multilevel_rhs`` checks its input on every call: shape, finiteness,
-Hermiticity and unit trace of rho, and the shape of the drive's field. The
-finiteness and Hermiticity checks each start with a sum of squares, which
-``np.vdot`` forms in BLAS with no numpy FP warning, even on inf or nan. A
-finite sum |rho|^2 proves every entry finite, and a sum |d|^2 at most
-(tol/2)^2, with d = rho - rho^H, bounds max |d| below tol. Only when a sum
-cannot decide (it overflows, or d is larger) does the entrywise reduction
-run, so the accepted inputs and the messages are those of the entrywise
-tests alone.
+``multilevel_rhs`` checks its input on every call, in order: the shape of
+rho, sum |rho_ab|^2 <= 4, Hermiticity to 1e-9 entrywise, unit trace to
+1e-9, and the shape of the drive's field. A density matrix has
+sum |rho_ab|^2 = Tr(rho rho^H) <= 1; the bound of 4 passes RK4's stage
+values, which need not be density matrices, and refuses nan, inf and any
+entry large enough to overflow in the checks after it. ``np.vdot`` forms
+each sum of squares in BLAS with no numpy FP warning. The Hermiticity check
+passes when sum |d|^2 <= (tol/2)^2, with d = rho - rho^H, which bounds
+max |d| below tol; only when that sum cannot decide does the entrywise
+test run.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -56,10 +56,10 @@ from .constants import SPEED_OF_LIGHT
 
 _INPUT_TOL = 1e-9
 _HERMITIAN_SUMSQ = (0.5 * _INPUT_TOL) ** 2   # a Frobenius norm within tol/2 passes the Hermiticity check
+_MAX_SUMSQ = 4.0                              # sum |rho_ab|^2 <= 1 for a density matrix
 _STRUCT_TOL = 1e-12
 
 # bound once: multilevel_rhs runs four times per RK4 step
-_all = np.logical_and.reduce
 _max = np.maximum.reduce
 _vdot = np.vdot
 
@@ -103,23 +103,28 @@ class NLevelSystem:
         dip = self._store("dipoles", self.dipoles, complex)
         _require(dip.shape == (n, n, 3), f"dipoles must have shape ({n}, {n}, 3)")
 
-        # finite first, so that inf - inf in the symmetry checks cannot warn
         for name in ("energies", "gamma", "a_rates", "b_rates", "c_rates", "dipoles"):
             _require(np.all(np.isfinite(getattr(self, name))), f"{name} must be finite")
-        _require(np.max(np.abs(self.gamma - self.gamma.T)) <= _STRUCT_TOL, "gamma must be symmetric")
-        for name in ("a_rates", "b_rates", "c_rates"):
-            mat = getattr(self, name)
-            _require(np.max(np.abs(mat + mat.T)) <= _STRUCT_TOL, f"{name} must be antisymmetric")
-        _require(np.max(np.abs(dip - np.conj(np.transpose(dip, (1, 0, 2))))) <= _STRUCT_TOL,
-                 "dipole matrix must be Hermitian")
+        # finite inputs can still overflow here: an inf fails its symmetry
+        # test, and a non-finite derived array is refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            _require(np.max(np.abs(self.gamma - self.gamma.T)) <= _STRUCT_TOL, "gamma must be symmetric")
+            for name in ("a_rates", "b_rates", "c_rates"):
+                mat = getattr(self, name)
+                _require(np.max(np.abs(mat + mat.T)) <= _STRUCT_TOL, f"{name} must be antisymmetric")
+            _require(np.max(np.abs(dip - np.conj(np.transpose(dip, (1, 0, 2))))) <= _STRUCT_TOL,
+                     "dipole matrix must be Hermitian")
 
-        omega = self.omega_matrix()
-        self._store("_free", -1j * omega, complex)
-        relax = 0.5 * self.a_rates - self.b_rates + self.c_rates
-        self._store("_rates", relax + 1j * self.gamma, complex)
-        # Omega_ab D_ab / c as rows of (N^2, 3), so V(t) is one product with A0(t)
-        self._store("_drive_dipoles", (omega[:, :, None] * dip / SPEED_OF_LIGHT).reshape(n * n, 3),
-                    complex)
+            omega = self.omega_matrix()
+            free = self._store("_free", -1j * omega, complex)
+            relax = 0.5 * self.a_rates - self.b_rates + self.c_rates
+            rates = self._store("_rates", relax + 1j * self.gamma, complex)
+            # Omega_ab D_ab / c as rows of (N^2, 3), so V(t) is one product with A0(t)
+            drive = self._store("_drive_dipoles",
+                                (omega[:, :, None] * dip / SPEED_OF_LIGHT).reshape(n * n, 3), complex)
+        for arr, what in ((free, "level splittings E_a - E_b"), (rates, "rate matrix A/2 - B + C + i Gamma"),
+                          (drive, "drive coupling Omega D / c")):
+            _require(np.all(np.isfinite(arr)), f"{what} must be finite")
 
     def _store(self, name: str, value, dtype) -> np.ndarray:
         """Set a field to a read-only copy, so no caller's array is shared."""
@@ -134,8 +139,7 @@ class NLevelSystem:
 
 
 def _hermitian(rho: np.ndarray) -> bool:
-    """max |rho - rho^H| <= 1e-9, from the sum of squares when that decides
-    it; False when d holds a nan."""
+    """max |rho - rho^H| <= 1e-9, from the sum of squares when that decides it."""
     d = rho - rho.conj().T
     return _vdot(d, d).real <= _HERMITIAN_SUMSQ or _max(np.abs(d), axis=None) <= _INPUT_TOL
 
@@ -143,32 +147,22 @@ def _hermitian(rho: np.ndarray) -> bool:
 def multilevel_rhs(rho: np.ndarray, system: NLevelSystem, t: float = 0.0) -> np.ndarray:
     """Time derivative of an N x N density matrix.
 
-    Rejects inputs that are not finite, Hermitian and of unit trace
-    (tolerance 1e-9); the returned derivative is traceless to rounding and
-    exactly Hermitian when rho is.
+    Rejects a rho with sum |rho_ab|^2 above 4, or one that is not Hermitian
+    or not of unit trace (tolerance 1e-9); the returned derivative is
+    traceless to rounding and exactly Hermitian when rho is.
     """
     rho = np.asarray(rho, dtype=complex)
     shape = system._free.shape
     if rho.shape != shape:
         raise ValueError(f"rho must have shape {shape}")
-    # a finite sum of squares passes; only a sum that overflows or is not a
-    # number falls to the entrywise test. Finite first, so that inf - inf in
-    # the difference cannot warn
-    if math.isfinite(_vdot(rho, rho).real):
-        # the sum bounds every |entry| below 1.4e154, so nothing in the test overflows
-        hermitian = _hermitian(rho)
-    elif _all(np.isfinite(rho), axis=None):
-        # finite entries near the float limit: d or |d| can pass it, and the
-        # resulting inf is refused as not Hermitian
-        with np.errstate(over="ignore"):
-            hermitian = _hermitian(rho)
-    else:
-        hermitian = False
-    if not hermitian:
+    s = _vdot(rho, rho).real
+    # "not <=" so nan fails; every |entry| <= 2 keeps the checks below in float range
+    if not s <= _MAX_SUMSQ:
+        raise ValueError(f"rho must be a density matrix: sum |rho_ab|^2 = {s} is not <= {_MAX_SUMSQ}")
+    if not _hermitian(rho):
         raise ValueError("rho must be Hermitian (tolerance 1e-9)")
     diag = rho.diagonal()
-    # Python complex scalars: cheaper than ndarray.sum at a few levels, and an
-    # overflowing trace gives inf with no RuntimeWarning
+    # Python complex scalars: cheaper than ndarray.sum at a few levels
     trace = sum(diag.tolist())
     if not (abs(trace.real - 1.0) <= _INPUT_TOL and abs(trace.imag) <= _INPUT_TOL):
         raise ValueError("rho must have unit trace (tolerance 1e-9)")
@@ -197,8 +191,8 @@ def frequency_shift_general(populations: np.ndarray, gamma_matrix: np.ndarray) -
         raise ValueError(f"gamma_matrix must have shape ({n}, {n})")
     if not np.isfinite(gamma).all():
         raise ValueError("gamma_matrix must be finite")
-    # finite first, so that inf - inf in the sum cannot warn; "not <=" so nan fails
-    if not (np.isfinite(pops).all() and abs(pops.sum() - 1.0) <= _INPUT_TOL):
+    # sum p^2 <= Tr(rho^2) <= 1, as multilevel_rhs bounds rho; "not <=" so nan fails
+    if not (_vdot(pops, pops) <= _MAX_SUMSQ and abs(pops.sum() - 1.0) <= _INPUT_TOL):
         raise ValueError("populations must sum to 1 (tolerance 1e-9)")
     u = gamma @ pops
     v = gamma.T @ pops

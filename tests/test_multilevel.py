@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import replace
 
@@ -110,6 +111,25 @@ class TestSystemValidation:
             with pytest.raises(ValueError, match=f"^{name} must be finite$"):
                 NLevelSystem(**inputs)
 
+    @pytest.mark.parametrize("inputs, message", [
+        ({"energies": np.array([-1e308, 1e308])}, "level splittings E_a - E_b"),
+        ({"b_rates": np.array([[0.0, 1e308], [-1e308, 0.0]]),
+          "c_rates": np.array([[0.0, -1e308], [1e308, 0.0]])}, "rate matrix A/2 - B + C"),
+        ({"energies": np.array([0.0, 3.0]), "dipoles": np.full((2, 2, 3), 1e308 + 0j)},
+         "drive coupling Omega D / c"),
+        ({"a_rates": np.array([[0.0, 1e308], [1e308, 0.0]])}, "a_rates must be antisymmetric"),
+    ], ids=["splittings", "rate-matrix", "drive-coupling", "antisymmetry-sum"])
+    def test_finite_inputs_overflowing_in_a_derived_array_rejected(self, inputs, message):
+        # each raised a numpy overflow warning, and the first three built a
+        # system whose multilevel_rhs returned nan
+        fields = {"energies": np.zeros(2), "gamma": np.zeros((2, 2)), "a_rates": np.zeros((2, 2)),
+                  "b_rates": np.zeros((2, 2)), "c_rates": np.zeros((2, 2)),
+                  "dipoles": np.zeros((2, 2, 3), dtype=complex), **inputs}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^" + re.escape(message)):
+                NLevelSystem(**fields)
+
     @pytest.mark.parametrize("energies", [1.0, np.zeros((2, 2))])
     def test_energies_not_1d_rejected(self, energies):
         # a scalar raised IndexError and a (2, 2) array a broadcast error
@@ -182,16 +202,17 @@ class TestMultilevelRhs:
         # rejected with no numpy RuntimeWarning on the way
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="Hermitian|trace"):
+            with pytest.raises(ValueError, match="density matrix"):
                 multilevel_rhs(rho, sysm)
 
     def test_trace_overflowing_to_inf_rejected(self, rng):
-        # finite and Hermitian, but the trace overflows to inf
+        # finite and Hermitian; the density bound refuses it before its trace
+        # is formed, where the trace would overflow to inf
         rho = np.diag([1e308, 1e308, -1e308, -1e308]).astype(complex)
         # rejected with no numpy RuntimeWarning on the way
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="trace"):
+            with pytest.raises(ValueError, match="density matrix"):
                 multilevel_rhs(rho, random_system(rng, 4))
 
     def test_free_evolution_exact(self, rng):
@@ -356,11 +377,14 @@ def exactly_hermitian_density(rng, n):
     return 0.5 * (rho + rho.conj().T)
 
 
+DENSITY_REFUSAL = r"^rho must be a density matrix: sum \|rho_ab\|\^2 = \S+ is not <= 4\.0$"
+
+
 @pytest.fixture
 def full_tests(monkeypatch):
-    """Counts of the entrywise finiteness and Hermiticity reductions that
-    multilevel_rhs falls back to when its sums of squares cannot decide."""
-    calls = {"finite": 0, "hermitian": 0}
+    """Count of the entrywise Hermiticity reduction that multilevel_rhs
+    falls back to when its sum of squares cannot decide."""
+    calls = {"hermitian": 0}
 
     def counted(key, reduce):
         def wrapper(*args, **kwargs):
@@ -368,15 +392,16 @@ def full_tests(monkeypatch):
             return reduce(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(multilevel_module, "_all", counted("finite", multilevel_module._all))
     monkeypatch.setattr(multilevel_module, "_max", counted("hermitian", multilevel_module._max))
     return calls
 
 
 class TestInputChecks:
-    """Each check passes on a sum of squares where it can; the entrywise test
-    decides the rest, so the accepted set and the messages are the entrywise
-    tests'. The suite turns every RuntimeWarning into an error."""
+    """sum |rho_ab|^2 <= 4 refuses what is not near a density matrix, nan
+    and inf included. The Hermiticity check passes on a sum of squares where
+    it can and the entrywise test decides the rest, so its accepted set and
+    message are the entrywise test's. The suite turns every RuntimeWarning
+    into an error."""
 
     def test_exactly_hermitian_passes_on_the_sums(self, rng, full_tests):
         sysm = random_system(rng, 6, drive=lambda t: np.array([0.3, -0.2, 0.1]))
@@ -384,7 +409,7 @@ class TestInputChecks:
         assert np.array_equal(rho, rho.conj().T)
         ddt = multilevel_rhs(rho, sysm)
         assert np.array_equal(ddt, ddt.conj().T)
-        assert full_tests == {"finite": 0, "hermitian": 0}
+        assert full_tests == {"hermitian": 0}
 
     def test_every_coherence_at_nine_tenths_of_tol_accepted_by_the_full_test(self, rng, full_tests):
         # 30 entries of |d| = 0.9e-9: sum |d|^2 = 2.43e-17, past (tol/2)^2, max |d| within tol
@@ -393,14 +418,14 @@ class TestInputChecks:
         d = np.abs(rho - rho.conj().T)[~np.eye(n, dtype=bool)]
         assert np.allclose(d, 0.9e-9, rtol=1e-6, atol=0.0)
         multilevel_rhs(rho, random_system(rng, n))
-        assert full_tests == {"finite": 0, "hermitian": 1}
+        assert full_tests == {"hermitian": 1}
 
     def test_just_past_tol_refused(self, rng, full_tests):
         rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
         rho[0, 1] = 1.0000001e-9       # d_01 = -d_10 = 1.0000001e-9 exactly
         with pytest.raises(ValueError, match=r"^rho must be Hermitian \(tolerance 1e-9\)$"):
             multilevel_rhs(rho, random_system(rng, 3))
-        assert full_tests == {"finite": 0, "hermitian": 1}
+        assert full_tests == {"hermitian": 1}
 
     @pytest.mark.parametrize("delta", [0.5e-9, 0.999e-9, 1e-9, 1.001e-9, 2e-9])
     def test_accepted_set_is_the_entrywise_rule(self, rng, delta):
@@ -416,25 +441,40 @@ class TestInputChecks:
             with pytest.raises(ValueError, match="Hermitian"):
                 multilevel_rhs(rho, sysm)
 
-    def test_huge_finite_entries_reach_the_full_finiteness_test(self, rng, full_tests):
-        # |rho|^2 sums past the largest double, so only the entrywise test can
-        # pass rho as finite; Hermitian exactly, it is then refused by its trace
+    def test_huge_finite_entries_refused_by_the_bound(self, rng, full_tests):
+        # finite, exactly Hermitian entries whose |rho|^2 sums past the
+        # largest double: refused on that sum, with no entrywise reduction
         rho = 1e160 * exactly_hermitian_density(rng, 3)
         assert not np.isfinite(np.vdot(rho, rho).real) and np.isfinite(rho).all()
-        with pytest.raises(ValueError, match=r"^rho must have unit trace \(tolerance 1e-9\)$"):
+        with pytest.raises(ValueError, match=DENSITY_REFUSAL):
             multilevel_rhs(rho, random_system(rng, 3))
-        assert full_tests == {"finite": 1, "hermitian": 0}
+        assert full_tests == {"hermitian": 0}
 
     @pytest.mark.parametrize("rho", [
-        [[0.5, 1e308], [-1e308, 0.5]],            # d = rho - rho^H overflows
-        [[0.5, 1.5e308 + 1.5e308j], [0.0, 0.5]],  # d is finite, |d| overflows
+        [[0.5, 1e308], [-1e308, 0.5]],            # d = rho - rho^H would overflow
+        [[0.5, 1.5e308 + 1.5e308j], [0.0, 0.5]],  # |d| would overflow
     ], ids=["difference", "modulus"])
     def test_pair_near_the_float_limit_refused(self, rng, full_tests, rho):
-        # finite entries whose Hermiticity test passes the float limit: refused
-        # as not Hermitian, with no overflow warning on the way
-        with pytest.raises(ValueError, match=r"^rho must be Hermitian \(tolerance 1e-9\)$"):
+        # finite entries past the bound: refused before the Hermiticity test,
+        # with no overflow warning on the way
+        with pytest.raises(ValueError, match=DENSITY_REFUSAL):
             multilevel_rhs(rho, random_system(rng, 2))
-        assert full_tests == {"finite": 1, "hermitian": 1}
+        assert full_tests == {"hermitian": 0}
+
+    @pytest.mark.parametrize("coherence, accepted", [
+        (1e308, False), (1e200, False),   # finite, Hermitian, unit trace: the derivative overflowed
+        (1.3, True),                      # sum |rho_ab|^2 = 3.88
+        (1.4, False),                     # sum |rho_ab|^2 = 4.42
+    ])
+    def test_hermitian_pair_past_the_bound_refused(self, coherence, accepted):
+        sysm = NLevelSystem(np.array([0.0, 3.0]), np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)),
+                            np.zeros((2, 2)), np.zeros((2, 2, 3), dtype=complex))
+        rho = np.array([[0.5, coherence], [coherence, 0.5]], dtype=complex)
+        if accepted:
+            assert np.array_equal(multilevel_rhs(rho, sysm), [[0.0, 3j * coherence], [-3j * coherence, 0.0]])
+        else:
+            with pytest.raises(ValueError, match=DENSITY_REFUSAL):
+                multilevel_rhs(rho, sysm)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(np.nan, 1.0)])
     @pytest.mark.parametrize("placement", ["population", "coherence", "hermitian-pair"])
@@ -449,7 +489,7 @@ class TestInputChecks:
                 rho[i, j] = bad
                 if placement == "hermitian-pair":
                     rho[j, i] = np.conj(bad)
-                with pytest.raises(ValueError, match=r"^rho must be Hermitian \(tolerance 1e-9\)$"):
+                with pytest.raises(ValueError, match=DENSITY_REFUSAL):
                     multilevel_rhs(rho, sysm)
 
 
@@ -503,6 +543,17 @@ class TestFrequencyShiftGeneral:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^gamma_matrix must be finite$"):
                 frequency_shift_general(np.array([0.5, 0.5]), gamma)
+
+    @pytest.mark.parametrize("pops, gamma", [
+        ([1e200, -1e200, 1.0], np.eye(3)),             # gave shifts of 2e200
+        ([1e308, -1e308, 1.0], 2.0 * np.ones((3, 3))),  # overflowed in the product
+    ], ids=["1e200", "1e308"])
+    def test_populations_past_the_density_bound_rejected(self, pops, gamma):
+        # they sum to 1, but sum p^2 <= Tr(rho^2) <= 1 for a density matrix
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sum to 1"):
+                frequency_shift_general(np.array(pops), gamma)
 
     @pytest.mark.parametrize("pops", [[np.nan, 0.5], [1.0, np.nan], [np.inf, 0.0], [np.inf, -np.inf]])
     def test_non_finite_populations_rejected(self, pops):
