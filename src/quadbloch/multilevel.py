@@ -33,16 +33,20 @@ Every entry of the result lies within
 of the exact derivative at H, plus rounding, where ||V|| is the largest sum
 of |V_ab| over a row.
 
-``multilevel_rhs`` checks its input on every call, in order: the shape of
-rho, sum |rho_ab|^2 <= 4, Hermiticity to 1e-9 entrywise, unit trace to
-1e-9, and the shape of the drive's field. A density matrix has
-sum |rho_ab|^2 = Tr(rho rho^H) <= 1; the bound of 4 passes RK4's stage
-values, which need not be density matrices, and refuses nan, inf and any
-entry large enough to overflow in the checks after it. ``np.vdot`` forms
-each sum of squares in BLAS with no numpy FP warning. The Hermiticity check
-passes when sum |d|^2 <= (tol/2)^2, with d = rho - rho^H, which bounds
-max |d| below tol; only when that sum cannot decide does the entrywise
-test run.
+``multilevel_rhs`` checks, in order: the shape of rho, sum |rho_ab|^2 <= 4,
+Hermiticity to 1e-9 entrywise, unit trace to 1e-9, and the drive's field.
+A density matrix has sum |rho_ab|^2 = Tr(rho rho^H) <= 1; 4 passes RK4's
+stage values, which need not be density matrices. The Hermiticity check
+passes when sum |d|^2 <= (tol/2)^2, d = rho - rho^H, which bounds max |d|
+below tol; only when that sum cannot decide does the entrywise test run.
+
+Every other input (``NLevelSystem``'s six arrays, the drive's field on every
+call, ``frequency_shift_general``'s gamma) has sum |x|^2 <= 1e200.
+``np.vdot`` forms each sum in BLAS with no numpy FP warning, and "not <="
+refuses nan and inf. With |rho_ab| <= 2, Cauchy-Schwarz then gives
+|Omega| <= 2e100, rates <= 3.5e100, |Omega D / c| <= 1.5e198 and
+|V| <= 1.5e298, so X and the derivative stay below 6e298: nothing accepted
+overflows, at any N.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from .constants import SPEED_OF_LIGHT
 _INPUT_TOL = 1e-9
 _HERMITIAN_SUMSQ = (0.5 * _INPUT_TOL) ** 2   # a Frobenius norm within tol/2 passes the Hermiticity check
 _MAX_SUMSQ = 4.0                              # sum |rho_ab|^2 <= 1 for a density matrix
+_MAX_INPUT_SUMSQ = 1e200                      # every caller's array and field: Frobenius norm <= 1e100
 _STRUCT_TOL = 1e-12
 
 # bound once: multilevel_rhs runs four times per RK4 step
@@ -104,27 +109,21 @@ class NLevelSystem:
         _require(dip.shape == (n, n, 3), f"dipoles must have shape ({n}, {n}, 3)")
 
         for name in ("energies", "gamma", "a_rates", "b_rates", "c_rates", "dipoles"):
-            _require(np.all(np.isfinite(getattr(self, name))), f"{name} must be finite")
-        # finite inputs can still overflow here: an inf fails its symmetry
-        # test, and a non-finite derived array is refused below
-        with np.errstate(over="ignore", invalid="ignore"):
-            _require(np.max(np.abs(self.gamma - self.gamma.T)) <= _STRUCT_TOL, "gamma must be symmetric")
-            for name in ("a_rates", "b_rates", "c_rates"):
-                mat = getattr(self, name)
-                _require(np.max(np.abs(mat + mat.T)) <= _STRUCT_TOL, f"{name} must be antisymmetric")
-            _require(np.max(np.abs(dip - np.conj(np.transpose(dip, (1, 0, 2))))) <= _STRUCT_TOL,
-                     "dipole matrix must be Hermitian")
+            arr = getattr(self, name)
+            _require(_vdot(arr, arr).real <= _MAX_INPUT_SUMSQ, f"{name} must have sum |x|^2 <= {_MAX_INPUT_SUMSQ:g}")
+        _require(np.max(np.abs(self.gamma - self.gamma.T)) <= _STRUCT_TOL, "gamma must be symmetric")
+        for name in ("a_rates", "b_rates", "c_rates"):
+            mat = getattr(self, name)
+            _require(np.max(np.abs(mat + mat.T)) <= _STRUCT_TOL, f"{name} must be antisymmetric")
+        _require(np.max(np.abs(dip - np.conj(np.transpose(dip, (1, 0, 2))))) <= _STRUCT_TOL,
+                 "dipole matrix must be Hermitian")
 
-            omega = self.omega_matrix()
-            free = self._store("_free", -1j * omega, complex)
-            relax = 0.5 * self.a_rates - self.b_rates + self.c_rates
-            rates = self._store("_rates", relax + 1j * self.gamma, complex)
-            # Omega_ab D_ab / c as rows of (N^2, 3), so V(t) is one product with A0(t)
-            drive = self._store("_drive_dipoles",
-                                (omega[:, :, None] * dip / SPEED_OF_LIGHT).reshape(n * n, 3), complex)
-        for arr, what in ((free, "level splittings E_a - E_b"), (rates, "rate matrix A/2 - B + C + i Gamma"),
-                          (drive, "drive coupling Omega D / c")):
-            _require(np.all(np.isfinite(arr)), f"{what} must be finite")
+        omega = self.omega_matrix()
+        self._store("_free", -1j * omega, complex)
+        relax = 0.5 * self.a_rates - self.b_rates + self.c_rates
+        self._store("_rates", relax + 1j * self.gamma, complex)
+        # Omega_ab D_ab / c as rows of (N^2, 3), so V(t) is one product with A0(t)
+        self._store("_drive_dipoles", (omega[:, :, None] * dip / SPEED_OF_LIGHT).reshape(n * n, 3), complex)
 
     def _store(self, name: str, value, dtype) -> np.ndarray:
         """Set a field to a read-only copy, so no caller's array is shared."""
@@ -173,8 +172,9 @@ def multilevel_rhs(rho: np.ndarray, system: NLevelSystem, t: float = 0.0) -> np.
         x = y[:, None] * rho
     else:
         a0 = np.asarray(system.drive(t), dtype=float)
-        if a0.shape != (3,):
-            raise ValueError("drive must return a 3-vector")
+        u, v, w = a0.tolist() if a0.shape == (3,) else (np.nan,) * 3  # floats: cheaper than a0.dot(a0)
+        if not u * u + v * v + w * w <= _MAX_INPUT_SUMSQ:   # a wrong shape fails as nan
+            raise ValueError(f"drive must return a 3-vector with sum |x|^2 <= {_MAX_INPUT_SUMSQ:g}, got {a0!r}")
         # V's diagonal is exactly zero (Omega_aa = 0), so diag(y) + V is V with y on it
         g = system._drive_dipoles.dot(a0)
         g[::shape[0] + 1] += y
@@ -189,8 +189,7 @@ def frequency_shift_general(populations: np.ndarray, gamma_matrix: np.ndarray) -
     n = pops.shape[0]
     if gamma.shape != (n, n):
         raise ValueError(f"gamma_matrix must have shape ({n}, {n})")
-    if not np.isfinite(gamma).all():
-        raise ValueError("gamma_matrix must be finite")
+    _require(_vdot(gamma, gamma) <= _MAX_INPUT_SUMSQ, f"gamma_matrix must have sum |x|^2 <= {_MAX_INPUT_SUMSQ:g}")
     # sum p^2 <= Tr(rho^2) <= 1, as multilevel_rhs bounds rho; "not <=" so nan fails
     if not (_vdot(pops, pops) <= _MAX_SUMSQ and abs(pops.sum() - 1.0) <= _INPUT_TOL):
         raise ValueError("populations must sum to 1 (tolerance 1e-9)")

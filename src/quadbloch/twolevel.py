@@ -220,11 +220,21 @@ def _onto_sphere(initial):
     return initial
 
 
+def _in_ball(initial):
+    """``initial`` as given when its norm is at most 1 + BALL_SLACK; a ValueError
+    naming it otherwise, nan included. ``math.hypot`` cannot overflow."""
+    start = tuple(float(v) for v in initial)
+    norm = math.hypot(*start)
+    if not norm <= 1.0 + BALL_SLACK:
+        raise ValueError(f"start {start} has norm {norm:.17g}, outside the Bloch ball |P| <= 1 + {BALL_SLACK:g}")
+    return initial
+
+
 def _flow_anchor(p: TwoLevelParams, t_start: float, initial=None) -> tuple[tuple, float]:
-    """(start, at) of a run from t_start: ``initial`` at t_start, or by default
-    (1, 0, 0) at t0, or at t_start when q = 0, which has no t0."""
+    """(start, at) of a run from t_start: ``initial`` at t_start (``_in_ball``),
+    or by default (1, 0, 0) at t0, or at t_start when q = 0, which has no t0."""
     if initial is not None:
-        return initial, t_start
+        return _in_ball(initial), t_start
     return _EQUATOR, (t_start if p.q == 0.0 else p.t0)
 
 

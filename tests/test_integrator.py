@@ -13,10 +13,12 @@ from quadbloch import (
     bloch_rhs,
     bloch_to_density,
     exact_trajectory,
+    frequency_shift,
     integrate,
 )
 from quadbloch.cli import _csv_columns
 from quadbloch.integrator import _pz_recurrence, time_grid
+from quadbloch.verification import run_checks
 
 from oracles import density_rhs_two_level
 
@@ -341,3 +343,38 @@ class TestDensityTraceMillionSteps:
             if drift > worst:
                 worst = drift
         assert worst < 1e-10
+
+
+OUTSIDE_THE_BALL = [(0.0, 0.0, 2.0), (3.0, 0.0, 0.0), (math.nan, 0.0, 0.0)]
+BALL_REFUSAL = r"^start \(.+\) has norm \S+, outside the Bloch ball \|P\| <= 1 \+ 1e-06$"
+
+
+@pytest.mark.parametrize("start", OUTSIDE_THE_BALL, ids=["pz-2", "px-3", "nan"])
+class TestStartOutsideTheBall:
+    """Every library entry point that takes a start refuses one outside the
+    Bloch ball by name. ``integrate`` and ``run_checks`` raised StepSizeError
+    at t_start, blaming the step or an overflow; ``exact_trajectory`` and
+    ``frequency_shift`` returned samples of norm 2, 3 or nan."""
+
+    def test_integrate(self, start):
+        with pytest.raises(ValueError, match=BALL_REFUSAL):
+            integrate(start, CANONICAL, -1.0, 1.0, 0.1)
+
+    def test_exact_trajectory(self, start):
+        with pytest.raises(ValueError, match=BALL_REFUSAL):
+            exact_trajectory(start, CANONICAL, -1.0, 1.0, 0.1)
+
+    def test_run_checks(self, start):
+        with pytest.raises(ValueError, match=BALL_REFUSAL):
+            run_checks(CANONICAL, -1.0, 1.0, 0.1, initial=start)
+
+    def test_frequency_shift(self, start):
+        with pytest.raises(ValueError, match=BALL_REFUSAL):
+            frequency_shift(0.5, CANONICAL, initial=start, t_start=-1.0)
+
+
+@pytest.mark.parametrize("start", [(0.0, 0.0, 1.0000005), (0.6, 0.0, -0.8000008)])
+def test_start_within_the_slack_enters_integrate_as_given(start):
+    # the ball rule allows norms up to 1 + 1e-6, and integrate does not move them onto the sphere
+    assert 1.0 < math.hypot(*start) <= 1.0 + 1e-6
+    assert tuple(integrate(start, CANONICAL, -1.0, 1.0, 0.1).bloch[0]) == start

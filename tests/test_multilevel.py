@@ -1,4 +1,3 @@
-import re
 import warnings
 from dataclasses import replace
 
@@ -64,6 +63,10 @@ def reference_rhs(rho, system, t=0.0):
     return ddt
 
 
+INPUT_REFUSAL = r" must have sum \|x\|\^2 <= 1e\+200$"
+DRIVE_REFUSAL = r"^drive must return a 3-vector with sum \|x\|\^2 <= 1e\+200, got "
+
+
 def two_level_system(p: TwoLevelParams) -> NLevelSystem:
     energies = np.array([-0.5 * p.omega21, 0.5 * p.omega21])
     gamma = np.array([[p.gamma11, p.gamma12], [p.gamma12, p.gamma22]])
@@ -108,26 +111,43 @@ class TestSystemValidation:
         inputs[name][(1,) * inputs[name].ndim] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            with pytest.raises(ValueError, match=f"^{name}{INPUT_REFUSAL}"):
                 NLevelSystem(**inputs)
 
-    @pytest.mark.parametrize("inputs, message", [
-        ({"energies": np.array([-1e308, 1e308])}, "level splittings E_a - E_b"),
+    @pytest.mark.parametrize("inputs, name", [
+        ({"energies": np.array([-1e308, 1e308])}, "energies"),
         ({"b_rates": np.array([[0.0, 1e308], [-1e308, 0.0]]),
-          "c_rates": np.array([[0.0, -1e308], [1e308, 0.0]])}, "rate matrix A/2 - B + C"),
-        ({"energies": np.array([0.0, 3.0]), "dipoles": np.full((2, 2, 3), 1e308 + 0j)},
-         "drive coupling Omega D / c"),
-        ({"a_rates": np.array([[0.0, 1e308], [1e308, 0.0]])}, "a_rates must be antisymmetric"),
-    ], ids=["splittings", "rate-matrix", "drive-coupling", "antisymmetry-sum"])
-    def test_finite_inputs_overflowing_in_a_derived_array_rejected(self, inputs, message):
-        # each raised a numpy overflow warning, and the first three built a
-        # system whose multilevel_rhs returned nan
+          "c_rates": np.array([[0.0, -1e308], [1e308, 0.0]])}, "b_rates"),
+        ({"energies": np.array([0.0, 3.0]), "dipoles": np.full((2, 2, 3), 1e308 + 0j)}, "dipoles"),
+        ({"a_rates": np.array([[0.0, 1e308], [1e308, 0.0]])}, "a_rates"),
+        # Omega = -1.7e308 is finite: a finiteness check built this system, and
+        # multilevel_rhs overflowed at _free * rho on an accepted rho
+        ({"energies": np.array([0.0, 1.7e308])}, "energies"),
+    ], ids=["splittings", "rate-matrix", "drive-coupling", "antisymmetry-sum", "splitting-near-the-limit"])
+    def test_input_past_the_bound_rejected_by_name(self, inputs, name):
+        # finite inputs whose derived arrays (E_a - E_b, A/2 - B + C, Omega D / c,
+        # or a + a.T) would overflow: the input itself is refused, before any of them is formed
         fields = {"energies": np.zeros(2), "gamma": np.zeros((2, 2)), "a_rates": np.zeros((2, 2)),
                   "b_rates": np.zeros((2, 2)), "c_rates": np.zeros((2, 2)),
                   "dipoles": np.zeros((2, 2, 3), dtype=complex), **inputs}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="^" + re.escape(message)):
+            with pytest.raises(ValueError, match=f"^{name}{INPUT_REFUSAL}"):
+                NLevelSystem(**fields)
+
+    @pytest.mark.parametrize("energies, accepted", [
+        ([0.0, 1e100], True),
+        ([0.0, np.nextafter(1e100, np.inf)], False),
+        ([0.8e100, -0.8e100], False),     # each entry inside 1e100, the sum of squares past 1e200
+    ], ids=["at-the-bound", "one-ulp-past", "sum-past"])
+    def test_bound_is_on_the_sum_of_squares(self, energies, accepted):
+        fields = {"energies": np.array(energies), "gamma": np.zeros((2, 2)), "a_rates": np.zeros((2, 2)),
+                  "b_rates": np.zeros((2, 2)), "c_rates": np.zeros((2, 2)),
+                  "dipoles": np.zeros((2, 2, 3), dtype=complex)}
+        if accepted:
+            assert np.array_equal(NLevelSystem(**fields).omega_matrix(), [[0.0, -1e100], [1e100, 0.0]])
+        else:
+            with pytest.raises(ValueError, match=f"^energies{INPUT_REFUSAL}"):
                 NLevelSystem(**fields)
 
     @pytest.mark.parametrize("energies", [1.0, np.zeros((2, 2))])
@@ -302,6 +322,40 @@ class TestMultilevelRhs:
         rho = np.array([[0.7, 0.1 + 0.05j], [0.1 - 0.05j, 0.3]], dtype=complex)
         d = multilevel_rhs(rho, sysm, t=0.0)
         assert abs(d[0, 0]) > 0.0
+
+    @pytest.mark.parametrize("field", [np.zeros(2), np.zeros(4), np.zeros((3, 1)), 0.5, None],
+                             ids=["2-vector", "4-vector", "column", "scalar", "none"])
+    def test_drive_of_the_wrong_shape_rejected(self, rng, field):
+        sysm = random_system(rng, 3, drive=lambda t: field)
+        with pytest.raises(ValueError, match=DRIVE_REFUSAL):
+            multilevel_rhs(random_hermitian_density(rng, 3), sysm)
+
+    @pytest.mark.parametrize("component", [np.nan, np.inf, -np.inf, 1e101, 1.7e308])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_drive_past_the_bound_rejected(self, rng, component, axis):
+        # a nan field gave an all-nan derivative, with no error and no warning
+        a0 = np.array([0.4, -0.9, 0.25])
+        a0[axis] = component
+        sysm = random_system(rng, 3, drive=lambda t: a0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=DRIVE_REFUSAL):
+                multilevel_rhs(random_hermitian_density(rng, 3), sysm)
+
+    @pytest.mark.parametrize("amplitude, accepted", [(1e100, True), (np.nextafter(1e100, np.inf), False)])
+    def test_drive_at_the_bound_gives_the_exact_derivative(self, amplitude, accepted):
+        # Omega D / c = [[0, -1], [1, 0]] along x exactly, so V = amplitude * that and,
+        # with zero rates, every product and sum in the derivative is exact
+        dip = np.zeros((2, 2, 3), dtype=complex)
+        dip[0, 1, 0] = dip[1, 0, 0] = SPEED_OF_LIGHT
+        sysm = NLevelSystem(np.array([0.0, 1.0]), np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)),
+                            np.zeros((2, 2)), dip, drive=lambda t: np.array([amplitude, 0.0, 0.0]))
+        rho = np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)
+        if accepted:
+            assert np.array_equal(multilevel_rhs(rho, sysm), [[0.5e100, 0.25j], [-0.25j, -0.5e100]])
+        else:
+            with pytest.raises(ValueError, match=DRIVE_REFUSAL):
+                multilevel_rhs(rho, sysm)
 
     def test_drive_term_matches_written_out_coupling(self, rng):
         # -[V, rho]/c with V_ab = (E_a - E_b) sum_i D_ab,i A0_i, element by element
@@ -541,8 +595,15 @@ class TestFrequencyShiftGeneral:
         gamma[0, 1] = gamma[1, 0] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="^gamma_matrix must be finite$"):
+            with pytest.raises(ValueError, match=f"^gamma_matrix{INPUT_REFUSAL}"):
                 frequency_shift_general(np.array([0.5, 0.5]), gamma)
+
+    def test_gamma_past_the_bound_rejected(self):
+        # finite, so it passed a finiteness check, and overflowed in the product
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^gamma_matrix{INPUT_REFUSAL}"):
+                frequency_shift_general(np.array([1.3, -0.3]), 1.7e308 * np.ones((2, 2)))
 
     @pytest.mark.parametrize("pops, gamma", [
         ([1e200, -1e200, 1.0], np.eye(3)),             # gave shifts of 2e200
@@ -561,3 +622,86 @@ class TestFrequencyShiftGeneral:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="sum to 1"):
                 frequency_shift_general(np.array(pops), np.eye(2))
+
+
+# 0 and 1 with every sign, the subnormal and float limits, values on both
+# sides of the 1e200 sum-of-squares bound, nan and inf
+EDGE_VALUES = np.array([0.0, 5e-324, 1e-300, 1e-150, 1.0, 1e50, 1e99, 1e101, 1e150, 1e300, 1.7e308,
+                        np.nan, np.inf])
+
+
+def edge_draw(rng, shape):
+    """Normal entries; in half the draws about 30% of them made an edge value of either sign."""
+    x = rng.normal(size=shape)
+    if rng.random() < 0.5:
+        mask = rng.random(shape) < 0.3
+        x[mask] = rng.choice(EDGE_VALUES, size=mask.sum()) * rng.choice([-1.0, 1.0], size=mask.sum())
+    return x
+
+
+def edge_system_inputs(rng, n):
+    """NLevelSystem's six arrays from edge draws, placed so the symmetry rules hold exactly."""
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    m = np.where(upper, edge_draw(rng, (n, n)), 0.0)
+    gamma = m + m.T + np.diag(edge_draw(rng, n))
+
+    def antisymmetric():
+        m = np.where(upper, edge_draw(rng, (n, n)), 0.0)
+        return m - m.T
+
+    z = edge_draw(rng, (n, n, 3)).astype(complex)
+    z.imag = edge_draw(rng, (n, n, 3))
+    z = np.where(upper[:, :, None], z, 0.0)
+    dipoles = z + np.conj(np.transpose(z, (1, 0, 2)))
+    dipoles[np.arange(n), np.arange(n)] = edge_draw(rng, (n, 3))
+    return {"energies": edge_draw(rng, n), "gamma": gamma, "a_rates": antisymmetric(),
+            "b_rates": antisymmetric(), "c_rates": antisymmetric(), "dipoles": dipoles}
+
+
+def edge_density(rng, n):
+    """An exactly Hermitian density matrix, as drawn or with an edge value put
+    on a Hermitian pair of coherences or moved between two populations."""
+    rho = exactly_hermitian_density(rng, n)
+    a, b = rng.choice(n, size=2, replace=False)
+    e = rng.choice(EDGE_VALUES) * rng.choice([-1.0, 1.0])
+    kind = rng.integers(3)
+    if kind == 1:
+        rho[a, b] = e
+        rho[b, a] = np.conj(e)
+    elif kind == 2:
+        rho[a, a] += e
+        rho[b, b] -= e
+    return rho
+
+
+def test_edge_value_fuzz_refuses_or_returns_finite(rng):
+    # every call raises ValueError or returns a finite result, with no numpy
+    # RuntimeWarning on the way; enough draws are accepted to reach each body
+    accepted = {"system": 0, "rhs": 0, "shift": 0}
+
+    def finite_or_refused(what, k, call):
+        try:
+            out = call()
+        except ValueError:
+            return None
+        except RuntimeWarning as w:
+            pytest.fail(f"draw {k}, {what}: {w}")
+        # a system's result is its derived arrays
+        arrays = [out._free, out._rates, out._drive_dipoles] if what == "system" else [out]
+        assert all(np.isfinite(arr).all() for arr in arrays), f"draw {k}, {what}: non-finite result"
+        accepted[what] += 1
+        return out
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(1000):
+            n = int(rng.choice([2, 3, 5]))
+            inputs = edge_system_inputs(rng, n)
+            a0 = edge_draw(rng, 3)
+            drive = (lambda t: a0) if rng.random() < 0.7 else None
+            rho = edge_density(rng, n)
+            sysm = finite_or_refused("system", k, lambda: NLevelSystem(**inputs, drive=drive))
+            if sysm is not None:
+                finite_or_refused("rhs", k, lambda: multilevel_rhs(rho, sysm))
+            finite_or_refused("shift", k, lambda: frequency_shift_general(rho.diagonal().real, inputs["gamma"]))
+    assert min(accepted.values()) >= 40, accepted
