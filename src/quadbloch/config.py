@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, fields
 
 from .hydrogenic import _ORBITAL_LETTERS, BoundState
-from .twolevel import BALL_SLACK, BlochVector, TwoLevelParams, _onto_sphere
+from .twolevel import BlochVector, TwoLevelParams, _ball_start
 
 MODES = ("coeffs", "simulate", "verify", "shift")
 
@@ -133,7 +133,7 @@ def _build(raw: dict[str, tuple[str, str]], mode: str) -> RunConfig:
     initial_keys = [k for k in ("px0", "py0", "pz0") if floats[k] is not None]
     if initial_keys and len(initial_keys) != 3:
         raise ConfigError("px0, py0, pz0 must be given together")
-    initial = _onto_sphere(BlochVector(floats["px0"], floats["py0"], floats["pz0"])) if initial_keys else None
+    initial = BlochVector(floats["px0"], floats["py0"], floats["pz0"]) if initial_keys else None
 
     cfg = RunConfig(
         mode=mode,
@@ -177,10 +177,10 @@ def _validate(cfg: RunConfig, raw: dict[str, tuple[str, str]]):
         if cfg.mode == "simulate" and cfg.output is None:
             raise ConfigError("simulate mode requires key 'output'")
         if cfg.initial is not None:
-            norm = cfg.initial.norm()
-            if not norm <= 1.0 + BALL_SLACK:
-                raise ConfigError(f"initial state (px0, py0, pz0) has norm {norm:.17g}, "
-                                  f"outside the Bloch ball |P| <= 1 + {BALL_SLACK:g}")
+            try:
+                _ball_start(cfg.initial)    # the run's own rule; the start is kept as written
+            except ValueError as exc:
+                raise ConfigError(f"initial state (px0, py0, pz0): {exc}") from None
     if cfg.k_max is not None and cfg.k_max < 0:
         raise ConfigError(f"key 'k_max' must be nonnegative, got {cfg.k_max}")
 

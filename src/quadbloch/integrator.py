@@ -118,8 +118,8 @@ def integrate(initial: BlochVector | None, p: TwoLevelParams, t_start: float,
 
     The span is divided into round(span/step) equal steps, so the last sample
     lands exactly on t_end. ``initial=None`` starts from the closed-form
-    value at t_start, and a given start outside the Bloch ball is a
-    ValueError (``twolevel._in_ball``). Aborts with StepSizeError at the
+    value at t_start, and a given start takes the rule of every run
+    (``twolevel._ball_start``). Aborts with StepSizeError at the
     first sample k whose norm leaves the closed unit ball by more than 1e-6,
     or overflows: from a coarse step, or from rounding the flow grew by e^g,
     g = 2 q h sum(Pz[:k]) (d(|P|^2 - 1)/dt = 2 q Pz (|P|^2 - 1)), which no
@@ -127,7 +127,7 @@ def integrate(initial: BlochVector | None, p: TwoLevelParams, t_start: float,
     """
     t, h = time_grid(t_start, t_end, step)
     start, at = _flow_anchor(p, t_start, initial)
-    # a given start enters RK4 as given, not re-evaluated through the flow
+    # a given start enters RK4 as the rule gives it, not re-evaluated through the flow
     if initial is None:
         start = bloch_flow(t_start, p, start, at)
     px0, py0, pz0 = (float(v) for v in start)

@@ -186,6 +186,7 @@ def frequency_shift_general(populations: np.ndarray, gamma_matrix: np.ndarray) -
     """Population-weighted shift matrix: shift_ab = -sum_k (G_ak - G_kb) p_k."""
     pops = np.asarray(populations, dtype=float)
     gamma = np.asarray(gamma_matrix, dtype=float)
+    _require(pops.ndim == 1, f"populations must be 1-D, got shape {pops.shape}")
     n = pops.shape[0]
     if gamma.shape != (n, n):
         raise ValueError(f"gamma_matrix must have shape ({n}, {n})")

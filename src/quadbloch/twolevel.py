@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 # Slack by which a state may leave the closed unit ball (rounding of inputs
-# and of the fixed-step integrator), shared by the config and the integrator.
+# and of the fixed-step integrator), shared by the start rule and the integrator.
 BALL_SLACK = 1e-6
 _EQUATOR = (1.0, 0.0, 0.0)
 _FLOW_ROUNDING = 8.0         # eps per unit of (1 + phase) in one flow sample
@@ -206,35 +206,26 @@ def _flow_rounding(p: TwoLevelParams, at: float, t_start: float, t_end: float) -
     return _FLOW_ROUNDING * np.finfo(float).eps * (1.0 + _rate_bound(p) * span)
 
 
-def _onto_sphere(initial):
-    """``initial`` divided by its norm when that norm is in (1, 1 + BALL_SLACK],
-    so that the flow and RK4 start from the same pole: the flow holds
-    |Pz0| >= 1 fixed, RK4 moves Pz0 > 1 by q (Pz^2 - 1). Any other start, and
-    None, is returned as given."""
-    if initial is None:
-        return None
+def _ball_start(initial) -> BlochVector:
+    """``initial`` by the one rule for a given start: a ValueError naming it
+    when its norm (``math.hypot``, which cannot overflow) is above
+    1 + BALL_SLACK, nan included; divided by its norm when that is in
+    (1, 1 + BALL_SLACK], so that the flow and RK4 start from the same pole
+    (the flow holds |Pz0| >= 1 fixed, RK4 moves Pz0 > 1 by q (Pz^2 - 1));
+    as given otherwise."""
     start = BlochVector(*(float(v) for v in initial))
-    norm = start.norm()
-    if 1.0 < norm <= 1.0 + BALL_SLACK:
-        return BlochVector(*(v / norm for v in start))
-    return initial
-
-
-def _in_ball(initial):
-    """``initial`` as given when its norm is at most 1 + BALL_SLACK; a ValueError
-    naming it otherwise, nan included. ``math.hypot`` cannot overflow."""
-    start = tuple(float(v) for v in initial)
     norm = math.hypot(*start)
     if not norm <= 1.0 + BALL_SLACK:
-        raise ValueError(f"start {start} has norm {norm:.17g}, outside the Bloch ball |P| <= 1 + {BALL_SLACK:g}")
-    return initial
+        raise ValueError(f"start {tuple(start)} has norm {norm:.17g}, outside the Bloch ball |P| <= 1 + {BALL_SLACK:g}")
+    norm = start.norm()     # BlochVector.norm divides, so the projected starts simulate writes keep their bits
+    return BlochVector(*(v / norm for v in start)) if norm > 1.0 else start
 
 
 def _flow_anchor(p: TwoLevelParams, t_start: float, initial=None) -> tuple[tuple, float]:
-    """(start, at) of a run from t_start: ``initial`` at t_start (``_in_ball``),
+    """(start, at) of a run from t_start: ``initial`` at t_start (``_ball_start``),
     or by default (1, 0, 0) at t0, or at t_start when q = 0, which has no t0."""
     if initial is not None:
-        return _in_ball(initial), t_start
+        return _ball_start(initial), t_start
     return _EQUATOR, (t_start if p.q == 0.0 else p.t0)
 
 

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrator import StepSizeError, Trajectory, _step_count, integrate
-from .twolevel import (TwoLevelParams, _flow_anchor, _flow_rounding, _onto_sphere, _rate_bound, _shift,
+from .twolevel import (TwoLevelParams, _flow_anchor, _flow_rounding, _rate_bound, _shift,
                        additional_shift, bloch_flow, bloch_rhs, bloch_to_density, frequency_shift)
 
 _RESIDUAL_TOL = 1e-6
@@ -198,15 +198,13 @@ def run_checks(p: TwoLevelParams, t_start: float, t_end: float, step: float,
                initial=None) -> tuple[Report, Trajectory]:
     """Run every check at the given parameters and return (report, trajectory).
 
-    A start just outside the unit sphere is put on it, as the config does
-    (``twolevel._onto_sphere``). More than ``_MAX_RK4_STEPS`` steps are
-    refused with a ValueError.
+    A given start takes the rule of every run (``twolevel._ball_start``).
+    More than ``_MAX_RK4_STEPS`` steps are refused with a ValueError.
     """
     steps = _step_count(t_start, t_end, step)
     if steps > _MAX_RK4_STEPS:
         raise ValueError(f"verify runs RK4 on {steps} steps; RK4 needs about 500 bytes per step, "
                          f"and verify's limit is {_MAX_RK4_STEPS:.0e} steps")
-    initial = _onto_sphere(initial)
     q = p.q
     checks: list[Check] = []
     traj = integrate(initial, p, t_start, t_end, step)

@@ -13,9 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quadbloch import TwoLevelParams, analytic_bloch, cli, constants, integrate, verification
+from quadbloch import (TwoLevelParams, additional_shift, analytic_bloch, cli, constants, frequency_shift, integrate,
+                       verification)
 from quadbloch.cli import main
 from quadbloch.csvformat import _CELLS_PER_WRITE, write_table
+from quadbloch.integrator import time_grid
+from quadbloch.twolevel import _flow_anchor
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -29,6 +32,10 @@ t_start = -20
 t_end = 20
 step = 0.01
 """
+
+# starts with norm in (1, 1 + 1e-6], which every run puts on the unit sphere
+SLACK_STARTS = {"north": (0.0, 0.0, 1.0000005), "south": (0.0, 0.0, -1.0000005),
+                "upper": (0.6, 0.0, 0.8000004), "lower": (0.6, 0.0, -0.8000008)}
 
 # rates that overflow double precision along the run: the table has nan or inf cells
 OVERFLOWING_RATES = """
@@ -558,17 +565,33 @@ class TestVerify:
         assert re.search(r"convergence_order +- +exact \(fixed point\) +skipped", out)
         assert "overall: PASS" in out
 
-    @pytest.mark.parametrize("pz0", [1.0000005, -1.0000005])
-    def test_library_start_inside_the_slack_matches_the_cli(self, tmp_path, capsys, pz0):
-        # run_checks puts the start on the sphere by the config's rule; it read a
-        # convergence_order FAIL at 1.0 when RK4 started off the pole
+    @pytest.mark.parametrize("start", sorted(SLACK_STARTS))
+    @pytest.mark.parametrize("command", ["simulate", "verify", "shift"])
+    def test_library_start_inside_the_slack_matches_the_cli(self, tmp_path, capsys, command, start):
+        # the config keeps the start as written and every run puts it on the sphere by
+        # one rule; run_checks read a convergence_order FAIL at 1.0 when RK4 started off the pole
+        initial = SLACK_STARTS[start]
         p = TwoLevelParams(omega21=1.0, a12=0.2, gamma11=0.02, gamma12=-0.04)
-        report, _ = verification.run_checks(p, -1.0, 1.0, 0.01, initial=(0.0, 0.0, pz0))
-        assert report.passed
-        cfg = write(tmp_path / "v.cfg", f"px0 = 0\npy0 = 0\npz0 = {pz0!r}\n"
+        out = tmp_path / "run.csv"
+        cfg = write(tmp_path / "v.cfg", "px0 = {!r}\npy0 = {!r}\npz0 = {!r}\n".format(*initial) + f"output = {out}\n"
                     + CANONICAL_DYNAMICS.replace("t_start = -20\nt_end = 20\n", "t_start = -1\nt_end = 1\n"))
-        assert main(["verify", "--config", cfg]) == 0
-        assert capsys.readouterr().out == report.format() + "\n"
+        assert main([command, "--config", cfg]) == 0
+        text = capsys.readouterr().out
+        anchor, _ = _flow_anchor(p, -1.0, initial)
+        assert anchor != initial and math.hypot(*anchor) == pytest.approx(1.0, abs=2e-16)
+        if command == "simulate":
+            assert f"# start = {', '.join(f'{v:.17g}' for v in anchor)}" in out.read_text().splitlines()
+            assert tuple(load_csv(out)[0, 1:4]) == anchor
+        elif command == "verify":
+            report, _ = verification.run_checks(p, -1.0, 1.0, 0.01, initial=initial)
+            assert report.passed and text == report.format() + "\n"
+        else:
+            rows = np.array([[float(x) for x in line.split(",")] for line in text.splitlines()[1:]])
+            times, _ = time_grid(-1.0, 1.0, 0.01)
+            assert rows[:, 0].tolist() == times.tolist()
+            assert rows[:, 1].tolist() == frequency_shift(times, p, initial, -1.0).tolist()
+            assert rows[:, 2].tolist() == frequency_shift(times, p.dipole_only(), initial, -1.0).tolist()
+            assert rows[:, 3].tolist() == additional_shift(times, p, initial, -1.0).tolist()
 
     def test_flipped_rotation_fails_residual(self, tmp_path, capsys, flip_rotation):
         cfg = write(tmp_path / "v.cfg", "step = 0.001\n"
@@ -850,6 +873,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["simulate", "verify", "shift"])
+    def test_overflowing_start_is_one(self, tmp_path, capsys, command):
+        # |P|^2 = 1e400 overflowed a float: exit 1 with "(34, 'Numerical result out of range')"
+        out = tmp_path / "o.csv"
+        cfg = write(tmp_path / "run.cfg", f"output = {out}\npx0 = 1e200\npy0 = 0\npz0 = 0\n" + CANONICAL_DYNAMICS)
+        assert main([command, "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: initial state (px0, py0, pz0): start (1e+200, 0.0, 0.0) has norm "
+                                "9.9999999999999997e+199, outside the Bloch ball |P| <= 1 + 1e-06\n")
+        assert captured.out == "" and not out.exists()
+
+    def test_coeffs_reads_no_start(self, tmp_path, capsys):
+        # one file serves every command; coeffs ignores an overflowing start
+        cfg = write(tmp_path / "pair.cfg", "state_a = 2p0\nstate_b = 1s\nk_max = 1.0\n"
+                    "px0 = 1e200\npy0 = 0\npz0 = 0\n")
+        assert main(["coeffs", "--config", cfg]) == 0
+        assert capsys.readouterr().out == README_PAIR_TABLE
 
     @pytest.mark.parametrize("t_end", ["1", "1e10"])
     def test_grid_too_large_is_one(self, tmp_path, capsys, t_end):

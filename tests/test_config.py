@@ -7,6 +7,7 @@ import pytest
 
 from quadbloch import BoundState
 from quadbloch.config import _KNOWN_KEYS, MODES, ConfigError, parse_config_with_overrides, parse_state
+from quadbloch.twolevel import _flow_anchor
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -177,13 +178,26 @@ class TestParseConfig:
             parse_config_with_overrides(MINIMAL_SIMULATE + "px0 = 0.1\npy0 = 0\npz0 = 1\n", [], "simulate")
         with pytest.raises(ConfigError, match="'px0' must be finite"):
             parse_config_with_overrides(MINIMAL_SIMULATE + "px0 = nan\npy0 = 0\npz0 = 0\n", [], "simulate")
-        # within the 1e-6 slack the start is divided by its norm, onto the sphere
+        # within the 1e-6 slack the start is kept as written, and the run divides it
+        # by its norm, onto the sphere
         cfg = parse_config_with_overrides(MINIMAL_SIMULATE + "px0 = 0\npy0 = 0\npz0 = -1.0000005\n", [], "simulate")
-        assert cfg.initial == (0.0, 0.0, -1.0)
+        assert cfg.initial == (0.0, 0.0, -1.0000005)
+        assert _flow_anchor(cfg.params, cfg.t_start, cfg.initial)[0] == (0.0, 0.0, -1.0)
         cfg = parse_config_with_overrides(MINIMAL_SIMULATE + "px0 = 0.6\npy0 = 0\npz0 = 0.8000004\n", [], "simulate")
-        px, py, pz = cfg.initial
+        assert cfg.initial == (0.6, 0.0, 0.8000004)
+        px, py, pz = _flow_anchor(cfg.params, cfg.t_start, cfg.initial)[0]
         assert py == 0.0 and px / pz == pytest.approx(0.6 / 0.8000004, rel=1e-15)
         assert math.sqrt(px * px + pz * pz) == pytest.approx(1.0, abs=2e-16)
+
+    def test_overflowing_start_refused_by_the_ball_rule(self):
+        # |P|^2 = 1e400 overflowed a float: "(34, 'Numerical result out of range')"
+        text = MINIMAL_SIMULATE + "px0 = 1e200\npy0 = 0\npz0 = 0\n"
+        with pytest.raises(ConfigError, match=r"^initial state \(px0, py0, pz0\): start \(1e\+200, 0\.0, 0\.0\) "
+                                              r"has norm \S+, outside the Bloch ball"):
+            parse_config_with_overrides(text, [], "simulate")
+        # coeffs reads no start, so the same entries are no error there
+        cfg = parse_config_with_overrides("state_a = 2p0\nstate_b = 1s\npx0 = 1e200\npy0 = 0\npz0 = 0\n", [], "coeffs")
+        assert cfg.initial == (1e200, 0.0, 0.0)
 
 
 class TestOverrides:

@@ -9,6 +9,7 @@ from quadbloch import (
     DensityMatrix2,
     StepSizeError,
     TwoLevelParams,
+    additional_shift,
     analytic_bloch,
     bloch_rhs,
     bloch_to_density,
@@ -345,16 +346,17 @@ class TestDensityTraceMillionSteps:
         assert worst < 1e-10
 
 
-OUTSIDE_THE_BALL = [(0.0, 0.0, 2.0), (3.0, 0.0, 0.0), (math.nan, 0.0, 0.0)]
+OUTSIDE_THE_BALL = [(0.0, 0.0, 2.0), (3.0, 0.0, 0.0), (math.nan, 0.0, 0.0), (1e200, 0.0, 0.0)]
 BALL_REFUSAL = r"^start \(.+\) has norm \S+, outside the Bloch ball \|P\| <= 1 \+ 1e-06$"
 
 
-@pytest.mark.parametrize("start", OUTSIDE_THE_BALL, ids=["pz-2", "px-3", "nan"])
+@pytest.mark.parametrize("start", OUTSIDE_THE_BALL, ids=["pz-2", "px-3", "nan", "px-1e200"])
 class TestStartOutsideTheBall:
     """Every library entry point that takes a start refuses one outside the
     Bloch ball by name. ``integrate`` and ``run_checks`` raised StepSizeError
     at t_start, blaming the step or an overflow; ``exact_trajectory`` and
-    ``frequency_shift`` returned samples of norm 2, 3 or nan."""
+    ``frequency_shift`` returned samples of norm 2, 3 or nan; px = 1e200
+    raised OverflowError where the norm was squared."""
 
     def test_integrate(self, start):
         with pytest.raises(ValueError, match=BALL_REFUSAL):
@@ -372,9 +374,16 @@ class TestStartOutsideTheBall:
         with pytest.raises(ValueError, match=BALL_REFUSAL):
             frequency_shift(0.5, CANONICAL, initial=start, t_start=-1.0)
 
+    def test_additional_shift(self, start):
+        with pytest.raises(ValueError, match=BALL_REFUSAL):
+            additional_shift(0.5, CANONICAL, initial=start, t_start=-1.0)
+
 
 @pytest.mark.parametrize("start", [(0.0, 0.0, 1.0000005), (0.6, 0.0, -0.8000008)])
-def test_start_within_the_slack_enters_integrate_as_given(start):
-    # the ball rule allows norms up to 1 + 1e-6, and integrate does not move them onto the sphere
+def test_start_within_the_slack_enters_integrate_on_the_sphere(start):
+    # the ball rule allows norms up to 1 + 1e-6 and divides them onto the sphere, for RK4 and the flow alike
     assert 1.0 < math.hypot(*start) <= 1.0 + 1e-6
-    assert tuple(integrate(start, CANONICAL, -1.0, 1.0, 0.1).bloch[0]) == start
+    first = tuple(integrate(start, CANONICAL, -1.0, 1.0, 0.1).bloch[0])
+    assert first == tuple(exact_trajectory(start, CANONICAL, -1.0, 1.0, 0.1).bloch[0])
+    assert first == tuple(v / BlochVector(*start).norm() for v in start)
+    assert math.hypot(*first) == pytest.approx(1.0, abs=2e-16)

@@ -589,6 +589,14 @@ class TestFrequencyShiftGeneral:
         with pytest.raises(ValueError, match="sum to 1"):
             frequency_shift_general(np.array([0.6, 0.6]), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("pops, gamma, shape", [
+        (0.5, np.eye(1), r"\(\)"),                        # raised IndexError at pops.shape[0]
+        (0.5 * np.eye(2), [[0, 1], [1, 0]], r"\(2, 2\)"),  # returned a (2, 2, 2) array
+    ], ids=["scalar", "matrix"])
+    def test_populations_must_be_a_vector(self, pops, gamma, shape):
+        with pytest.raises(ValueError, match=f"^populations must be 1-D, got shape {shape}$"):
+            frequency_shift_general(pops, gamma)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_gamma_rejected(self, bad):
         gamma = np.eye(2)

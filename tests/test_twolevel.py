@@ -439,9 +439,10 @@ class TestAdditionalShift:
     def test_fixed_point_start_is_zero(self):
         p = TwoLevelParams(omega21=1.0, gamma11=0.02, gamma12=-0.04, a12=0.2, b12=0.02, c12=0.05)
         times = np.linspace(-20.0, 20.0, 41)
-        for pz0 in (1.0, -1.0, 1.0 + 1e-7):
+        # a start within the ball's slack is put on the pole
+        for pz0, pole in ((1.0, 1.0), (-1.0, -1.0), (1.0 + 1e-7, 1.0)):
             assert np.all(additional_shift(times, p, (0.0, 0.0, pz0), -20.0) == 0.0)
-            assert np.all(frequency_shift(times, p, (0.0, 0.0, pz0), -20.0) == -p.tau - p.lam * pz0)
+            assert np.all(frequency_shift(times, p, (0.0, 0.0, pz0), -20.0) == -p.tau - p.lam * pole)
 
     def test_default_start_ignores_t_start(self, rng):
         # every default run has Pz = 0 at t0, q = 0 included
