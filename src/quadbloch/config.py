@@ -163,6 +163,11 @@ def _validate(cfg: RunConfig, raw: dict[str, tuple[str, str]]):
     else:
         if cfg.has_state_pair and explicit_rates:
             raise ConfigError("give either a state pair or explicit rates, not both")
+        a, b = cfg.state_a, cfg.state_b
+        # without a dipole (E1) line A, B and C are rounding, whose sign would pick the decaying level
+        if cfg.has_state_pair and not (abs(a.l - b.l) == 1 and abs(a.m - b.m) <= 1):
+            raise ConfigError(f"{a.label()} -> {b.label()} has no E1 line (it needs |l_a - l_b| = 1 and "
+                              "|m_a - m_b| <= 1), so its rates are rounding; give explicit rates (a12) instead")
         if not cfg.has_state_pair and not explicit_rates:
             raise ConfigError(f"{cfg.mode} mode needs a state pair or explicit rates")
         if explicit_rates and "omega21" not in raw:

@@ -117,13 +117,13 @@ def integrate(initial: BlochVector | None, p: TwoLevelParams, t_start: float,
     """Integrate the Bloch equations on a fixed grid of width ~``step``.
 
     The span is divided into round(span/step) equal steps, so the last sample
-    lands exactly on t_end. ``initial=None`` starts from the closed-form
-    value at t_start, and a given start takes the rule of every run
-    (``twolevel._ball_start``). Aborts with StepSizeError at the
-    first sample k whose norm leaves the closed unit ball by more than 1e-6,
-    or overflows: from a coarse step, or from rounding the flow grew by e^g,
-    g = 2 q h sum(Pz[:k]) (d(|P|^2 - 1)/dt = 2 q Pz (|P|^2 - 1)), which no
-    step helps.
+    lands exactly on t_end. The run starts where ``twolevel._flow_anchor``
+    says: ``initial=None`` from the flow through (1, 0, 0) at t0, evaluated
+    at t_start, at every q; a given start by the start rule. Aborts with
+    StepSizeError at the first sample k whose norm leaves the closed unit
+    ball by more than 1e-6, or overflows: from a coarse step, or from
+    rounding the flow grew by e^g, g = 2 q h sum(Pz[:k])
+    (d(|P|^2 - 1)/dt = 2 q Pz (|P|^2 - 1)), which no step helps.
     """
     t, h = time_grid(t_start, t_end, step)
     start, at = _flow_anchor(p, t_start, initial)
@@ -174,9 +174,8 @@ def exact_trajectory(initial: BlochVector | None, p: TwoLevelParams, t_start: fl
                      t_end: float, step: float) -> Trajectory:
     """Exact samples of the flow on the grid ``integrate`` uses for the same arguments.
 
-    ``initial=None`` follows the closed form through (1, 0, 0) at t0, the
-    start ``integrate`` takes at t_start; at q = 0 the run starts at
-    (1, 0, 0) at t_start.
+    ``initial=None`` follows the flow through (1, 0, 0) at t0 at every q,
+    the start ``integrate`` takes at t_start (``twolevel._flow_anchor``).
     """
     t, h = time_grid(t_start, t_end, step)
     samples = bloch_flow(t, p, *_flow_anchor(p, t_start, initial))

@@ -213,7 +213,10 @@ def _ball_start(initial) -> BlochVector:
     (1, 1 + BALL_SLACK], so that the flow and RK4 start from the same pole
     (the flow holds |Pz0| >= 1 fixed, RK4 moves Pz0 > 1 by q (Pz^2 - 1));
     as given otherwise."""
-    start = BlochVector(*(float(v) for v in initial))
+    try:
+        start = BlochVector(*(float(v) for v in initial))
+    except (TypeError, ValueError):
+        raise ValueError(f"start {initial!r} is not three numbers (px, py, pz)") from None
     norm = math.hypot(*start)
     if not norm <= 1.0 + BALL_SLACK:
         raise ValueError(f"start {tuple(start)} has norm {norm:.17g}, outside the Bloch ball |P| <= 1 + {BALL_SLACK:g}")
@@ -221,41 +224,33 @@ def _ball_start(initial) -> BlochVector:
     return BlochVector(*(v / norm for v in start)) if norm > 1.0 else start
 
 
-def _flow_anchor(p: TwoLevelParams, t_start: float, initial=None) -> tuple[tuple, float]:
-    """(start, at) of a run from t_start: ``initial`` at t_start (``_ball_start``),
-    or by default (1, 0, 0) at t0, or at t_start when q = 0, which has no t0."""
-    if initial is not None:
-        return _ball_start(initial), t_start
-    return _EQUATOR, (t_start if p.q == 0.0 else p.t0)
+def _flow_anchor(p: TwoLevelParams, t_start: float | None, initial=None) -> tuple[tuple, float]:
+    """(start, at) of a run, the one place that decides it: ``initial`` at
+    ``t_start`` by the start rule (``_ball_start``), or by default (1, 0, 0)
+    at t0, at every q. A start given without its time is a ValueError."""
+    if initial is None:
+        return _EQUATOR, p.t0
+    if t_start is None:
+        raise ValueError("a start needs its time: pass t_start with initial")
+    return _ball_start(initial), t_start
 
 
 def analytic_bloch(t: float, p: TwoLevelParams) -> BlochVector:
-    """Closed-form solution passing through (1, 0, 0) at t = t0.
+    """``bloch_flow`` through the default start, (1, 0, 0) at t0.
 
     Pz = -tanh q(t - t0); the transverse pair carries the sech envelope and
-    the phase (omega21 - tau)(t - t0) + (lam/q) ln cosh q(t - t0). Refuses
-    q = 0, where this family has no t0 to pass through (``bloch_flow`` covers
-    q = 0 from any start).
+    the phase (omega21 - tau)(t - t0) + (lam/q) ln cosh q(t - t0), which at
+    q = 0 is a rotation at omega21 - tau from (1, 0, 0) at t0.
     """
-    if p.q == 0.0:
-        raise ValueError("closed form undefined at q = 0 (ln cosh / q term); use bloch_flow from a start")
-    return BlochVector(*bloch_flow(t, p, _EQUATOR, p.t0).tolist())
-
-
-def _shift_anchor(p: TwoLevelParams, initial, t_start) -> tuple[float, float]:
-    """(Pz0, at) of the run from ``initial`` at ``t_start`` (``_flow_anchor``), a
-    default start at t0 for every q: Pz = 0 there, on the dipole-only run too."""
-    if initial is not None and t_start is None:
-        raise ValueError("a start needs its time: pass t_start with initial")
-    start, at = _flow_anchor(p, p.t0 if initial is None else t_start, initial)
-    return float(start[2]), at
+    return BlochVector(*bloch_flow(t, p, *_flow_anchor(p, None)).tolist())
 
 
 def frequency_shift(t, p: TwoLevelParams, initial=None, t_start=None):
     """Frequency shift -tau - lam Pz along ``bloch_flow`` from ``initial`` at
-    ``t_start``, by default Pz = -tanh q(t - t0). A float ``t`` gives a float."""
-    pz0, at = _shift_anchor(p, initial, t_start)
-    return _scalar_or_array(_shift(p, _inversion(np.asarray(t, dtype=float), p.q, pz0, at)))
+    ``t_start`` (``_flow_anchor``), by default Pz = -tanh q(t - t0) at every
+    q, so -tau at t0. A float ``t`` gives a float."""
+    start, at = _flow_anchor(p, t_start, initial)
+    return _scalar_or_array(_shift(p, _inversion(np.asarray(t, dtype=float), p.q, start[2], at)))
 
 
 def additional_shift(t, p: TwoLevelParams, initial=None, t_start=None):
@@ -265,7 +260,7 @@ def additional_shift(t, p: TwoLevelParams, initial=None, t_start=None):
     sech(x + y), formed from exponentials of non-positive arguments, so it
     cannot cancel or overflow; 0 at c12 = b12, at ``at`` and where |Pz0| >= 1.
     A float ``t`` gives a float."""
-    pz0, at = _shift_anchor(p, initial, t_start)
+    (_, _, pz0), at = _flow_anchor(p, t_start, initial)
     dt = np.asarray(t, dtype=float) - at
     if abs(pz0) >= 1.0:
         return _scalar_or_array(np.zeros(dt.shape))

@@ -198,8 +198,9 @@ def run_checks(p: TwoLevelParams, t_start: float, t_end: float, step: float,
                initial=None) -> tuple[Report, Trajectory]:
     """Run every check at the given parameters and return (report, trajectory).
 
-    A given start takes the rule of every run (``twolevel._ball_start``).
-    More than ``_MAX_RK4_STEPS`` steps are refused with a ValueError.
+    The run starts where ``twolevel._flow_anchor`` says: a given start by
+    the start rule, by default (1, 0, 0) at t0 at every q. More than
+    ``_MAX_RK4_STEPS`` steps are refused with a ValueError.
     """
     steps = _step_count(t_start, t_end, step)
     if steps > _MAX_RK4_STEPS:
@@ -208,8 +209,7 @@ def run_checks(p: TwoLevelParams, t_start: float, t_end: float, step: float,
     q = p.q
     checks: list[Check] = []
     traj = integrate(initial, p, t_start, t_end, step)
-    # the flow from the run's own start: by default the closed form through
-    # (1, 0, 0) at t0
+    # the flow from the run's own start
     start, at = _flow_anchor(p, t_start, initial)
     order, order_error, order_step = _convergence_order(initial, p, start, at, t_start, t_end, step)
     # RK4's error at the run's step, carried from the order check's at fourth order

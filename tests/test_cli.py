@@ -885,6 +885,29 @@ class TestExitCodes:
                                 "9.9999999999999997e+199, outside the Bloch ball |P| <= 1 + 1e-06\n")
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "verify", "shift"])
+    @pytest.mark.parametrize("state_a, state_b, pair", [("2s", "1s", "2s -> 1s"), ("3s", "2s", "3s -> 2s"),
+                                                        ("3d0", "1s", "3d -> 1s"), ("3d+2", "2p0", "3d+2 -> 2p")])
+    def test_pair_without_an_e1_line_is_one(self, tmp_path, capsys, command, state_a, state_b, pair):
+        # these ran on rounding, writing q = 3.27e-41, 2.28e-42, 4.18e-42 and 9.03e-42, and verify passed
+        out = tmp_path / "o.csv"
+        cfg = write(tmp_path / "run.cfg", f"output = {out}\nstate_a = {state_a}\nstate_b = {state_b}\n"
+                    "t_start = -5\nt_end = 5\nstep = 0.01\n")
+        assert main([command, "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {pair} has no E1 line (it needs |l_a - l_b| = 1 and |m_a - m_b| <= 1), "
+                                "so its rates are rounding; give explicit rates (a12) instead\n")
+        assert captured.out == "" and not out.exists()
+
+    def test_same_n_pair_with_an_e1_line_runs(self, tmp_path):
+        # 2s -> 2p0 has an E1 line; its rates are exact zeros from the omega^3 factor, not rounding
+        out = tmp_path / "o.csv"
+        cfg = write(tmp_path / "run.cfg", f"output = {out}\nstate_a = 2s\nstate_b = 2p0\n"
+                    "t_start = -5\nt_end = 5\nstep = 0.01\n")
+        assert main(["simulate", "--config", cfg]) == 0
+        meta = out.read_text().splitlines()
+        assert "# a12 = 0" in meta and "# q = 0" in meta
+
     def test_coeffs_reads_no_start(self, tmp_path, capsys):
         # one file serves every command; coeffs ignores an overflowing start
         cfg = write(tmp_path / "pair.cfg", "state_a = 2p0\nstate_b = 1s\nk_max = 1.0\n"

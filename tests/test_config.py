@@ -199,6 +199,18 @@ class TestParseConfig:
         cfg = parse_config_with_overrides("state_a = 2p0\nstate_b = 1s\npx0 = 1e200\npy0 = 0\npz0 = 0\n", [], "coeffs")
         assert cfg.initial == (1e200, 0.0, 0.0)
 
+    @pytest.mark.parametrize("state_a, state_b", [("2s", "1s"), ("3d0", "1s"), ("3d+2", "2p0"), ("2p0", "3p+1"),
+                                                  ("4f-3", "3d-1")])
+    def test_dynamics_need_an_e1_line(self, state_a, state_b):
+        # parity, Delta l = 2 and Delta m = 2 leave no E1 line; coeffs still takes the pair
+        pair = f"state_a = {state_a}\nstate_b = {state_b}\n"
+        span = "t_start = -10\nt_end = 10\nstep = 0.01\noutput = run.csv\n"
+        for mode in ("simulate", "verify", "shift"):
+            with pytest.raises(ConfigError, match=r"has no E1 line \(it needs \|l_a - l_b\| = 1 and "
+                                                  r"\|m_a - m_b\| <= 1\).*explicit rates \(a12\)"):
+                parse_config_with_overrides(span + pair, [], mode)
+        assert parse_config_with_overrides(pair, [], "coeffs").state_b == parse_state(state_b)
+
 
 class TestOverrides:
     def test_override_applies_after_parse(self):

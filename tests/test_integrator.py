@@ -1,5 +1,7 @@
 import math
+import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,13 +13,14 @@ from quadbloch import (
     TwoLevelParams,
     additional_shift,
     analytic_bloch,
+    bloch_flow,
     bloch_rhs,
     bloch_to_density,
     exact_trajectory,
     frequency_shift,
     integrate,
 )
-from quadbloch.cli import _csv_columns
+from quadbloch.cli import _csv_columns, main
 from quadbloch.integrator import _pz_recurrence, time_grid
 from quadbloch.verification import run_checks
 
@@ -56,7 +59,7 @@ def _oracle_integrate(initial, p, t_start, t_end, step):
     """The per-step loop over 3-tuples."""
     t, h = time_grid(t_start, t_end, step)
     if initial is None:
-        initial = (1.0, 0.0, 0.0) if p.q == 0.0 else analytic_bloch(t_start, p)
+        initial = analytic_bloch(t_start, p)
     y = tuple(float(v) for v in initial)
     samples = [y]
     for k in range(1, len(t)):
@@ -107,10 +110,13 @@ class TestBasics:
         assert tuple(start.tolist()) == analytic_bloch(-7.0, canonical_params)
 
     def test_default_initial_at_q_zero(self):
-        p = TwoLevelParams(omega21=1.0)
+        # q = 0 has the default start of every q: (1, 0, 0) at t0, read off the flow at t_start
+        p = TwoLevelParams(omega21=1.0, t0=-4.5)
         start = integrate(None, p, -5.0, -4.0, 0.5).bloch[0]
-        assert tuple(start.tolist()) == (1.0, 0.0, 0.0)
-        assert not np.signbit(start).any()
+        assert tuple(start.tolist()) == analytic_bloch(-5.0, p) != (1.0, 0.0, 0.0)
+        at_t0 = integrate(None, p, -4.5, -4.0, 0.5).bloch[0]
+        assert tuple(at_t0.tolist()) == (1.0, 0.0, 0.0)
+        assert not np.signbit(at_t0).any()
 
 
 class TestAccuracy:
@@ -191,9 +197,12 @@ class TestExactFlowCrossCheck:
                               0.5 * (exact.bloch[:, 0] - 1j * exact.bloch[:, 1]))
 
     def test_default_start_at_q_zero(self):
+        # the run passes (1, 0, 0) at t0 = 0, its eleventh sample, and starts where that flow is at t_start
         exact = exact_trajectory(None, NO_DECAY, -5.0, 5.0, 0.5)
-        assert tuple(exact.bloch[0]) == (1.0, 0.0, 0.0)
-        assert not np.signbit(exact.bloch[0]).any()
+        assert exact.t[10] == NO_DECAY.t0
+        assert tuple(exact.bloch[10]) == (1.0, 0.0, 0.0)
+        assert not np.signbit(exact.bloch[10]).any()
+        assert tuple(exact.bloch[0]) == analytic_bloch(-5.0, NO_DECAY) != (1.0, 0.0, 0.0)
 
 
 class TestAgainstLoopOracle:
@@ -377,6 +386,60 @@ class TestStartOutsideTheBall:
     def test_additional_shift(self, start):
         with pytest.raises(ValueError, match=BALL_REFUSAL):
             additional_shift(0.5, CANONICAL, initial=start, t_start=-1.0)
+
+
+@pytest.mark.parametrize("start", [(0.5, 0.5), (0.0, 0.0, 0.0, 1.0)], ids=["two", "four"])
+class TestStartOfTheWrongLength:
+    """Every library entry point that takes a start refuses one that is not
+    three numbers by name. They raised TypeError from the BlochVector
+    constructor ("missing 1 required positional argument: 'pz'", "takes 4
+    positional arguments but 5 were given")."""
+
+    @staticmethod
+    def refusal(start):
+        return rf"^start {re.escape(repr(start))} is not three numbers \(px, py, pz\)$"
+
+    def test_integrate(self, start):
+        with pytest.raises(ValueError, match=self.refusal(start)):
+            integrate(start, CANONICAL, -1.0, 1.0, 0.1)
+
+    def test_exact_trajectory(self, start):
+        with pytest.raises(ValueError, match=self.refusal(start)):
+            exact_trajectory(start, CANONICAL, -1.0, 1.0, 0.1)
+
+    def test_run_checks(self, start):
+        with pytest.raises(ValueError, match=self.refusal(start)):
+            run_checks(CANONICAL, -1.0, 1.0, 0.1, initial=start)
+
+    def test_frequency_shift(self, start):
+        with pytest.raises(ValueError, match=self.refusal(start)):
+            frequency_shift(0.5, CANONICAL, initial=start, t_start=-1.0)
+
+    def test_additional_shift(self, start):
+        with pytest.raises(ValueError, match=self.refusal(start)):
+            additional_shift(0.5, CANONICAL, initial=start, t_start=-1.0)
+
+
+@pytest.mark.parametrize("p", [replace(CANONICAL, t0=2.5), replace(RISING, t0=2.5),
+                               TwoLevelParams(omega21=1.0, gamma11=0.02, gamma12=-0.04, a12=0.25, b12=0.125, t0=2.5)],
+                         ids=["q-positive", "q-negative", "q-zero"])
+def test_default_start_is_the_equator_at_t0(p, tmp_path):
+    # one default start at every q, for every entry point and for simulate
+    assert p.t0 == 2.5
+    exact = exact_trajectory(None, p, -5.0, 5.0, 0.5)
+    assert exact.t[15] == p.t0 and tuple(exact.bloch[15]) == (1.0, 0.0, 0.0)
+    first = integrate(None, p, -5.0, 5.0, 0.5).bloch[0]
+    assert first.tolist() == bloch_flow(-5.0, p, (1.0, 0.0, 0.0), p.t0).tolist() == exact.bloch[0].tolist()
+    assert analytic_bloch(p.t0, p) == (1.0, 0.0, 0.0)
+    assert frequency_shift(p.t0, p) == -p.tau
+    assert additional_shift(p.t0, p) == 0.0
+    cfg, out = tmp_path / "run.cfg", tmp_path / "run.csv"
+    keys = ("omega21", "gamma11", "gamma22", "gamma12", "a12", "b12", "c12", "t0")
+    cfg.write_text("".join(f"{key} = {getattr(p, key)!r}\n" for key in keys)
+                   + f"t_start = -5\nt_end = 5\nstep = 0.5\noutput = {out}\n")
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    meta = out.read_text().splitlines()
+    assert "# start = 1, 0, 0" in meta and "# start_time = 2.5" in meta
 
 
 @pytest.mark.parametrize("start", [(0.0, 0.0, 1.0000005), (0.6, 0.0, -0.8000008)])

@@ -9,10 +9,10 @@ I = int_at^t Pz it is (Px0 - i Py0) exp(q I + i ((omega21 - tau)(t - at) - lam I
 Every other column is a fixed map of (Px, Py, Pz).
 
 The bound is absolute. The flow rounds its phase, (omega21 - tau)(t - at) up
-to 37 rad here, to about eps per radian, and the largest error measured was
-4.8e-15, on Px at q = 0, where no envelope damps it; from the other starts
-every column was within 1e-15. The t column is t_start + k h, within a few
-ulps of the exact grid time.
+to 40 rad here, to about eps per radian, and the largest error measured was
+2.1e-15, on Px at q = 0 (18.5 rad from t0 at most), where no envelope damps
+it; from the other starts every column was within 1e-15. The t column is
+t_start + k h, within a few ulps of the exact grid time.
 
 README's run, repeated at each of numpy's CPU dispatch levels, moves only
 the flow's last ulp: the same rows and t column, every cell within the same
@@ -86,7 +86,7 @@ def test_columns_match_50_digit_closed_form(case, tmp_path):
 
     p = _params(rates)
     if start is None:
-        start, at = (1.0, 0.0, 0.0), (t_start if p.q == 0.0 else p.t0)
+        start, at = (1.0, 0.0, 0.0), p.t0
     else:
         at = t_start
     worst = np.zeros(11)

@@ -136,10 +136,14 @@ class TestAnalyticBloch:
         for t in rng.uniform(-50.0, 50.0, size=200):
             assert abs(analytic_bloch(t, canonical_params).norm() - 1.0) < 1e-14
 
-    def test_refuses_q_zero(self):
-        p = TwoLevelParams(omega21=1.0)
-        with pytest.raises(ValueError, match="q = 0"):
-            analytic_bloch(1.0, p)
+    def test_defined_at_q_zero(self):
+        # the flow through (1, 0, 0) at t0 at every q: at q = 0 a rotation at omega21 - tau
+        p = TwoLevelParams(omega21=1.0, gamma11=0.1, gamma22=0.04, gamma12=0.01, t0=1.5)
+        assert analytic_bloch(p.t0, p) == BlochVector(1.0, 0.0, 0.0)
+        for t in (-3.0, 1.0, 7.25):
+            assert analytic_bloch(t, p) == tuple(bloch_flow(t, p, (1.0, 0.0, 0.0), p.t0).tolist())
+            phase = (p.omega21 - p.tau) * (t - p.t0)
+            assert np.allclose(analytic_bloch(t, p), (math.cos(phase), -math.sin(phase), 0.0), rtol=0.0, atol=1e-15)
 
     def test_residual_against_rhs(self, rng):
         # closed form must satisfy the equations of motion
@@ -337,10 +341,10 @@ class TestDipoleExpectation:
             assert np.max(np.abs(_dipole(traj) - expected)) < 1e-15
 
     def test_defined_at_q_zero(self):
-        # a plain rotation at omega21 - tau - lam Pz0 from (1, 0, 0) at t_start
-        p = TwoLevelParams(omega21=1.0, gamma11=0.1, gamma22=0.04, gamma12=0.01)
+        # a plain rotation at omega21 - tau - lam Pz0 from (1, 0, 0) at t0
+        p = TwoLevelParams(omega21=1.0, gamma11=0.1, gamma22=0.04, gamma12=0.01, t0=1.5)
         traj = exact_trajectory(None, p, -2.0, 8.0, 0.01)
-        assert np.max(np.abs(_dipole(traj) - np.cos((p.omega21 - p.tau) * (traj.t + 2.0)))) < 1e-13
+        assert np.max(np.abs(_dipole(traj) - np.cos((p.omega21 - p.tau) * (traj.t - p.t0)))) < 1e-13
 
 
 class TestFrequencyShift:
